@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from affectpipe.core import Modality, default_schema, filter_eligible_participants
 from affectpipe.evaluate import ablation_run, paired_subsets
 from affectpipe.impute import fill_residual_with_participant_mean, impute_all
 from affectpipe.labels import TargetSpec, build_dataset, build_labels_cohort, concat_datasets
-from affectpipe.learners import ModelFamily, ModelSpec
-from affectpipe.pipeline import DEFAULT_EVAL_HYPERS
+from affectpipe.learners import MODEL_NAMES, ModelSpec
 from affectpipe.synth import CohortConfig, generate, variance_shares
-
-FAMILIES = {"rf": ModelFamily.RF, "svm": ModelFamily.SVM, "knn": ModelFamily.KNN, "mlp": ModelFamily.MLP}
 
 SUBSETS = {
     "ring": (Modality.RING,),
@@ -37,7 +32,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1234)
     ap.add_argument("--folds", type=int, default=5)
-    ap.add_argument("--model", choices=sorted(FAMILIES), default="rf")
+    ap.add_argument("--model", choices=sorted(MODEL_NAMES), default="rf")
     ap.add_argument("--min-days", type=int, default=200)
     args = ap.parse_args()
 
@@ -58,9 +53,7 @@ def main() -> None:
     )
     print(f"{len(eligible)} eligible participants, {pooled.n_rows} pooled rows\n")
 
-    family = FAMILIES[args.model]
-    hypers = DEFAULT_EVAL_HYPERS if family is ModelFamily.RF else {}
-    spec = ModelSpec(family=family, hyperparameters=hypers, seed=args.seed)
+    spec = ModelSpec(family=MODEL_NAMES[args.model], seed=args.seed)
     subsets = paired_subsets(pooled, schema, SUBSETS)
     reports = ablation_run(subsets, spec, k=args.folds, seed=args.seed, schema=schema)
 

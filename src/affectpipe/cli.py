@@ -13,8 +13,6 @@ from pathlib import Path
 from .analysis import (
     feature_affect_correlations,
     monthly_scores,
-    pooled_monthly_tvalues,
-    tvalues_from_scores,
     write_correlation_csv,
     write_tvalues_csv,
 )
@@ -40,23 +38,26 @@ from .evaluate import (
     cross_validate,
     relative_improvement,
     save_report,
+    subset_modalities,
     write_accuracy_table_csv,
     write_roc_csv,
 )
 from .impute import fill_residual_with_participant_mean, impute_all
 from .ingest import build_timeline, parse_affect_file, parse_modality_file
 from .labels import (
-    TargetSpec,
+    FALLBACKS,
+    TARGET_NAMES,
     build_dataset,
     build_labels_cohort,
     concat_datasets,
     load_dataset,
     load_labels,
+    parse_target,
     save_dataset,
     save_labels,
 )
-from .learners import ModelFamily, ModelSpec, default_grid, load_model, save_model, train
-from .pipeline import run_pipeline
+from .learners import MODEL_NAMES, ModelSpec, default_grid, load_model, save_model, train
+from .pipeline import run_pipeline, tvalue_table
 from .synth import load_cohort_config, write_cohort
 
 EXIT_CODES = [
@@ -68,28 +69,8 @@ EXIT_CODES = [
     (NoDataError, 6),
 ]
 
-_FAMILY_BY_NAME = {
-    "rf": ModelFamily.RF,
-    "svm": ModelFamily.SVM,
-    "mlp": ModelFamily.MLP,
-    "knn": ModelFamily.KNN,
-    "baseline": ModelFamily.MAJORITY,
-}
-
-
 def _schema_from_arg(path: str | None):
     return default_schema() if path is None else load_schema(path)
-
-
-def _target_from_arg(name: str, pooled: bool) -> TargetSpec:
-    scope = "pooled" if pooled else "per_participant"
-    if name.startswith("item:"):
-        return TargetSpec(kind="single_item", item_id=name.split(":", 1)[1], scope=scope)
-    if name == "mood":
-        return TargetSpec(kind="compiled_mood", scope=scope)
-    if name in ("pa", "na"):
-        return TargetSpec(kind=name, scope=scope)
-    raise ConfigError(f"unknown target {name!r} (expected pa|na|item:<id>|mood)")
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
@@ -131,7 +112,7 @@ def _cmd_impute(args: argparse.Namespace) -> None:
 
 def _cmd_label(args: argparse.Namespace) -> None:
     timelines = [load_timeline(p) for p in args.infiles]
-    target = _target_from_arg(args.target, args.pooled)
+    target = parse_target(args.target, args.pooled)
     label_sets = build_labels_cohort(
         timelines,
         target,
@@ -165,7 +146,7 @@ def _cmd_dataset(args: argparse.Namespace) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> None:
     ds = load_dataset(args.data)
-    family = _FAMILY_BY_NAME[args.model]
+    family = MODEL_NAMES[args.model]
     spec = ModelSpec(family=family, seed=args.seed)
     grid = default_grid(family) if args.tune else None
     model = train(spec, ds.X, ds.y, grid=grid, feature_ids=ds.feature_ids)
@@ -175,11 +156,17 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     ds = load_dataset(args.data)
-    family = _FAMILY_BY_NAME[args.model]
+    family = MODEL_NAMES[args.model]
     spec = ModelSpec(family=family, seed=args.seed)
     grid = default_grid(family) if args.tune else None
     report = cross_validate(
-        ds, spec, k=args.folds, seed=args.seed, grid=grid, stratified=args.stratified
+        ds,
+        spec,
+        k=args.folds,
+        seed=args.seed,
+        grid=grid,
+        stratified=args.stratified,
+        modalities=subset_modalities(ds, default_schema()),
     )
     out = Path(args.out)
     save_report(out, report)
@@ -215,20 +202,13 @@ def _cmd_analyze_tvalues(args: argparse.Namespace) -> None:
     timelines = [load_timeline(p) for p in args.infiles]
     baseline = args.baseline_months.split(",") if args.baseline_months else None
     alignment = "same_day" if args.same_day else "next_day"
-    rows = {}
-    all_scores = []
-    for timeline in timelines:
-        scores = monthly_scores(model, timeline, alignment=alignment)
-        all_scores.append(scores)
-        tvals, warns = tvalues_from_scores(scores, baseline)
-        rows[timeline.participant_id] = tvals
+    rows, warnings = tvalue_table(
+        [(t.participant_id, monthly_scores(model, t, alignment=alignment)) for t in timelines],
+        baseline,
+    )
+    for pid, warns in warnings.items():
         for w in warns:
-            print(f"warning [{timeline.participant_id}] {w}", file=sys.stderr)
-    if len(timelines) > 1:
-        pooled, pooled_warns = pooled_monthly_tvalues(all_scores, baseline)
-        rows["pooled"] = pooled
-        for w in pooled_warns:
-            print(f"warning [pooled] {w}", file=sys.stderr)
+            print(f"warning [{pid}] {w}", file=sys.stderr)
     write_tvalues_csv(args.out, rows)
     print(f"wrote monthly |t| table to {args.out}")
 
@@ -263,14 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impute", help="window-impute missing feature values")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--fallback", choices=("drop", "participant-mean"), default="drop"
-    )
+    p.add_argument("--fallback", choices=FALLBACKS, default="drop")
     p.set_defaults(fn=_cmd_impute)
 
     p = sub.add_parser("label", help="build binary affect labels")
     p.add_argument("--in", dest="infiles", nargs="+", required=True)
-    p.add_argument("--target", required=True, help="pa|na|item:<id>|mood")
+    p.add_argument("--target", required=True, help=TARGET_NAMES)
     p.add_argument("--out", required=True)
     p.add_argument("--middle-band", type=float, default=0.20)
     p.add_argument("--pooled", action="store_true")
@@ -282,13 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--schema", default=None)
     p.add_argument("--modalities", default="ring,watch,phone")
-    p.add_argument("--fallback", choices=("drop", "participant-mean"), default="drop")
+    p.add_argument("--fallback", choices=FALLBACKS, default="drop")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dataset)
 
     p = sub.add_parser("train", help="train one model on a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=sorted(_FAMILY_BY_NAME), required=True)
+    p.add_argument("--model", choices=sorted(MODEL_NAMES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tune", action="store_true")
     p.add_argument("--out", required=True)
@@ -296,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="k-fold cross-validate a model family")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=sorted(_FAMILY_BY_NAME), required=True)
+    p.add_argument("--model", choices=sorted(MODEL_NAMES), required=True)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tune", action="store_true")

@@ -9,7 +9,7 @@ emotion ratings and their positive/negative composites.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -95,21 +95,6 @@ class ItemPolarity:
 
     def all_items(self) -> tuple[str, ...]:
         return self.positive + self.negative
-
-
-@dataclass(frozen=True)
-class IntradaySample:
-    """A single within-day measurement with its coverage duration in minutes."""
-
-    feature_id: str
-    value: float
-    duration_min: float
-
-    def __post_init__(self) -> None:
-        if not self.duration_min > 0:
-            raise InputFormatError(
-                f"sample for {self.feature_id!r}: duration must be > 0, got {self.duration_min}"
-            )
 
 
 @dataclass(frozen=True)
@@ -369,35 +354,8 @@ def schema_from_dict(payload: dict) -> FeatureSchema:
     return FeatureSchema(entries)
 
 
-def save_schema(path: Path | str, schema: FeatureSchema) -> None:
-    dump_json(path, schema_to_dict(schema))
-
-
 def load_schema(path: Path | str) -> FeatureSchema:
     return schema_from_dict(read_json(path))
-
-
-def polarity_to_dict(polarity: ItemPolarity) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "positive": list(polarity.positive),
-        "negative": list(polarity.negative),
-    }
-
-
-def polarity_from_dict(payload: dict) -> ItemPolarity:
-    try:
-        return ItemPolarity(tuple(payload["positive"]), tuple(payload["negative"]))
-    except KeyError as exc:
-        raise InputFormatError(f"bad polarity document: missing {exc}") from exc
-
-
-def save_polarity(path: Path | str, polarity: ItemPolarity) -> None:
-    dump_json(path, polarity_to_dict(polarity))
-
-
-def load_polarity(path: Path | str) -> ItemPolarity:
-    return polarity_from_dict(read_json(path))
 
 
 def _affect_to_dict(report: AffectReport) -> dict:

@@ -256,7 +256,7 @@ def ablation_run(
         if set(ds.row_keys()) != common:
             ds = ds.restrict_dates(common)
         reports[name] = cross_validate(
-            ds, spec, k=k, seed=seed, grid=grid, modalities=_subset_modalities(ds, schema)
+            ds, spec, k=k, seed=seed, grid=grid, modalities=subset_modalities(ds, schema)
         )
         hashes.add(reports[name].fold_hash)
     if len(hashes) != 1:
@@ -264,7 +264,8 @@ def ablation_run(
     return reports
 
 
-def _subset_modalities(ds: Dataset, schema: FeatureSchema | None) -> tuple[str, ...]:
+def subset_modalities(ds: Dataset, schema: FeatureSchema | None) -> tuple[str, ...]:
+    """Modality names of the dataset's feature columns, in Modality order."""
     if schema is None:
         return tuple(m.value for m in Modality)
     present = {schema.spec_of(fid).modality for fid in ds.feature_ids if schema.has(fid)}

@@ -24,9 +24,13 @@ from .core import (
     dump_json,
     read_json,
 )
-from .errors import InsufficientDataError, NoDataError, SchemaError
+from .errors import ConfigError, InsufficientDataError, NoDataError, SchemaError
 
 TARGET_KINDS = ("single_item", "pa", "na", "compiled_mood")
+# The target names a run config and the CLI accept (see parse_target).
+TARGET_NAMES = "pa|na|item:<id>|mood"
+# Policies for feature values still missing after window imputation.
+FALLBACKS = ("drop", "participant-mean")
 SCOPES = ("per_participant", "pooled")
 ALIGNMENTS = ("next_day", "same_day")
 EXCLUDE_MIDDLE_BAND = "middle_band"
@@ -56,6 +60,18 @@ class TargetSpec:
             raise SchemaError("single_item target needs an item_id")
         if self.kind != "single_item" and self.item_id is not None:
             raise SchemaError(f"item_id only valid for single_item, not {self.kind!r}")
+
+
+def parse_target(name: str, pooled: bool) -> TargetSpec:
+    """The TargetSpec a target name stands for (see TARGET_NAMES)."""
+    scope = "pooled" if pooled else "per_participant"
+    if name in ("pa", "na"):
+        return TargetSpec(kind=name, scope=scope)
+    if name == "mood":
+        return TargetSpec(kind="compiled_mood", scope=scope)
+    if isinstance(name, str) and name.startswith("item:") and name != "item:":
+        return TargetSpec(kind="single_item", item_id=name[len("item:"):], scope=scope)
+    raise ConfigError(f"unknown target {name!r} (expected {TARGET_NAMES})")
 
 
 @dataclass(frozen=True)
@@ -182,10 +198,8 @@ def target_values(
             value = report.pa
         elif target.kind == "na":
             value = report.na
-        elif target.kind == "single_item":
+        else:
             value = report.items.get(target.item_id)  # type: ignore[arg-type]
-        else:  # compiled_mood handled by caller; expose pa here for symmetry
-            value = report.pa if report.na is not None else None
         if value is None:
             excluded[day.day] = EXCLUDE_MISSING_AFFECT
         else:
@@ -355,7 +369,7 @@ def build_dataset(
 
     next_day alignment pairs the features of day t with the label of day t+1.
     Rows with residual missing features are dropped under the default policy;
-    fallback="participant_mean" fills them from the timeline's non-missing
+    fallback="participant-mean" fills them from the timeline's non-missing
     values first.
     """
     if labels.participant_id != timeline.participant_id:
@@ -363,7 +377,7 @@ def build_dataset(
             f"labels for {labels.participant_id!r} do not match "
             f"timeline {timeline.participant_id!r}"
         )
-    if fallback not in ("drop", "participant_mean"):
+    if fallback not in FALLBACKS:
         raise SchemaError(f"unknown fallback policy {fallback!r}")
     feature_ids = tuple(schema.features_for(modalities))
     if not feature_ids:
@@ -372,7 +386,7 @@ def build_dataset(
     day_map = timeline.day_map()
 
     means: dict[str, float] = {}
-    if fallback == "participant_mean":
+    if fallback == "participant-mean":
         sums: dict[str, float] = {}
         counts: dict[str, int] = {}
         for day in timeline.days:
@@ -394,7 +408,7 @@ def build_dataset(
         ok = True
         for fid in feature_ids:
             value = feature_day.features.values.get(fid)
-            if value is None and fallback == "participant_mean":
+            if value is None and fallback == "participant-mean":
                 value = means.get(fid)
             if value is None:
                 ok = False

@@ -36,6 +36,15 @@ class ModelFamily(str, Enum):
     MAJORITY = "MajorityBaseline"
 
 
+# The model names a run config and the CLI accept, one per family.
+MODEL_NAMES: dict[str, ModelFamily] = {
+    "rf": ModelFamily.RF,
+    "svm": ModelFamily.SVM,
+    "mlp": ModelFamily.MLP,
+    "knn": ModelFamily.KNN,
+    "baseline": ModelFamily.MAJORITY,
+}
+
 _ALLOWED_HYPERS: dict[ModelFamily, frozenset[str]] = {
     ModelFamily.RF: frozenset({"n_trees", "max_depth", "max_features"}),
     ModelFamily.SVM: frozenset({"C", "epochs"}),
@@ -201,10 +210,6 @@ def train(
         chosen_hyperparameters=dict(chosen),
         feature_ids=None if feature_ids is None else tuple(feature_ids),
     )
-
-
-def predict_proba(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
-    return model.predict_proba(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+from .mlp import _sigmoid
 
 
 @dataclass

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,34 +42,27 @@ from .errors import ConfigError, MissingInputError, PipelineError
 from .evaluate import (
     ablation_run,
     cross_validate,
+    macro_average,
     paired_subsets,
     report_to_dict,
+    subset_modalities,
     write_accuracy_table_csv,
 )
 from .impute import fill_residual_with_participant_mean, impute_all
 from .ingest import parse_affect_file, parse_modality_file, build_timeline
 from .labels import (
-    TargetSpec,
+    FALLBACKS,
     build_dataset,
     build_labels_cohort,
     concat_datasets,
     dataset_to_dict,
     labels_to_dict,
+    parse_target,
 )
-from .learners import ModelFamily, ModelSpec, default_grid, train
-from .synth import CohortConfig, cohort_config_from_dict, write_cohort
+from .learners import MODEL_NAMES, ModelFamily, ModelSpec, default_grid, train
+from .synth import cohort_config_from_dict, write_cohort
 
 STAGES = ("synth", "ingest", "impute", "label", "dataset", "evaluate", "analyze")
-
-_FAMILY_BY_NAME = {
-    "rf": ModelFamily.RF,
-    "svm": ModelFamily.SVM,
-    "mlp": ModelFamily.MLP,
-    "knn": ModelFamily.KNN,
-    "baseline": ModelFamily.MAJORITY,
-}
-
-DEFAULT_EVAL_HYPERS = {"n_trees": 100, "max_depth": None, "max_features": "sqrt"}
 
 
 @dataclass(frozen=True)
@@ -118,9 +111,6 @@ class PipelineRun:
         path = self.out_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         dump_json(path, payload)
-
-    def _participant_ids(self) -> list[str]:
-        return [t.participant_id for t in self.timelines]
 
     # -- stages ----------------------------------------------------------
 
@@ -188,23 +178,7 @@ class PipelineRun:
             raise PipelineError(
                 f"no participant exceeds {min_days} valid affect days"
             )
-        target_name = section.get("target", "pa")
-        if target_name.startswith("item:"):
-            target = TargetSpec(
-                kind="single_item",
-                item_id=target_name.split(":", 1)[1],
-                scope="pooled" if section.get("pooled") else "per_participant",
-            )
-        elif target_name == "mood":
-            target = TargetSpec(
-                kind="compiled_mood",
-                scope="pooled" if section.get("pooled") else "per_participant",
-            )
-        else:
-            target = TargetSpec(
-                kind=target_name,
-                scope="pooled" if section.get("pooled") else "per_participant",
-            )
+        target = parse_target(section.get("target", "pa"), bool(section.get("pooled")))
         self.labels = build_labels_cohort(
             self.eligible,
             target,
@@ -238,11 +212,12 @@ class PipelineRun:
 
     def stage_evaluate(self) -> None:
         section = self.config.get("evaluate", {})
-        family = _FAMILY_BY_NAME[section.get("model", "rf")]
-        hypers = section.get(
-            "hyperparameters", DEFAULT_EVAL_HYPERS if family is ModelFamily.RF else {}
+        family = MODEL_NAMES[section.get("model", "rf")]
+        spec = ModelSpec(
+            family=family,
+            hyperparameters=section.get("hyperparameters", {}),
+            seed=self.seed,
         )
-        spec = ModelSpec(family=family, hyperparameters=hypers, seed=self.seed)
         k = int(section.get("folds", 5))
         grid = default_grid(family) if section.get("tune") else None
         stratified = bool(section.get("stratified", False))
@@ -250,9 +225,15 @@ class PipelineRun:
         reports = {}
         for pid, ds in self.datasets.items():
             reports[pid] = cross_validate(
-                ds, spec, k=k, seed=self.seed, grid=grid, stratified=stratified
+                ds,
+                spec,
+                k=k,
+                seed=self.seed,
+                grid=grid,
+                stratified=stratified,
+                modalities=subset_modalities(ds, self.schema),
             )
-        macro = float(np.mean([r.mean_accuracy for r in reports.values()]))
+        macro = macro_average(list(reports.values()))
         macro_baseline = float(
             np.mean([r.baseline_accuracy for r in reports.values()])
         )
@@ -320,36 +301,44 @@ class PipelineRun:
             }
 
         if section.get("tvalues", True):
-            baseline_months = section.get("baseline_months")
-            spec = ModelSpec(
-                family=ModelFamily.RF,
-                hyperparameters=DEFAULT_EVAL_HYPERS,
-                seed=self.seed,
-            )
-            rows = {}
-            warnings = {}
-            all_scores = []
+            # The scores come from a default 100-tree RF whatever evaluate.model is.
+            spec = ModelSpec(family=ModelFamily.RF, seed=self.seed)
+            scored = []
             for timeline in self.eligible:
-                pid = timeline.participant_id
-                ds = self.datasets[pid]
+                ds = self.datasets[timeline.participant_id]
                 model = train(spec, ds.X, ds.y, feature_ids=ds.feature_ids)
-                scores = monthly_scores(model, timeline, alignment=alignment)
-                all_scores.append(scores)
-                tvals, warns = tvalues_from_scores(scores, baseline_months)
-                rows[pid] = tvals
-                if warns:
-                    warnings[pid] = list(warns)
-            pooled_tvals, pooled_warns = pooled_monthly_tvalues(
-                all_scores, baseline_months
-            )
-            rows["pooled"] = pooled_tvals
-            if pooled_warns:
-                warnings["pooled"] = list(pooled_warns)
+                scored.append(
+                    (timeline.participant_id, monthly_scores(model, timeline, alignment=alignment))
+                )
+            rows, warnings = tvalue_table(scored, section.get("baseline_months"))
             write_tvalues_csv(self.out_dir / "tvalues.csv", rows)
-            doc["tvalues"] = {pid: dict(tv) for pid, tv in rows.items()}
+            doc["tvalues"] = rows
             doc["tvalue_warnings"] = warnings
 
         self._write_json("analyze.json", doc)
+
+
+def tvalue_table(
+    scored: Iterable[tuple[str, Mapping[str, np.ndarray]]],
+    baseline_months: Sequence[str] | None,
+) -> tuple[dict[str, dict[str, float]], dict[str, list[str]]]:
+    """Monthly |t| rows from (participant_id, monthly scores) pairs.
+
+    The rows always include a "pooled" row over every participant's scores.
+    Warnings are keyed like the rows and name each month left out.
+    """
+    rows: dict[str, dict[str, float]] = {}
+    warnings: dict[str, list[str]] = {}
+    all_scores = []
+    for pid, scores in scored:
+        all_scores.append(scores)
+        rows[pid], warns = tvalues_from_scores(scores, baseline_months)
+        if warns:
+            warnings[pid] = list(warns)
+    rows["pooled"], warns = pooled_monthly_tvalues(all_scores, baseline_months)
+    if warns:
+        warnings["pooled"] = list(warns)
+    return rows, warnings
 
 
 def preflight(config: dict) -> None:
@@ -386,8 +375,16 @@ def preflight(config: dict) -> None:
         if not Path(raw_dir).exists():
             raise MissingInputError(f"raw_dir not found: {raw_dir}")
     model = config.get("evaluate", {}).get("model", "rf")
-    if model not in _FAMILY_BY_NAME:
-        raise ConfigError(f"unknown model {model!r}")
+    if not isinstance(model, str) or model not in MODEL_NAMES:
+        raise ConfigError(f"unknown model {model!r} (expected {'|'.join(MODEL_NAMES)})")
+    label = config.get("label", {})
+    parse_target(label.get("target", "pa"), bool(label.get("pooled")))
+    for section in ("impute", "dataset"):
+        fallback = config.get(section, {}).get("fallback", "drop")
+        if fallback not in FALLBACKS:
+            raise ConfigError(
+                f"unknown {section}.fallback {fallback!r} (expected {'|'.join(FALLBACKS)})"
+            )
 
 
 def run_pipeline(

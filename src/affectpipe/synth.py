@@ -16,7 +16,7 @@ after affect generation and therefore never biases the labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -417,6 +417,13 @@ def ground_truth(config: CohortConfig) -> dict:
     }
 
 
+def _ground_truth_with(config: CohortConfig, truths: Sequence[ParticipantTruth]) -> dict:
+    """ground_truth() plus what was drawn for each participant."""
+    truth_doc = ground_truth(config)
+    truth_doc["participants"] = [asdict(t) for t in truths]
+    return truth_doc
+
+
 def generate(
     config: CohortConfig,
 ) -> tuple[list[ParticipantTimeline], dict]:
@@ -430,17 +437,7 @@ def generate(
             build_timeline(list(files.values()), reports, config.schema)
         )
         truths.append(truth)
-    truth_doc = ground_truth(config)
-    truth_doc["participants"] = [
-        {
-            "participant_id": t.participant_id,
-            "eligible": t.eligible,
-            "report_prob": t.report_prob,
-            "n_reports": t.n_reports,
-        }
-        for t in truths
-    ]
-    return timelines, truth_doc
+    return timelines, _ground_truth_with(config, truths)
 
 
 def write_cohort(config: CohortConfig, out_dir: Path | str) -> dict:
@@ -454,16 +451,7 @@ def write_cohort(config: CohortConfig, out_dir: Path | str) -> dict:
             write_modality_csv(out_dir / f"{pid}_{modality.value}.csv", f.rows)
         write_affect_csv(out_dir / f"{pid}_affect.csv", reports)
         truths.append(truth)
-    truth_doc = ground_truth(config)
-    truth_doc["participants"] = [
-        {
-            "participant_id": t.participant_id,
-            "eligible": t.eligible,
-            "report_prob": t.report_prob,
-            "n_reports": t.n_reports,
-        }
-        for t in truths
-    ]
+    truth_doc = _ground_truth_with(config, truths)
     dump_json(out_dir / "ground_truth.json", truth_doc)
     return truth_doc
 

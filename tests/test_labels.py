@@ -360,7 +360,7 @@ def test_build_dataset_drop_vs_mean_fallback():
     assert feature_day + timedelta(days=1) in ls.entries  # day-5 label exists
 
     dropped = build_dataset(tl, ls, TINY_SCHEMA, fallback="drop")
-    filled = build_dataset(tl, ls, TINY_SCHEMA, fallback="participant_mean")
+    filled = build_dataset(tl, ls, TINY_SCHEMA, fallback="participant-mean")
     assert feature_day not in dropped.dates
     assert feature_day in filled.dates
     row = filled.X[filled.dates.index(feature_day)]

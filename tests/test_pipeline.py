@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -153,8 +154,15 @@ def test_preflight_rejects_unknown_keys_before_output(tmp_path):
 def test_preflight_rejects_unknown_stage_and_model():
     with pytest.raises(ConfigError, match="stage"):
         preflight({"synth": {}, "stages": ["synth", "deploy"]})
-    with pytest.raises(ConfigError, match="model"):
-        preflight({"synth": {}, "evaluate": {"model": "xgboost"}})
+    for model in ("xgboost", ["rf"]):
+        with pytest.raises(ConfigError, match="model"):
+            preflight({"synth": {}, "evaluate": {"model": model}})
+    for target in ("bogus", "item:", 5):
+        with pytest.raises(ConfigError, match="target"):
+            preflight({"synth": {}, "label": {"target": target}})
+    for section in ("impute", "dataset"):
+        with pytest.raises(ConfigError, match=f"{section}.fallback"):
+            preflight({"synth": {}, section: {"fallback": "participant_mean"}})
     with pytest.raises(ConfigError, match="synth section or raw_dir"):
         preflight({})
 
@@ -170,6 +178,20 @@ def test_stage_errors_carry_the_stage_name(tmp_path):
     config_path, _ = run_config(tmp_path, eligibility={"min_days": 10000})
     with pytest.raises(PipelineError, match="stage label:"):
         run_pipeline(config_path, out_dir_override=tmp_path / "out")
+
+
+def test_report_names_the_configured_modalities(tmp_path):
+    config_path, _ = run_config(
+        tmp_path, dataset={"modalities": ["ring"]}, stages=list(STAGES[:-1])
+    )
+    out = tmp_path / "out"
+    run_pipeline(config_path, out_dir_override=out)
+    report = read_json(out / "report.json")
+    assert report["per_participant"]
+    for r in report["per_participant"].values():
+        assert r["modalities"] == ["ring"]
+    with (out / "accuracy_table.csv").open(newline="") as handle:
+        assert {row["modalities"] for row in csv.DictReader(handle)} == {"ring"}
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +321,76 @@ def test_cli_chain_end_to_end(cli_workspace, capsys):
     assert main(
         ["analyze", "tvalues", "--model", str(model), "--in", *timelines, "--out", str(tv)]
     ) == 0
-    header = tv.read_text().splitlines()[0].split(",")
+    lines = tv.read_text().splitlines()
+    header = lines[0].split(",")
     assert header[0] == "participant_id"
     assert "2020-01" in header and "2020-02" in header
+    assert [line.split(",")[0] for line in lines[1:]] == ["p01", "p02", "pooled"]
+
+    # one timeline still gets a pooled row, equal to its own
+    tv_one = base / "tvalues_one.csv"
+    assert main(
+        ["analyze", "tvalues", "--model", str(model), "--in", timelines[0], "--out", str(tv_one)]
+    ) == 0
+    own, pooled = (line.split(",") for line in tv_one.read_text().splitlines()[1:])
+    assert own[0] == "p01" and pooled[0] == "pooled"
+    assert own[1:] == pooled[1:]
+
+
+def write_ramp_inputs(tmp_path):
+    """Timeline whose day-4 heart_rate is missing, its pa labels, and a
+    schema file for its four features."""
+    from affectpipe.core import save_timeline, schema_to_dict
+    from conftest import TINY_SCHEMA, make_timeline
+
+    rows = [
+        {"sleep_deep": float(i), "heart_rate": 60.0, "walk_steps": 100.0, "main_activity": 0.5}
+        for i in range(14)
+    ]
+    rows[4] = dict(rows[4], heart_rate=None)
+    timeline = tmp_path / "p01.json"
+    save_timeline(
+        timeline,
+        make_timeline("p01", rows, affect_by_index={i: (float(5 * i), 20.0) for i in range(14)}),
+    )
+    schema = tmp_path / "schema.json"
+    dump_json(schema, schema_to_dict(TINY_SCHEMA))
+    labels = tmp_path / "labels.json"
+    assert main(["label", "--in", str(timeline), "--target", "pa", "--out", str(labels)]) == 0
+    return timeline, labels, schema
+
+
+def test_cli_dataset_participant_mean_fallback(tmp_path):
+    from affectpipe.labels import load_dataset
+
+    timeline, labels, schema = write_ramp_inputs(tmp_path)
+    n_rows = {}
+    for fallback in ("drop", "participant-mean"):
+        out = tmp_path / f"{fallback}.json"
+        assert main(
+            ["dataset", "--in", str(timeline), "--labels", str(labels), "--schema", str(schema),
+             "--fallback", fallback, "--out", str(out)]
+        ) == 0
+        n_rows[fallback] = load_dataset(out).n_rows
+    # the row fed by the day with missing heart_rate is filled, not dropped
+    assert n_rows["participant-mean"] == n_rows["drop"] + 1
+
+
+def test_cli_evaluate_names_the_dataset_modalities(tmp_path):
+    timeline, labels, schema = write_ramp_inputs(tmp_path)
+    dataset = tmp_path / "ring.json"
+    assert main(
+        ["dataset", "--in", str(timeline), "--labels", str(labels), "--schema", str(schema),
+         "--modalities", "ring", "--out", str(dataset)]
+    ) == 0
+    report = tmp_path / "report.json"
+    assert main(
+        ["evaluate", "--data", str(dataset), "--model", "knn", "--folds", "2",
+         "--stratified", "--out", str(report)]
+    ) == 0
+    assert read_json(report)["modalities"] == ["ring"]
+    with report.with_suffix(".accuracy.csv").open(newline="") as handle:
+        assert [row["modalities"] for row in csv.DictReader(handle)] == ["ring"]
 
 
 def test_cli_run_subcommand(tmp_path, capsys):
