@@ -22,6 +22,7 @@ from .core import (
     default_schema,
     load_schema,
     load_timeline,
+    parse_modalities,
     save_timeline,
 )
 from .errors import (
@@ -125,10 +126,10 @@ def _cmd_label(args: argparse.Namespace) -> None:
 
 
 def _cmd_dataset(args: argparse.Namespace) -> None:
+    modalities = parse_modalities(args.modalities.split(","))
     schema = _schema_from_arg(args.schema)
     timelines = {t.participant_id: t for t in (load_timeline(p) for p in args.infiles)}
     label_sets = load_labels(args.labels)
-    modalities = tuple(Modality(m) for m in args.modalities.split(","))
     parts = []
     for labels in label_sets:
         timeline = timelines.get(labels.participant_id)

@@ -8,14 +8,21 @@ emotion ratings and their positive/negative composites.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
-from dataclasses import dataclass
+import math
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from types import UnionType
+from typing import Any, ClassVar, Iterable, Mapping, NoReturn, Union, get_args, get_origin, get_type_hints
 
-from .errors import InputFormatError, SchemaError
+import numpy as np
+
+from .errors import ConfigError, InputFormatError, MissingInputError, PipelineError, SchemaError
 
 FORMAT_VERSION = 1
 
@@ -28,6 +35,15 @@ class Modality(str, Enum):
     PHONE = "phone"
 
 
+def parse_modalities(names: Iterable[str]) -> tuple[Modality, ...]:
+    """The modalities a list of names stands for; ConfigError for an unknown one."""
+    try:
+        return tuple(Modality(name) for name in names)
+    except (TypeError, ValueError) as exc:
+        expected = "|".join(m.value for m in Modality)
+        raise ConfigError(f"unknown modalities {names!r} (expected {expected})") from exc
+
+
 class Provenance(str, Enum):
     MEASURED = "measured"
     IMPUTED = "imputed"
@@ -38,7 +54,7 @@ class Provenance(str, Enum):
 class FeatureSpec:
     """One named daily feature tied to the device that produces it."""
 
-    feature_id: str
+    feature_id: str = field(metadata={"json_key": "id"})
     modality: Modality
     kind: str = "continuous"
     units: str = ""
@@ -52,26 +68,28 @@ class FeatureSpec:
 class FeatureSchema:
     """Registry of features; ids are unique and each belongs to one modality."""
 
+    json_document: ClassVar[bool] = True
     entries: tuple[FeatureSpec, ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        by_id: dict[str, FeatureSpec] = {}
         for spec in self.entries:
-            if spec.feature_id in seen:
+            if spec.feature_id in by_id:
                 raise SchemaError(f"duplicate feature id {spec.feature_id!r}")
-            seen.add(spec.feature_id)
+            by_id[spec.feature_id] = spec
+        object.__setattr__(self, "_by_id", by_id)
 
     def feature_ids(self) -> tuple[str, ...]:
         return tuple(s.feature_id for s in self.entries)
 
     def spec_of(self, feature_id: str) -> FeatureSpec:
-        for spec in self.entries:
-            if spec.feature_id == feature_id:
-                return spec
-        raise SchemaError(f"unknown feature id {feature_id!r}")
+        try:
+            return self._by_id[feature_id]
+        except KeyError:
+            raise SchemaError(f"unknown feature id {feature_id!r}") from None
 
     def has(self, feature_id: str) -> bool:
-        return any(s.feature_id == feature_id for s in self.entries)
+        return feature_id in self._by_id
 
     def features_for(self, modalities: Iterable[Modality]) -> tuple[str, ...]:
         wanted = set(modalities)
@@ -130,6 +148,11 @@ class AffectReport:
     pa: float | None
     na: float | None
 
+    def __post_init__(self) -> None:
+        for item_id, rating in self.items.items():
+            if not 0.0 <= rating <= 100.0:
+                raise InputFormatError(f"{self.day}: rating for {item_id!r} out of [0, 100]: {rating}")
+
     @property
     def complete(self) -> bool:
         return self.pa is not None and self.na is not None
@@ -137,13 +160,9 @@ class AffectReport:
     @classmethod
     def from_items(cls, day: date, items: dict[str, float], polarity: ItemPolarity) -> AffectReport:
         known = set(polarity.all_items())
-        for item_id, rating in items.items():
+        for item_id in items:
             if item_id not in known:
                 raise InputFormatError(f"{day}: unknown affect item {item_id!r}")
-            if not 0.0 <= rating <= 100.0:
-                raise InputFormatError(
-                    f"{day}: rating for {item_id!r} out of [0, 100]: {rating}"
-                )
         pa = _side_mean(items, polarity.positive)
         na = _side_mean(items, polarity.negative)
         return cls(day=day, items=dict(items), pa=pa, na=na)
@@ -311,66 +330,178 @@ def default_polarity() -> ItemPolarity:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
+# JSON codec
+
+
+def canonical_json(payload: dict) -> str:
+    """Canonical JSON text (sorted keys, fixed separators); NaN and Infinity are refused."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def dump_json(path: Path | str, payload: dict) -> None:
-    """Write a canonical JSON document (sorted keys, fixed separators)."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Write a canonical JSON document."""
+    try:
+        text = canonical_json(payload)
+    except ValueError as exc:
+        raise PipelineError(f"{path}: {exc}") from exc
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_json(path: Path | str) -> dict:
     p = Path(path)
     if not p.exists():
-        from .errors import MissingInputError
-
         raise MissingInputError(f"no such file: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        text = p.read_text(encoding="utf-8")
+        return json.loads(text, parse_constant=lambda token: _fail(str(p), f"{token} is not a JSON number"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"{p}: invalid JSON ({exc})") from exc
 
 
-def schema_to_dict(schema: FeatureSchema) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "entries": [
-            {"id": s.feature_id, "modality": s.modality.value, "kind": s.kind, "units": s.units}
-            for s in schema.entries
-        ],
-    }
+@functools.cache
+def _fields_of(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(name, JSON key, type, required) of each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("json_key", f.name), hints[f.name],
+         f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
 
 
-def schema_from_dict(payload: dict) -> FeatureSchema:
-    try:
-        entries = tuple(
-            FeatureSpec(e["id"], Modality(e["modality"]), e.get("kind", "continuous"), e.get("units", ""))
-            for e in payload["entries"]
-        )
-    except (KeyError, ValueError) as exc:
-        raise InputFormatError(f"bad schema document: {exc}") from exc
-    return FeatureSchema(entries)
+def to_json(obj: Any) -> Any:
+    """The JSON value of a dataclass, enum, date, array, sequence or mapping.
+
+    A dataclass is an object of its fields, each under its name or under the
+    key its metadata gives as "json_key"; a class whose ``json_document`` is
+    true also writes FORMAT_VERSION.
+    """
+    if isinstance(obj, Enum):
+        return obj.value
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, Mapping):
+        return {to_json(k): to_json(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, date):
+        return obj.isoformat()
+    doc = {key: to_json(getattr(obj, name)) for name, key, _, _ in _fields_of(type(obj))}
+    if getattr(obj, "json_document", False):
+        doc["format_version"] = FORMAT_VERSION
+    return doc
+
+
+def _fail(path: str, message: str) -> NoReturn:
+    raise InputFormatError(f"{path}: {message}")
+
+
+def from_json(tp: Any, value: Any, path: str | None = None) -> Any:
+    """Read a JSON value as type ``tp`` (a type annotation), the inverse of to_json.
+
+    A missing key takes its field's default, and fails without one; a key the
+    class does not have fails, except format_version and run_id.  Every
+    failure is one InputFormatError naming the path of the bad value.
+    """
+    path = path or tp.__name__
+    if tp is float:
+        if type(value) not in (int, float) or not math.isfinite(value):
+            _fail(path, "expected a finite number")
+        return float(value)
+    if tp in (int, str, bool):
+        if type(value) is not tp:
+            _fail(path, f"expected {tp.__name__}")
+        return value
+    if tp is date or isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return date.fromisoformat(value) if tp is date else tp(value)
+        except (TypeError, ValueError):
+            _fail(path, "expected an ISO date" if tp is date else f"expected one of {[m.value for m in tp]}")
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            _fail(path, "expected an object")
+        spec = _fields_of(tp)
+        unknown = set(value) - {key for _, key, _, _ in spec} - {"format_version", "run_id"}
+        if unknown:
+            _fail(path, f"unknown keys {sorted(unknown)}")
+        kwargs = {}
+        for name, key, field_type, required in spec:
+            if key in value:
+                kwargs[name] = from_json(field_type, value[key], f"{path}.{key}")
+            elif required:
+                _fail(f"{path}.{key}", "missing")
+        return tp(**kwargs)
+    if origin in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        options = [a for a in args if a is not type(None)]
+        for option in options[:-1]:
+            with contextlib.suppress(InputFormatError):
+                return from_json(option, value, path)
+        return from_json(options[-1], value, path)
+    if tp is Any or tp is object:
+        return value
+    if tp in (list, tuple) or origin in (list, tuple, abc.Sequence):
+        if not isinstance(value, list):
+            _fail(path, "expected a list")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                _fail(path, f"expected {len(args)} items")
+            return tuple(from_json(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+        items = [from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)] if args else value
+        return tuple(items) if tuple in (tp, origin) else items
+    if tp is dict or origin in (dict, abc.Mapping):
+        if not isinstance(value, dict):
+            _fail(path, "expected an object")
+        key_type, value_type = args or (str, Any)
+        entries = ((f"{path}.{k}", k, v) for k, v in value.items())
+        return {from_json(key_type, k, p): from_json(value_type, v, p) for p, k, v in entries}
+    if tp is np.ndarray:
+        # One array for the whole list, in the number type the JSON has.
+        if not isinstance(value, list):
+            _fail(path, "expected a list")
+        try:
+            arr = np.array(value)
+        except ValueError:
+            _fail(path, "expected a rectangular array")
+        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            _fail(path, "expected finite numbers")
+        return arr
+    raise TypeError(f"{path}: no JSON reading for {tp!r}")
 
 
 def load_schema(path: Path | str) -> FeatureSchema:
-    return schema_from_dict(read_json(path))
+    return from_json(FeatureSchema, read_json(path))
 
 
-def _affect_to_dict(report: AffectReport) -> dict:
-    return {"items": report.items, "pa": report.pa, "na": report.na}
+@dataclass(frozen=True)
+class _AffectEntry:
+    items: dict[str, float]
+    pa: float | None = None
+    na: float | None = None
 
 
-def _affect_from_dict(day: date, payload: dict) -> AffectReport:
-    items = {str(k): float(v) for k, v in payload["items"].items()}
-    for item_id, rating in items.items():
-        if not 0.0 <= rating <= 100.0:
-            raise InputFormatError(f"{day}: rating for {item_id!r} out of [0, 100]: {rating}")
-    pa = payload.get("pa")
-    na = payload.get("na")
-    return AffectReport(day=day, items=items, pa=None if pa is None else float(pa),
-                        na=None if na is None else float(na))
+@dataclass(frozen=True)
+class _DayEntry:
+    date: date
+    features: dict[str, float | None]
+    provenance: dict[str, Provenance]
+    affect: _AffectEntry | None = None
+
+    def to_day(self) -> TimelineDay:
+        affect = self.affect and AffectReport(self.date, self.affect.items, self.affect.pa, self.affect.na)
+        return TimelineDay(self.date, DailyFeatureVector(self.date, self.features, self.provenance), affect)
+
+
+@dataclass(frozen=True)
+class _TimelineDocument:
+    """A timeline as stored: each day's vector and report flattened into it."""
+
+    participant_id: str
+    days: tuple[_DayEntry, ...]
 
 
 def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
@@ -381,7 +512,7 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
                 "date": d.day.isoformat(),
                 "features": d.features.values,
                 "provenance": {k: v.value for k, v in d.features.provenance.items()},
-                "affect": None if d.affect is None else _affect_to_dict(d.affect),
+                "affect": d.affect and {"items": d.affect.items, "pa": d.affect.pa, "na": d.affect.na},
             }
         )
     return {
@@ -392,26 +523,8 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
 
 
 def timeline_from_dict(payload: dict) -> ParticipantTimeline:
-    try:
-        pid = payload["participant_id"]
-        days = []
-        for entry in payload["days"]:
-            day = date.fromisoformat(entry["date"])
-            values = {
-                str(k): (None if v is None else float(v)) for k, v in entry["features"].items()
-            }
-            provenance = {str(k): Provenance(v) for k, v in entry["provenance"].items()}
-            affect = entry.get("affect")
-            days.append(
-                TimelineDay(
-                    day=day,
-                    features=DailyFeatureVector(day=day, values=values, provenance=provenance),
-                    affect=None if affect is None else _affect_from_dict(day, affect),
-                )
-            )
-    except (KeyError, ValueError) as exc:
-        raise InputFormatError(f"bad timeline document: {exc}") from exc
-    return ParticipantTimeline(participant_id=pid, days=tuple(days))
+    doc = from_json(_TimelineDocument, payload, "timeline")
+    return ParticipantTimeline(doc.participant_id, tuple(entry.to_day() for entry in doc.days))
 
 
 def save_timeline(path: Path | str, timeline: ParticipantTimeline) -> None:

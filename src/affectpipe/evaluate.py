@@ -6,11 +6,11 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import FORMAT_VERSION, FeatureSchema, Modality, dump_json, read_json
+from .core import FeatureSchema, Modality, dump_json, from_json, read_json, to_json
 from .errors import InsufficientDataError, SchemaError
 from .labels import Dataset
 from .learners import ModelFamily, ModelSpec, train
@@ -33,6 +33,7 @@ def relative_improvement(ours: float, reference: float) -> float:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    json_document: ClassVar[bool] = True
     target_kind: str
     modalities: tuple[str, ...]
     family: str
@@ -282,51 +283,12 @@ def macro_average(reports: Sequence[EvaluationReport]) -> float:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "target_kind": report.target_kind,
-        "modalities": list(report.modalities),
-        "family": report.family,
-        "seed": report.seed,
-        "k": report.k,
-        "n_rows": report.n_rows,
-        "fold_accuracies": list(report.fold_accuracies),
-        "mean_accuracy": report.mean_accuracy,
-        "roc_points": [[x, y] for x, y in report.roc_points],
-        "auc": report.auc,
-        "confusion": report.confusion,
-        "baseline_accuracy": report.baseline_accuracy,
-        "fold_hash": report.fold_hash,
-        "chosen_hyperparameters": list(report.chosen_hyperparameters),
-    }
-
-
-def report_from_dict(payload: dict) -> EvaluationReport:
-    return EvaluationReport(
-        target_kind=payload["target_kind"],
-        modalities=tuple(payload["modalities"]),
-        family=payload["family"],
-        seed=payload["seed"],
-        k=payload["k"],
-        n_rows=payload["n_rows"],
-        fold_accuracies=tuple(payload["fold_accuracies"]),
-        mean_accuracy=payload["mean_accuracy"],
-        roc_points=tuple((x, y) for x, y in payload["roc_points"]),
-        auc=payload["auc"],
-        confusion=dict(payload["confusion"]),
-        baseline_accuracy=payload["baseline_accuracy"],
-        fold_hash=payload["fold_hash"],
-        chosen_hyperparameters=tuple(payload.get("chosen_hyperparameters", [])),
-    )
-
-
 def save_report(path: Path | str, report: EvaluationReport) -> None:
-    dump_json(path, report_to_dict(report))
+    dump_json(path, to_json(report))
 
 
 def load_report(path: Path | str) -> EvaluationReport:
-    return report_from_dict(read_json(path))
+    return from_json(EvaluationReport, read_json(path))
 
 
 def write_roc_csv(path: Path | str, report: EvaluationReport) -> None:

@@ -8,6 +8,7 @@ a day are combined by a duration-weighted average.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -75,6 +76,8 @@ def parse_modality_file(
                 duration = float(row[3])
             except ValueError as exc:
                 raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(value) and math.isfinite(duration)):
+                raise InputFormatError(f"{path}:{lineno}: value and duration must be finite")
             fid = row[1]
             if not schema.has(fid):
                 raise SchemaError(f"{path}:{lineno}: unknown feature id {fid!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,10 +21,13 @@ from .core import (
     FeatureSchema,
     Modality,
     ParticipantTimeline,
+    default_polarity,
     dump_json,
+    from_json,
     read_json,
+    to_json,
 )
-from .errors import ConfigError, InsufficientDataError, NoDataError, SchemaError
+from .errors import ConfigError, InputFormatError, InsufficientDataError, NoDataError, SchemaError
 
 TARGET_KINDS = ("single_item", "pa", "na", "compiled_mood")
 # The target names a run config and the CLI accept (see parse_target).
@@ -69,13 +72,14 @@ def parse_target(name: str, pooled: bool) -> TargetSpec:
         return TargetSpec(kind=name, scope=scope)
     if name == "mood":
         return TargetSpec(kind="compiled_mood", scope=scope)
-    if isinstance(name, str) and name.startswith("item:") and name != "item:":
+    if isinstance(name, str) and name[len("item:"):] in default_polarity().all_items():
         return TargetSpec(kind="single_item", item_id=name[len("item:"):], scope=scope)
     raise ConfigError(f"unknown target {name!r} (expected {TARGET_NAMES})")
 
 
 @dataclass(frozen=True)
 class LabelSet:
+    json_document: ClassVar[bool] = True
     participant_id: str
     target: TargetSpec
     entries: Mapping[date, Label]
@@ -455,82 +459,67 @@ def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def target_to_dict(target: TargetSpec) -> dict:
-    return {"kind": target.kind, "item_id": target.item_id, "scope": target.scope}
 
+@dataclass(frozen=True)
+class LabelsDocument:
+    """A labels file; a run's labels.json also names the eligible cohort."""
 
-def target_from_dict(payload: dict) -> TargetSpec:
-    return TargetSpec(
-        kind=payload["kind"],
-        item_id=payload.get("item_id"),
-        scope=payload.get("scope", "per_participant"),
-    )
-
-
-def labels_to_dict(labels: LabelSet) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "participant_id": labels.participant_id,
-        "target": target_to_dict(labels.target),
-        "middle_band": labels.middle_band,
-        "alignment": labels.alignment,
-        "entries": {d.isoformat(): lab.value for d, lab in sorted(labels.entries.items())},
-        "excluded": {d.isoformat(): r for d, r in sorted(labels.excluded.items())},
-    }
-
-
-def labels_from_dict(payload: dict) -> LabelSet:
-    return LabelSet(
-        participant_id=payload["participant_id"],
-        target=target_from_dict(payload["target"]),
-        entries={
-            date.fromisoformat(d): Label(v) for d, v in payload["entries"].items()
-        },
-        excluded={date.fromisoformat(d): r for d, r in payload["excluded"].items()},
-        middle_band=payload.get("middle_band", 0.20),
-        alignment=payload.get("alignment", "next_day"),
-    )
+    json_document: ClassVar[bool] = True
+    participants: tuple[LabelSet, ...]
+    eligibility_min_days: int | None = None
+    eligible_ids: tuple[str, ...] | None = None
 
 
 def save_labels(path: Path | str, labels: Sequence[LabelSet]) -> None:
-    dump_json(path, {"format_version": FORMAT_VERSION, "participants": [labels_to_dict(l) for l in labels]})
+    dump_json(path, {"format_version": FORMAT_VERSION, "participants": [to_json(l) for l in labels]})
 
 
 def load_labels(path: Path | str) -> list[LabelSet]:
-    payload = read_json(path)
-    return [labels_from_dict(p) for p in payload["participants"]]
+    return list(from_json(LabelsDocument, read_json(path), "labels").participants)
+
+
+@dataclass(frozen=True)
+class _DatasetRow:
+    participant_id: str
+    date: date
+    label: int
+    # Read for all rows at once in dataset_from_dict.
+    features: list
+
+
+@dataclass(frozen=True)
+class _DatasetDocument:
+    """A dataset as stored: row-major, each row with its provenance."""
+
+    json_document: ClassVar[bool] = True
+    feature_ids: tuple[str, ...]
+    target: TargetSpec
+    rows: tuple[_DatasetRow, ...]
+    alignment: str = "next_day"
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "feature_ids": list(ds.feature_ids),
-        "target": target_to_dict(ds.target),
-        "alignment": ds.alignment,
-        "rows": [
-            {
-                "participant_id": pid,
-                "date": day.isoformat(),
-                "label": int(yv),
-                "features": [float(v) for v in xrow],
-            }
-            for pid, day, yv, xrow in zip(ds.participant_ids, ds.dates, ds.y, ds.X)
-        ],
-    }
+    rows = zip(ds.participant_ids, ds.dates, ds.y.tolist(), ds.X)
+    return to_json(
+        _DatasetDocument(ds.feature_ids, ds.target, tuple(_DatasetRow(*r) for r in rows), ds.alignment)
+    )
 
 
 def dataset_from_dict(payload: dict) -> Dataset:
-    rows = payload["rows"]
+    doc = from_json(_DatasetDocument, payload, "dataset")
+    shape = (len(doc.rows), len(doc.feature_ids))
+    path = "dataset.rows[].features"
+    X = from_json(np.ndarray, [r.features for r in doc.rows], path) if doc.rows else np.empty(shape)
+    if X.shape != shape:
+        raise InputFormatError(f"{path}: expected {shape[0]} rows of {shape[1]} numbers")
     return Dataset(
-        feature_ids=tuple(payload["feature_ids"]),
-        X=np.array([r["features"] for r in rows], dtype=float).reshape(
-            len(rows), len(payload["feature_ids"])
-        ),
-        y=np.array([r["label"] for r in rows], dtype=np.int8),
-        dates=tuple(date.fromisoformat(r["date"]) for r in rows),
-        participant_ids=tuple(r["participant_id"] for r in rows),
-        target=target_from_dict(payload["target"]),
-        alignment=payload.get("alignment", "next_day"),
+        feature_ids=doc.feature_ids,
+        X=X.astype(float, copy=False),
+        y=np.array([r.label for r in doc.rows], dtype=np.int64),
+        dates=tuple(r.date for r in doc.rows),
+        participant_ids=tuple(r.participant_id for r in doc.rows),
+        target=doc.target,
+        alignment=doc.alignment,
     )
 
 

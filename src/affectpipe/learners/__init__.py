@@ -7,15 +7,16 @@ an identical (spec, data) pair reproduces bit-identical models everywhere.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..core import FORMAT_VERSION, dump_json, read_json
-from ..errors import InsufficientDataError, SchemaError
+from ..core import dump_json, from_json, read_json, to_json
+from ..errors import ConfigError, InputFormatError, InsufficientDataError, SchemaError
 from .forest import RandomForestModel
 from .knn import KNNModel, MajorityBaselineModel
 from .mlp import MLPModel
@@ -106,24 +107,21 @@ class ModelSpec:
         return merged
 
 
+_LEARNERS = {
+    ModelFamily.RF: RandomForestModel,
+    ModelFamily.SVM: LinearSVMModel,
+    ModelFamily.MLP: MLPModel,
+    ModelFamily.KNN: KNNModel,
+    ModelFamily.MAJORITY: MajorityBaselineModel,
+}
+
+
 def _build(family: ModelFamily, hp: dict):
-    if family is ModelFamily.RF:
-        return RandomForestModel(
-            n_trees=int(hp["n_trees"]),
-            max_depth=None if hp["max_depth"] is None else int(hp["max_depth"]),
-            max_features=hp["max_features"],
-        )
-    if family is ModelFamily.SVM:
-        return LinearSVMModel(C=float(hp["C"]), epochs=int(hp["epochs"]))
-    if family is ModelFamily.MLP:
-        return MLPModel(
-            n_hidden=int(hp["n_hidden"]),
-            learning_rate=float(hp["learning_rate"]),
-            epochs=int(hp["epochs"]),
-        )
-    if family is ModelFamily.KNN:
-        return KNNModel(k=int(hp["k"]))
-    return MajorityBaselineModel()
+    """An unfitted learner; the hyperparameters are its fields."""
+    try:
+        return from_json(_LEARNERS[family], hp, "hyperparameters")
+    except InputFormatError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,47 +213,50 @@ def train(
 # ---------------------------------------------------------------------------
 # Serialization
 
-_FAMILY_CODECS = {
-    ModelFamily.RF: RandomForestModel,
-    ModelFamily.SVM: LinearSVMModel,
-    ModelFamily.MLP: MLPModel,
-    ModelFamily.KNN: KNNModel,
-    ModelFamily.MAJORITY: MajorityBaselineModel,
-}
+@dataclass(frozen=True)
+class _ModelDocument:
+    """A trained model as stored: the spec flattened into it, the fitted
+    learner under "model" in the layout of its family's class."""
+
+    json_document: ClassVar[bool] = True
+    family: ModelFamily
+    seed: int
+    feature_count: int
+    standardizer: Standardizer
+    model: object
+    hyperparameters: dict[str, object] = field(default_factory=dict)
+    chosen_hyperparameters: dict[str, object] = field(default_factory=dict)
+    feature_ids: tuple[str, ...] | None = None
 
 
 def model_to_dict(trained: TrainedModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "family": trained.spec.family.value,
-        "seed": trained.spec.seed,
-        "hyperparameters": {
-            k: v for k, v in trained.spec.hyperparameters.items()
-        },
-        "chosen_hyperparameters": trained.chosen_hyperparameters,
-        "feature_count": trained.feature_count,
-        "feature_ids": None if trained.feature_ids is None else list(trained.feature_ids),
-        "standardizer": trained.standardizer.to_dict(),
-        "model": trained.model.to_dict(),
-    }
+    spec = trained.spec
+    return to_json(_ModelDocument(
+        spec.family, spec.seed, trained.feature_count, trained.standardizer, trained.model,
+        dict(spec.hyperparameters), trained.chosen_hyperparameters, trained.feature_ids,
+    ))
 
 
 def model_from_dict(payload: dict) -> TrainedModel:
-    family = ModelFamily(payload["family"])
-    spec = ModelSpec(
-        family=family,
-        hyperparameters=payload.get("hyperparameters", {}),
-        seed=payload["seed"],
+    doc = from_json(_ModelDocument, payload, "model")
+    trained = TrainedModel(
+        spec=ModelSpec(family=doc.family, hyperparameters=doc.hyperparameters, seed=doc.seed),
+        standardizer=doc.standardizer,
+        model=from_json(_LEARNERS[doc.family], doc.model, "model.model"),
+        feature_count=doc.feature_count,
+        chosen_hyperparameters=doc.chosen_hyperparameters,
+        feature_ids=doc.feature_ids,
     )
-    raw_ids = payload.get("feature_ids")
-    return TrainedModel(
-        spec=spec,
-        standardizer=Standardizer.from_dict(payload["standardizer"]),
-        model=_FAMILY_CODECS[family].from_dict(payload["model"]),
-        feature_count=payload["feature_count"],
-        chosen_hyperparameters=dict(payload.get("chosen_hyperparameters", {})),
-        feature_ids=None if raw_ids is None else tuple(raw_ids),
-    )
+    # A learner whose fitted arrays were left out reads as unfitted; scoring
+    # one row shows that before any caller relies on the model.  A non-finite
+    # score shows up as a numpy RuntimeWarning, raised here as an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            trained.predict_proba(np.zeros((1, doc.feature_count)))
+        except (IndexError, KeyError, ValueError, RuntimeWarning) as exc:
+            raise InputFormatError(f"model: cannot score a row ({exc})") from exc
+    return trained
 
 
 def save_model(path: Path | str, trained: TrainedModel) -> None:

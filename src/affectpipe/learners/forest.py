@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import SchemaError
+
 _NO_SPLIT = (np.inf, -1, 0.0)
 
 
@@ -57,6 +59,11 @@ class DecisionTree:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        lists = (self.feature, self.threshold, self.left, self.right, self.value)
+        if len({len(nodes) for nodes in lists}) > 1:
+            raise SchemaError("tree node lists differ in length")
 
     def _add_node(self) -> int:
         self.feature.append(-1)
@@ -120,25 +127,6 @@ class DecisionTree:
             out[i] = value[node]
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DecisionTree":
-        return cls(
-            feature=list(payload["feature"]),
-            threshold=list(payload["threshold"]),
-            left=list(payload["left"]),
-            right=list(payload["right"]),
-            value=list(payload["value"]),
-        )
-
 
 @dataclass
 class RandomForestModel:
@@ -172,21 +160,3 @@ class RandomForestModel:
         for tree in self.trees:
             votes += tree.leaf_values(X) >= 0.5
         return votes / len(self.trees)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "max_features": self.max_features,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RandomForestModel":
-        model = cls(
-            n_trees=payload["n_trees"],
-            max_depth=payload["max_depth"],
-            max_features=payload["max_features"],
-        )
-        model.trees = [DecisionTree.from_dict(t) for t in payload["trees"]]
-        return model

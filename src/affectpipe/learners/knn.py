@@ -31,17 +31,6 @@ class KNNModel:
         order = np.argsort(dists, axis=1, kind="stable")[:, :k]
         return self.y[order].mean(axis=1)
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "X": self.X.tolist(), "y": self.y.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KNNModel":
-        return cls(
-            k=payload["k"],
-            X=np.asarray(payload["X"], dtype=float),
-            y=np.asarray(payload["y"], dtype=np.int8),
-        )
-
 
 @dataclass
 class MajorityBaselineModel:
@@ -55,10 +44,3 @@ class MajorityBaselineModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], self.prevalence, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {"prevalence": self.prevalence}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MajorityBaselineModel":
-        return cls(prevalence=payload["prevalence"])

@@ -73,7 +73,7 @@ class MLPModel:
     n_hidden: int
     learning_rate: float
     epochs: int = 200
-    params: dict = field(default_factory=dict)
+    params: dict[str, np.ndarray] = field(default_factory=dict)
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed_seq: np.random.SeedSequence) -> "MLPModel":
         rng = np.random.Generator(np.random.PCG64(seed_seq))
@@ -87,21 +87,3 @@ class MLPModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(forward_logits(self.params, X))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_hidden": self.n_hidden,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "params": {k: v.tolist() for k, v in self.params.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MLPModel":
-        model = cls(
-            n_hidden=payload["n_hidden"],
-            learning_rate=payload["learning_rate"],
-            epochs=payload["epochs"],
-        )
-        model.params = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
-        return model

@@ -31,16 +31,6 @@ class Standardizer:
         out[:, self.std == 0.0] = 0.0
         return out
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Standardizer":
-        return cls(
-            mean=np.asarray(payload["mean"], dtype=float),
-            std=np.asarray(payload["std"], dtype=float),
-        )
-
 
 def fit_standardizer(rows: np.ndarray) -> Standardizer:
     rows = np.asarray(rows, dtype=float)

@@ -52,15 +52,3 @@ class LinearSVMModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
-
-    def to_dict(self) -> dict:
-        return {"C": self.C, "epochs": self.epochs, "w": self.w.tolist(), "b": self.b}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LinearSVMModel":
-        return cls(
-            C=payload["C"],
-            epochs=payload["epochs"],
-            w=np.asarray(payload["w"], dtype=float),
-            b=payload["b"],
-        )

@@ -10,11 +10,10 @@ appear only in the manifest, never in stage outputs.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,12 +30,15 @@ from .core import (
     FORMAT_VERSION,
     Modality,
     ParticipantTimeline,
+    canonical_json,
     default_polarity,
     default_schema,
     dump_json,
     filter_eligible_participants,
+    parse_modalities,
     read_json,
     timeline_to_dict,
+    to_json,
 )
 from .errors import ConfigError, MissingInputError, PipelineError
 from .evaluate import (
@@ -44,7 +46,6 @@ from .evaluate import (
     cross_validate,
     macro_average,
     paired_subsets,
-    report_to_dict,
     subset_modalities,
     write_accuracy_table_csv,
 )
@@ -52,21 +53,23 @@ from .impute import fill_residual_with_participant_mean, impute_all
 from .ingest import parse_affect_file, parse_modality_file, build_timeline
 from .labels import (
     FALLBACKS,
+    LabelsDocument,
     build_dataset,
     build_labels_cohort,
     concat_datasets,
     dataset_to_dict,
-    labels_to_dict,
     parse_target,
 )
 from .learners import MODEL_NAMES, ModelFamily, ModelSpec, default_grid, train
 from .synth import cohort_config_from_dict, write_cohort
 
 STAGES = ("synth", "ingest", "impute", "label", "dataset", "evaluate", "analyze")
+DEFAULT_SUBSETS = {**{m.value: [m.value] for m in Modality}, "all": [m.value for m in Modality]}
 
 
 @dataclass(frozen=True)
 class RunManifest:
+    json_document: ClassVar[bool] = True
     run_id: str
     created_utc: str
     package_version: str
@@ -74,10 +77,6 @@ class RunManifest:
     config_sha256: str
     stages: tuple[str, ...]
     outputs: dict
-
-
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def file_digest(path: Path) -> str:
@@ -95,8 +94,8 @@ class PipelineRun:
         self.polarity = default_polarity()
         effective = dict(config)
         effective["seed"] = seed
-        self.run_id = hashlib.sha256(_canonical(effective)).hexdigest()[:16]
-        self.config_sha = hashlib.sha256(_canonical(config)).hexdigest()
+        self.run_id = hashlib.sha256(canonical_json(effective).encode()).hexdigest()[:16]
+        self.config_sha = hashlib.sha256(canonical_json(config).encode()).hexdigest()
         self.timelines: list[ParticipantTimeline] = []
         self.eligible: list[ParticipantTimeline] = []
         self.labels = []
@@ -185,22 +184,13 @@ class PipelineRun:
             middle_band=float(section.get("middle_band", 0.20)),
             alignment="same_day" if section.get("same_day") else "next_day",
         )
-        self._write_json(
-            "labels.json",
-            {
-                "format_version": FORMAT_VERSION,
-                "eligibility_min_days": min_days,
-                "eligible_ids": [t.participant_id for t in self.eligible],
-                "participants": [labels_to_dict(l) for l in self.labels],
-            },
-        )
+        eligible_ids = tuple(t.participant_id for t in self.eligible)
+        self._write_json("labels.json", to_json(LabelsDocument(tuple(self.labels), min_days, eligible_ids)))
 
     def stage_dataset(self) -> None:
         section = self.config.get("dataset", {})
         fallback = section.get("fallback", "drop")
-        modalities = tuple(
-            Modality(m) for m in section.get("modalities", [m.value for m in Modality])
-        )
+        modalities = parse_modalities(section.get("modalities", [m.value for m in Modality]))
         per_participant = {}
         for timeline, labels in zip(self.eligible, self.labels):
             per_participant[timeline.participant_id] = build_dataset(
@@ -240,19 +230,12 @@ class PipelineRun:
 
         ablation = {}
         if section.get("ablation"):
-            subset_spec = section.get(
-                "subsets",
-                {
-                    "ring": ["ring"],
-                    "watch": ["watch"],
-                    "phone": ["phone"],
-                    "all": ["ring", "watch", "phone"],
-                },
-            )
+            subsets_by_name = {
+                name: parse_modalities(names)
+                for name, names in section.get("subsets", DEFAULT_SUBSETS).items()
+            }
             for pid, ds in self.datasets.items():
-                subsets = paired_subsets(
-                    ds, self.schema, {k_: tuple(Modality(m) for m in v) for k_, v in subset_spec.items()}
-                )
+                subsets = paired_subsets(ds, self.schema, subsets_by_name)
                 ablation[pid] = ablation_run(
                     subsets, spec, k=k, seed=self.seed, grid=grid, schema=self.schema
                 )
@@ -264,11 +247,8 @@ class PipelineRun:
             "folds": k,
             "macro_mean_accuracy": macro,
             "macro_baseline_accuracy": macro_baseline,
-            "per_participant": {pid: report_to_dict(r) for pid, r in reports.items()},
-            "ablation": {
-                pid: {name: report_to_dict(r) for name, r in by_subset.items()}
-                for pid, by_subset in ablation.items()
-            },
+            "per_participant": to_json(reports),
+            "ablation": to_json(ablation),
         }
         self._write_json("report.json", doc)
 
@@ -379,6 +359,12 @@ def preflight(config: dict) -> None:
         raise ConfigError(f"unknown model {model!r} (expected {'|'.join(MODEL_NAMES)})")
     label = config.get("label", {})
     parse_target(label.get("target", "pa"), bool(label.get("pooled")))
+    parse_modalities(config.get("dataset", {}).get("modalities", ()))
+    subsets = config.get("evaluate", {}).get("subsets", {})
+    if not isinstance(subsets, dict):
+        raise ConfigError("evaluate.subsets must map subset names to modality lists")
+    for names in subsets.values():
+        parse_modalities(names)
     for section in ("impute", "dataset"):
         fallback = config.get(section, {}).get("fallback", "drop")
         if fallback not in FALLBACKS:
@@ -435,17 +421,5 @@ def run_pipeline(
         stages=tuple(executed),
         outputs=outputs,
     )
-    dump_json(
-        out_dir / "manifest.json",
-        {
-            "format_version": FORMAT_VERSION,
-            "run_id": manifest.run_id,
-            "created_utc": manifest.created_utc,
-            "package_version": manifest.package_version,
-            "seed": manifest.seed,
-            "config_sha256": manifest.config_sha256,
-            "stages": list(manifest.stages),
-            "outputs": manifest.outputs,
-        },
-    )
+    dump_json(out_dir / "manifest.json", to_json(manifest))
     return manifest

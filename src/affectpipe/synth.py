@@ -16,10 +16,10 @@ after affect generation and therefore never biases the labels.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -33,11 +33,11 @@ from .core import (
     default_polarity,
     default_schema,
     dump_json,
+    from_json,
     read_json,
-    schema_from_dict,
-    schema_to_dict,
+    to_json,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InputFormatError
 from .ingest import (
     RawSampleFile,
     RawSampleRow,
@@ -131,6 +131,7 @@ class PlantedShift:
 
 @dataclass(frozen=True)
 class CohortConfig:
+    json_document: ClassVar[bool] = True
     n_participants: int = 20
     n_days: int = 300
     n_eligible: int = 7
@@ -154,6 +155,9 @@ class CohortConfig:
         for p in (self.report_prob_eligible, self.report_prob_other):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"report probability out of [0,1]: {p}")
+        units = {s.units for s in self.schema.entries if s.kind == "continuous"} - set(_UNIT_TRANSFORMS)
+        if units:
+            raise ConfigError(f"no synthetic values for units {sorted(units)}")
         known = set(self.schema.feature_ids())
         for name, weights in (
             ("pa_weights", self.signal.pa_weights),
@@ -403,11 +407,7 @@ def ground_truth(config: CohortConfig) -> dict:
         "variance_shares_pa": variance_shares(sig.pa_weights, config.schema),
         "shift": None
         if config.shift is None
-        else {
-            "month_index": config.shift.month_index,
-            "offset": config.shift.offset,
-            "month": config.shift_month(),
-        },
+        else dict(to_json(config.shift), month=config.shift_month()),
         "eligible_ids": config.eligible_ids(),
         "report_prob_eligible": config.report_prob_eligible,
         "report_prob_other": config.report_prob_other,
@@ -420,7 +420,7 @@ def ground_truth(config: CohortConfig) -> dict:
 def _ground_truth_with(config: CohortConfig, truths: Sequence[ParticipantTruth]) -> dict:
     """ground_truth() plus what was drawn for each participant."""
     truth_doc = ground_truth(config)
-    truth_doc["participants"] = [asdict(t) for t in truths]
+    truth_doc["participants"] = to_json(truths)
     return truth_doc
 
 
@@ -459,72 +459,15 @@ def write_cohort(config: CohortConfig, out_dir: Path | str) -> dict:
 # ---------------------------------------------------------------------------
 # Config serialization
 
-def cohort_config_to_dict(config: CohortConfig) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "n_participants": config.n_participants,
-        "n_days": config.n_days,
-        "n_eligible": config.n_eligible,
-        "start": config.start.isoformat(),
-        "report_prob_eligible": config.report_prob_eligible,
-        "report_prob_other": config.report_prob_other,
-        "signal": {
-            "pa_weights": dict(config.signal.pa_weights),
-            "na_weights": dict(config.signal.na_weights),
-            "noise_std_pa": config.signal.noise_std_pa,
-            "noise_std_na": config.signal.noise_std_na,
-            "pa_mean": config.signal.pa_mean,
-            "pa_sd": config.signal.pa_sd,
-            "na_mean": config.signal.na_mean,
-            "na_sd": config.signal.na_sd,
-            "item_noise_sd": config.signal.item_noise_sd,
-        },
-        "missingness": {
-            "day_prob": dict(config.missingness.day_prob),
-            "block_prob": config.missingness.block_prob,
-            "block_len": list(config.missingness.block_len),
-        },
-        "shift": None
-        if config.shift is None
-        else {"month_index": config.shift.month_index, "offset": config.shift.offset},
-        "seed": config.seed,
-        "schema": schema_to_dict(config.schema),
-    }
-
-
 def cohort_config_from_dict(payload: dict) -> CohortConfig:
     try:
-        signal = SignalSpec(**payload.get("signal", {}))
-        missing_raw = dict(payload.get("missingness", {}))
-        if "block_len" in missing_raw:
-            missing_raw["block_len"] = tuple(missing_raw["block_len"])
-        missingness = MissingnessSpec(**missing_raw)
-        shift_raw = payload.get("shift", {"month_index": 3, "offset": 1.0})
-        shift = None if shift_raw is None else PlantedShift(**shift_raw)
-        schema = (
-            default_schema()
-            if payload.get("schema") is None
-            else schema_from_dict(payload["schema"])
-        )
-        return CohortConfig(
-            n_participants=payload.get("n_participants", 20),
-            n_days=payload.get("n_days", 300),
-            n_eligible=payload.get("n_eligible", 7),
-            start=date.fromisoformat(payload.get("start", "2020-01-01")),
-            report_prob_eligible=payload.get("report_prob_eligible", 0.82),
-            report_prob_other=payload.get("report_prob_other", 0.38),
-            signal=signal,
-            missingness=missingness,
-            shift=shift,
-            seed=payload.get("seed", 1234),
-            schema=schema,
-        )
-    except TypeError as exc:
+        return from_json(CohortConfig, payload)
+    except InputFormatError as exc:
         raise ConfigError(f"bad cohort config: {exc}") from exc
 
 
 def save_cohort_config(path: Path | str, config: CohortConfig) -> None:
-    dump_json(path, cohort_config_to_dict(config))
+    dump_json(path, to_json(config))
 
 
 def load_cohort_config(path: Path | str) -> CohortConfig:

@@ -22,11 +22,11 @@ from affectpipe.core import (
     default_schema,
     dump_json,
     filter_eligible_participants,
+    from_json,
     read_json,
-    schema_from_dict,
-    schema_to_dict,
     timeline_from_dict,
     timeline_to_dict,
+    to_json,
     valid_affect_day_count,
 )
 from affectpipe.errors import SchemaError
@@ -236,7 +236,7 @@ def test_dump_json_is_key_order_invariant(tmp_path) -> None:
 
 
 def test_schema_round_trip(schema):
-    assert schema_from_dict(schema_to_dict(schema)) == schema
+    assert from_json(FeatureSchema, to_json(schema)) == schema
 
 
 def test_timeline_round_trip(tiny_schema):

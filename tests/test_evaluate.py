@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from affectpipe.core import Modality
 from affectpipe.errors import InsufficientDataError, SchemaError
+from affectpipe.core import from_json, to_json
 from affectpipe.evaluate import (
     REFERENCE_RESULTS,
+    EvaluationReport,
     ablation_run,
     cross_validate,
     fold_assignment_hash,
@@ -22,8 +24,6 @@ from affectpipe.evaluate import (
     macro_average,
     paired_subsets,
     relative_improvement,
-    report_from_dict,
-    report_to_dict,
     roc_auc,
     save_report,
     write_accuracy_table_csv,
@@ -242,7 +242,7 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
     save_report(path, report)
     assert load_report(path) == report
-    assert report_from_dict(report_to_dict(report)) == report
+    assert from_json(EvaluationReport, to_json(report)) == report
 
 
 def test_csv_outputs_parse_back(tmp_path):

@@ -111,6 +111,17 @@ def test_parse_modality_bad_number_and_date(tmp_path):
             parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p01")
 
 
+def test_parse_modality_rejects_non_finite_numbers(tmp_path):
+    for row in ("heart_rate,nan,5", "heart_rate,inf,5", "heart_rate,62,inf", "heart_rate,-Infinity,5"):
+        path = write(
+            tmp_path,
+            "ring.csv",
+            f"date,feature_id,value,duration_min\n2020-03-01,heart_rate,62,5\n2020-03-02,{row}\n",
+        )
+        with pytest.raises(InputFormatError, match=":3.*finite"):
+            parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p01")
+
+
 # ---------------------------------------------------------------------------
 # affect parsing
 

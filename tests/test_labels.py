@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import Modality
+from affectpipe.core import Modality, from_json, to_json
 from affectpipe.errors import InsufficientDataError, NoDataError, SchemaError
 from affectpipe.labels import (
     EXCLUDE_MIDDLE_BAND,
@@ -25,8 +25,6 @@ from affectpipe.labels import (
     concat_datasets,
     dataset_from_dict,
     dataset_to_dict,
-    labels_from_dict,
-    labels_to_dict,
     median_split_labels,
     percentile_thresholds,
 )
@@ -299,7 +297,7 @@ def test_pooled_scope_shares_cut_points():
 def test_labels_round_trip():
     tl = make_timeline("p", [{}] * 10, affect_by_index=affect_series(range(10, 110, 10)))
     ls = build_labels(tl, TargetSpec(kind="pa"))
-    assert labels_from_dict(labels_to_dict(ls)) == ls
+    assert from_json(LabelSet, to_json(ls)) == ls
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,18 @@ def test_preflight_rejects_unknown_stage_and_model():
     for model in ("xgboost", ["rf"]):
         with pytest.raises(ConfigError, match="model"):
             preflight({"synth": {}, "evaluate": {"model": model}})
-    for target in ("bogus", "item:", 5):
+    for target in ("bogus", "item:", 5, "item:bogus"):
         with pytest.raises(ConfigError, match="target"):
             preflight({"synth": {}, "label": {"target": target}})
+    for section in (
+        {"dataset": {"modalities": ["bogus"]}},
+        {"dataset": {"modalities": "ring"}},
+        {"evaluate": {"ablation": True, "subsets": {"all": ["ring", "bogus"]}}},
+    ):
+        with pytest.raises(ConfigError, match="modalities"):
+            preflight({"synth": {}, **section})
+    with pytest.raises(ConfigError, match="subsets"):
+        preflight({"synth": {}, "evaluate": {"subsets": ["ring"]}})
     for section in ("impute", "dataset"):
         with pytest.raises(ConfigError, match=f"{section}.fallback"):
             preflight({"synth": {}, section: {"fallback": "participant_mean"}})
@@ -340,7 +349,7 @@ def test_cli_chain_end_to_end(cli_workspace, capsys):
 def write_ramp_inputs(tmp_path):
     """Timeline whose day-4 heart_rate is missing, its pa labels, and a
     schema file for its four features."""
-    from affectpipe.core import save_timeline, schema_to_dict
+    from affectpipe.core import save_timeline, to_json
     from conftest import TINY_SCHEMA, make_timeline
 
     rows = [
@@ -354,7 +363,7 @@ def write_ramp_inputs(tmp_path):
         make_timeline("p01", rows, affect_by_index={i: (float(5 * i), 20.0) for i in range(14)}),
     )
     schema = tmp_path / "schema.json"
-    dump_json(schema, schema_to_dict(TINY_SCHEMA))
+    dump_json(schema, to_json(TINY_SCHEMA))
     labels = tmp_path / "labels.json"
     assert main(["label", "--in", str(timeline), "--target", "pa", "--out", str(labels)]) == 0
     return timeline, labels, schema
@@ -414,6 +423,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     rows = [{"sleep_deep": 30.0, "heart_rate": 60.0, "walk_steps": 10.0, "main_activity": 0.5}] * 3
     save_timeline(tl, make_timeline("p01", rows))
     assert main(["label", "--in", str(tl), "--target", "bogus", "--out", str(tmp_path / "l")]) == 2
+    assert main(["label", "--in", str(tl), "--target", "item:bogus", "--out", str(tmp_path / "l")]) == 2
+    # 2: unknown modality, named before any input is read
+    assert main(
+        ["dataset", "--in", str(tl), "--labels", str(tmp_path / "nope.json"),
+         "--modalities", "ring,bogus", "--out", str(tmp_path / "d")]
+    ) == 2
     # 4: malformed CSV
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,header\n1,2,3\n")
@@ -424,6 +439,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     dump_json(cfg, {"bogus": 1, "synth": dict(SYNTH_SECTION)})
     assert main(["run", "--config", str(cfg)]) == 2
+    # 2: a bad name in a nested section, before any output exists
+    for section in (
+        {"label": {"target": "item:bogus"}},
+        {"dataset": {"modalities": ["bogus"]}},
+        {"evaluate": {"ablation": True, "subsets": {"x": ["bogus"]}}},
+    ):
+        run_out = tmp_path / "run_out"
+        dump_json(cfg, {"synth": dict(SYNTH_SECTION), **section})
+        assert main(["run", "--config", str(cfg), "--out-dir", str(run_out)]) == 2
+        assert not run_out.exists()
     err = capsys.readouterr().err
     assert "error:" in err
 

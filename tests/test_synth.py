@@ -9,7 +9,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from affectpipe.core import Modality, default_polarity, default_schema, read_json
+from affectpipe.core import Modality, default_polarity, default_schema, read_json, to_json
 from affectpipe.errors import ConfigError
 from affectpipe.evaluate import cross_validate
 from affectpipe.ingest import build_timeline, parse_affect_file, parse_modality_file
@@ -24,7 +24,6 @@ from affectpipe.synth import (
     SignalSpec,
     bayes_accuracy,
     cohort_config_from_dict,
-    cohort_config_to_dict,
     expected_missing_rate,
     generate,
     ground_truth,
@@ -107,11 +106,11 @@ def test_shift_beyond_span_fails_fast():
 
 def test_cohort_config_round_trip(tmp_path):
     cfg = small_config(shift=PlantedShift(month_index=2, offset=0.25))
-    payload = cohort_config_to_dict(cfg)
-    assert cohort_config_to_dict(cohort_config_from_dict(payload)) == payload
+    payload = to_json(cfg)
+    assert to_json(cohort_config_from_dict(payload)) == payload
     path = tmp_path / "cohort.json"
     save_cohort_config(path, cfg)
-    assert cohort_config_to_dict(load_cohort_config(path)) == payload
+    assert to_json(load_cohort_config(path)) == payload
 
 
 def test_cohort_config_from_dict_rejects_unknown_keys():
