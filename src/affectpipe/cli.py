@@ -1,7 +1,8 @@
 """Command-line entry points for every pipeline stage.
 
-Exit codes: 0 ok, 2 config error, 3 missing input, 4 malformed input,
-5 schema mismatch, 6 insufficient/empty data, 1 any other pipeline failure.
+Exit codes: 0 ok, 2 config error or an output path that cannot be written,
+3 missing input, 4 malformed input, 5 schema mismatch, 6 insufficient/empty
+data, 1 any other pipeline failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .analysis import (
 )
 from .core import (
     Modality,
+    check_output,
     default_polarity,
     default_schema,
     load_schema,
@@ -314,6 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            check_output(args.out)
+        if getattr(args, "out_dir", None) is not None:
+            check_output(args.out_dir, directory=True)
         args.fn(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -347,6 +347,21 @@ def dump_json(path: Path | str, payload: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def check_output(path: Path | str, directory: bool = False) -> None:
+    """Refuse, with ConfigError, an output that cannot be written: a file that
+    names a directory or whose directory does not exist, or a directory with a
+    file in its place or in the place of one of its parents."""
+    p = Path(path)
+    if directory:
+        existing = next(q for q in (p, *p.parents) if q.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"cannot create output directory {p}: {existing} is not a directory")
+    elif p.is_dir():
+        raise ConfigError(f"output path is a directory: {p}")
+    elif not p.parent.is_dir():
+        raise ConfigError(f"output directory does not exist: {p.parent}")
+
+
 def read_json(path: Path | str) -> dict:
     p = Path(path)
     if not p.exists():

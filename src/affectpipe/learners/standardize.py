@@ -38,4 +38,8 @@ def fit_standardizer(rows: np.ndarray) -> Standardizer:
         raise SchemaError(f"expected a 2-d row matrix, got shape {rows.shape}")
     if rows.shape[0] < 2:
         raise InsufficientDataError("need at least 2 rows to fit a standardizer")
-    return Standardizer(mean=rows.mean(axis=0), std=rows.std(axis=0, ddof=0))
+    # Rounding in the mean can give a constant column a tiny nonzero std
+    # (three rows of 683.5280608818659 do); it is still zero-variance.
+    constant = (rows == rows[0]).all(axis=0)
+    std = np.where(constant, 0.0, rows.std(axis=0, ddof=0))
+    return Standardizer(mean=rows.mean(axis=0), std=std)

@@ -31,6 +31,7 @@ from .core import (
     Modality,
     ParticipantTimeline,
     canonical_json,
+    check_output,
     default_polarity,
     default_schema,
     dump_json,
@@ -40,7 +41,7 @@ from .core import (
     timeline_to_dict,
     to_json,
 )
-from .errors import ConfigError, MissingInputError, PipelineError
+from .errors import ConfigError, MissingInputError, PipelineError, SchemaError
 from .evaluate import (
     ablation_run,
     cross_validate,
@@ -60,7 +61,7 @@ from .labels import (
     dataset_to_dict,
     parse_target,
 )
-from .learners import MODEL_NAMES, ModelFamily, ModelSpec, default_grid, train
+from .learners import MODEL_NAMES, ModelFamily, ModelSpec, _build, default_grid, train
 from .synth import cohort_config_from_dict, write_cohort
 
 STAGES = ("synth", "ingest", "impute", "label", "dataset", "evaluate", "analyze")
@@ -357,6 +358,14 @@ def preflight(config: dict) -> None:
     model = config.get("evaluate", {}).get("model", "rf")
     if not isinstance(model, str) or model not in MODEL_NAMES:
         raise ConfigError(f"unknown model {model!r} (expected {'|'.join(MODEL_NAMES)})")
+    hyperparameters = config.get("evaluate", {}).get("hyperparameters", {})
+    if not isinstance(hyperparameters, dict):
+        raise ConfigError("evaluate.hyperparameters must be an object")
+    try:
+        spec = ModelSpec(family=MODEL_NAMES[model], hyperparameters=hyperparameters)
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from exc
+    _build(spec.family, spec.resolved())
     label = config.get("label", {})
     parse_target(label.get("target", "pa"), bool(label.get("pooled")))
     parse_modalities(config.get("dataset", {}).get("modalities", ()))
@@ -382,6 +391,7 @@ def run_pipeline(
     preflight(config)
     seed = int(seed_override if seed_override is not None else config.get("seed", 0))
     out_dir = Path(out_dir_override or config.get("out_dir", "run_output"))
+    check_output(out_dir, directory=True)
     stages = tuple(config.get("stages", STAGES))
     run = PipelineRun(config, out_dir, seed)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectpipe.errors import InsufficientDataError, SchemaError
@@ -74,6 +74,8 @@ def test_standardizer_width_mismatch():
         max_size=40,
     )
 )
+# a constant column whose float mean is not exactly its value
+@example([[0.0, 683.5280608818659, 0.0]] * 3)
 def test_standardized_train_columns_are_unit_moments(rows):
     X = np.array(rows, dtype=float)
     std = fit_standardizer(X)
@@ -109,17 +111,131 @@ def gini_oracle(x, y):
 def test_best_split_matches_exhaustive_oracle():
     rng = np.random.default_rng(5)
     for _ in range(25):
-        X = rng.normal(size=(30, 3))
-        y = (X[:, 1] + 0.3 * rng.normal(size=30) > 0).astype(np.int8)
+        normal = rng.normal(size=(30, 3))
+        y = (normal[:, 1] + 0.3 * rng.normal(size=30) > 0).astype(np.int8)
         if y.min() == y.max():
             continue
-        imp, feat, thr = _best_split(X, y, np.arange(3))
+        # a constant column and a tied integer-valued one beside the normal ones
+        tied = np.round(normal[:, 1] + rng.normal(size=30))
+        X = np.column_stack([normal, np.full(30, 2.0), tied])
+        d = X.shape[1]
+        imp, feat, thr = _best_split(X, y, np.arange(d))
         oracle = min(
-            (gini_oracle(X[:, j], y) + (j,) for j in range(3)),
+            (gini_oracle(X[:, j], y) + (j,) for j in range(d)),
             key=lambda t: (round(t[0], 12), t[2]),
         )
         assert imp == pytest.approx(oracle[0], abs=1e-9)
         assert (feat, thr) == (oracle[2], pytest.approx(oracle[1]))
+
+
+# The tree grower as it was before the split search covered all candidate
+# columns at once: one sort per feature, and mean/min/max on every node.  The
+# fast path must grow exactly these trees.
+
+def reference_best_split(X, y, feature_idx):
+    n = y.shape[0]
+    best = (np.inf, -1, 0.0)
+    for j in feature_idx:
+        x = X[:, j]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y[order]
+        boundary = np.nonzero(xs[1:] != xs[:-1])[0]
+        if boundary.size == 0:
+            continue
+        pos = np.cumsum(ys)
+        n_left = boundary + 1.0
+        n_right = n - n_left
+        pos_left = pos[boundary]
+        pos_right = pos[-1] - pos_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        gini_left = 1.0 - p_l * p_l - (1.0 - p_l) * (1.0 - p_l)
+        gini_right = 1.0 - p_r * p_r - (1.0 - p_r) * (1.0 - p_r)
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        k = int(np.argmin(weighted))
+        if weighted[k] < best[0] - 1e-12:
+            thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
+            best = (float(weighted[k]), int(j), float(thr))
+    return best
+
+
+def reference_fit(X, y, rng, max_depth, max_features, min_samples_split):
+    tree = DecisionTree()
+    n_features = X.shape[1]
+
+    def grow(idx, depth):
+        node = tree._add_node()
+        sub_y = y[idx]
+        tree.value[node] = float(sub_y.mean())
+        if (
+            idx.shape[0] < min_samples_split
+            or (max_depth is not None and depth >= max_depth)
+            or sub_y.min() == sub_y.max()
+        ):
+            return node
+        if max_features >= n_features:
+            candidates = np.arange(n_features)
+        else:
+            candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+        _, feat, thr = reference_best_split(X[idx], sub_y, candidates)
+        if feat < 0:
+            return node
+        go_left = X[idx, feat] <= thr
+        if not go_left.any() or go_left.all():
+            return node
+        tree.feature[node] = feat
+        tree.threshold[node] = thr
+        tree.left[node] = grow(idx[go_left], depth + 1)
+        tree.right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return tree
+
+
+def reference_leaf_values(tree, X):
+    out = np.empty(X.shape[0], dtype=float)
+    for i, row in enumerate(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            node = tree.left[node] if row[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+        out[i] = tree.value[node]
+    return out
+
+
+def test_tree_fit_equals_the_per_feature_reference():
+    data = np.random.default_rng(17)
+    fits = 0
+    for trial in range(4):
+        n = (6, 23, 40, 90)[trial]
+        lo = float(data.normal())
+        X = np.column_stack([
+            data.integers(0, 4, size=n).astype(float),  # tied integer values
+            np.full(n, 1.5),  # constant
+            np.where(data.random(n) < 0.5, lo, np.nextafter(lo, np.inf)),  # adjacent floats
+            data.normal(size=n),
+            data.integers(0, 2, size=n).astype(float),
+        ])
+        y = ((X[:, 0] + X[:, 3] + data.normal(size=n)) > 1.0).astype(np.int8)
+        queries = np.vstack([X, data.normal(size=(15, X.shape[1])), X + 0.5])
+        for max_features in range(1, X.shape[1] + 1):
+            for max_depth in (None, 1, 3):
+                for min_samples_split in (2, 3, 4):
+                    seed = int(data.integers(2**32))
+                    rng_ref = np.random.default_rng(seed)
+                    rng_new = np.random.default_rng(seed)
+                    want = reference_fit(X, y, rng_ref, max_depth, max_features, min_samples_split)
+                    got = DecisionTree().fit(
+                        X, y, rng_new, max_depth, max_features, min_samples_split
+                    )
+                    assert got == want
+                    assert {type(v) for v in got.feature + got.left + got.right} == {int}
+                    assert {type(v) for v in got.threshold + got.value} == {float}
+                    assert got.leaf_values(queries).tolist() == reference_leaf_values(want, queries).tolist()
+                    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+                    fits += 1
+    assert fits == 4 * 5 * 3 * 3
 
 
 def test_depth_one_tree_picks_the_separating_midpoint():
@@ -197,6 +313,23 @@ def test_knn_k_clamps_to_training_size():
     y = np.array([1, 0, 0], dtype=np.int8)
     big = KNNModel(k=99).fit(X, y)
     assert big.predict_proba(np.array([[5.0]])).tolist() == [pytest.approx(1 / 3)]
+
+
+def test_scores_do_not_depend_on_the_batch():
+    # Scoring a batch gives each row what scoring it alone gives.  (SVM and
+    # MLP scores go through BLAS and may move in the last bits.)
+    X, y = blobs(n_per=30, gap=1.0, d=4, seed=6)
+    queries = np.vstack([X, np.random.default_rng(9).normal(0.5, 2.0, size=(40, 4))])
+    for model in (
+        RandomForestModel(n_trees=10, max_depth=None, max_features="sqrt").fit(
+            X, y, np.random.SeedSequence(2)
+        ),
+        KNNModel(k=5).fit(X, y),
+        MajorityBaselineModel().fit(X, y),
+    ):
+        one_by_one = [model.predict_proba(row[None, :])[0] for row in queries]
+        assert model.predict_proba(queries).tolist() == one_by_one
+        assert model.predict_proba(queries[:0]).shape == (0,)
 
 
 def test_majority_baseline_predicts_prevalence():

@@ -172,6 +172,20 @@ def test_preflight_rejects_unknown_stage_and_model():
     for section in ("impute", "dataset"):
         with pytest.raises(ConfigError, match=f"{section}.fallback"):
             preflight({"synth": {}, section: {"fallback": "participant_mean"}})
+    for hyperparameters, message in (
+        ({"max_features": "bogus"}, "max_features"),
+        ({"max_features": -1}, "max_features"),
+        ({"max_features": 0}, "max_features"),
+        ({"n_trees": 0}, "n_trees"),
+        ({"max_depth": 0}, "max_depth"),
+        ({"n_trees": "100"}, "n_trees"),
+        ({"bogus": 1}, "bogus"),
+        ([1], "hyperparameters"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            preflight({"synth": {}, "evaluate": {"hyperparameters": hyperparameters}})
+    with pytest.raises(ConfigError, match="hyperparameters.k"):
+        preflight({"synth": {}, "evaluate": {"model": "knn", "hyperparameters": {"k": "x"}}})
     with pytest.raises(ConfigError, match="synth section or raw_dir"):
         preflight({})
 
@@ -444,11 +458,27 @@ def test_cli_exit_codes(tmp_path, capsys):
         {"label": {"target": "item:bogus"}},
         {"dataset": {"modalities": ["bogus"]}},
         {"evaluate": {"ablation": True, "subsets": {"x": ["bogus"]}}},
+        {"evaluate": {"hyperparameters": {"n_trees": 3, "max_features": "bogus"}}},
+        {"evaluate": {"hyperparameters": {"max_features": 0}}},
+        {"evaluate": {"hyperparameters": {"n_trees": 0}}},
     ):
         run_out = tmp_path / "run_out"
         dump_json(cfg, {"synth": dict(SYNTH_SECTION), **section})
         assert main(["run", "--config", str(cfg), "--out-dir", str(run_out)]) == 2
         assert not run_out.exists()
+    # 2: an output path that cannot be written, before any output exists
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cohort = tmp_path / "cohort.json"
+    dump_json(cohort, {"n_participants": 2})
+    assert main(["synth", "--config", str(cohort), "--out-dir", str(a_file)]) == 2
+    assert main(["synth", "--config", str(cohort), "--out-dir", str(a_file / "sub")]) == 2
+    assert main(["impute", "--in", str(tl), "--out", str(tmp_path / "nodir" / "x.json")]) == 2
+    assert main(["impute", "--in", str(tl), "--out", str(tmp_path)]) == 2
+    dump_json(cfg, {"synth": dict(SYNTH_SECTION), "out_dir": str(a_file)})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert a_file.read_text() == ""
+    assert not (tmp_path / "nodir").exists()
     err = capsys.readouterr().err
     assert "error:" in err
 
