@@ -488,6 +488,15 @@ def from_json(tp: Any, value: Any, path: str | None = None) -> Any:
     raise TypeError(f"{path}: no JSON reading for {tp!r}")
 
 
+def read_config(tp: Any, value: Any, path: str | None = None) -> Any:
+    """from_json for a configuration: a value the codec refuses is a
+    ConfigError (exit 2), not malformed input."""
+    try:
+        return from_json(tp, value, path)
+    except InputFormatError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_schema(path: Path | str) -> FeatureSchema:
     return from_json(FeatureSchema, read_json(path))
 

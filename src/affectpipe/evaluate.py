@@ -11,7 +11,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import FeatureSchema, Modality, dump_json, from_json, read_json, to_json
-from .errors import InsufficientDataError, SchemaError
+from .errors import InsufficientDataError, PipelineError, SchemaError
 from .labels import Dataset
 from .learners import ModelFamily, ModelSpec, train
 
@@ -119,9 +119,13 @@ def roc_auc(
 
     Equal scores collapse into a single threshold step, which makes the
     trapezoid rule agree with the Mann-Whitney statistic (ties counted 1/2).
+    A non-finite score is refused: NaN equals nothing, not even itself.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(np.int8)
+    non_finite = int((~np.isfinite(scores)).sum())
+    if non_finite:
+        raise PipelineError(f"the learner returned {non_finite} non-finite scores of {scores.size}")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -15,8 +15,8 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..core import dump_json, from_json, read_json, to_json
-from ..errors import ConfigError, InputFormatError, InsufficientDataError, SchemaError
+from ..core import dump_json, from_json, read_config, read_json, to_json
+from ..errors import InputFormatError, InsufficientDataError, SchemaError
 from .forest import RandomForestModel
 from .knn import KNNModel, MajorityBaselineModel
 from .mlp import MLPModel
@@ -118,10 +118,7 @@ _LEARNERS = {
 
 def _build(family: ModelFamily, hp: dict):
     """An unfitted learner; the hyperparameters are its fields."""
-    try:
-        return from_json(_LEARNERS[family], hp, "hyperparameters")
-    except InputFormatError as exc:
-        raise ConfigError(str(exc)) from exc
+    return read_config(_LEARNERS[family], hp, "hyperparameters")
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import InputFormatError
+
 
 @dataclass
 class KNNModel:
@@ -18,6 +20,10 @@ class KNNModel:
     k: int
     X: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     y: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise InputFormatError(f"k must be at least 1, got {self.k}")
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed_seq=None) -> "KNNModel":
         self.X = np.asarray(X, dtype=float)

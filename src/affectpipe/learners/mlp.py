@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import InputFormatError
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -74,6 +76,14 @@ class MLPModel:
     learning_rate: float
     epochs: int = 200
     params: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.n_hidden < 1:
+            raise InputFormatError(f"n_hidden must be at least 1, got {self.n_hidden}")
+        if not self.learning_rate > 0:
+            raise InputFormatError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise InputFormatError(f"epochs must be at least 1, got {self.epochs}")
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed_seq: np.random.SeedSequence) -> "MLPModel":
         rng = np.random.Generator(np.random.PCG64(seed_seq))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import InputFormatError
 from .mlp import _sigmoid
 
 
@@ -27,6 +28,12 @@ class LinearSVMModel:
     epochs: int = 200
     w: np.ndarray = field(default_factory=lambda: np.empty(0))
     b: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.C > 0:
+            raise InputFormatError(f"C must be positive, got {self.C}")
+        if self.epochs < 1:
+            raise InputFormatError(f"epochs must be at least 1, got {self.epochs}")
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed_seq=None) -> "LinearSVMModel":
         n, d = X.shape

@@ -10,10 +10,10 @@ appear only in the manifest, never in stage outputs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .core import (
     dump_json,
     filter_eligible_participants,
     parse_modalities,
+    read_config,
     read_json,
     timeline_to_dict,
     to_json,
@@ -62,10 +63,70 @@ from .labels import (
     parse_target,
 )
 from .learners import MODEL_NAMES, ModelFamily, ModelSpec, _build, default_grid, train
-from .synth import cohort_config_from_dict, write_cohort
+from .synth import CohortConfig, cohort_config_from_dict, write_cohort
 
 STAGES = ("synth", "ingest", "impute", "label", "dataset", "evaluate", "analyze")
-DEFAULT_SUBSETS = {**{m.value: [m.value] for m in Modality}, "all": [m.value for m in Modality]}
+
+
+# The run config, one dataclass per section; the codec reads it (see
+# preflight), so every key, its type and its default are stated here once.
+@dataclass
+class EligibilityConfig:
+    min_days: int = 200
+
+
+@dataclass
+class ImputeConfig:
+    fallback: str = "drop"
+
+
+@dataclass
+class LabelConfig:
+    target: str = "pa"
+    pooled: bool = False
+    middle_band: float = 0.20
+    same_day: bool = False
+
+
+@dataclass
+class DatasetConfig:
+    fallback: str = "drop"
+    modalities: tuple[str, ...] = tuple(m.value for m in Modality)
+
+
+@dataclass
+class EvaluateConfig:
+    model: str = "rf"
+    hyperparameters: dict[str, object] = field(default_factory=dict)
+    folds: int = 5
+    tune: bool = False
+    stratified: bool = False
+    ablation: bool = False
+    subsets: dict[str, tuple[str, ...]] = field(
+        default_factory=lambda: {**{m.value: (m.value,) for m in Modality}, "all": DatasetConfig.modalities})
+
+
+@dataclass
+class AnalyzeConfig:
+    correlations: bool = True
+    tvalues: bool = True
+    baseline_months: list[str] | None = None
+
+
+@dataclass
+class RunConfig:
+    seed: int = 0
+    out_dir: str = "run_output"
+    stages: tuple[str, ...] = STAGES
+    # A cohort config, or {"config_path": <its file>}; see cohort_of.
+    synth: dict | None = None
+    raw_dir: str | None = None
+    eligibility: EligibilityConfig = field(default_factory=EligibilityConfig)
+    impute: ImputeConfig = field(default_factory=ImputeConfig)
+    label: LabelConfig = field(default_factory=LabelConfig)
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
+    analyze: AnalyzeConfig = field(default_factory=AnalyzeConfig)
 
 
 @dataclass(frozen=True)
@@ -87,21 +148,22 @@ def file_digest(path: Path) -> str:
 class PipelineRun:
     """Executes the configured stages in order against one output directory."""
 
-    def __init__(self, config: dict, out_dir: Path, seed: int):
+    def __init__(self, raw: dict, config: RunConfig, out_dir: Path, seed: int):
         self.config = config
         self.out_dir = out_dir
         self.seed = seed
         self.schema = default_schema()
         self.polarity = default_polarity()
-        effective = dict(config)
+        # Both hashes cover the config as written, before defaults fill it in.
+        effective = dict(raw)
         effective["seed"] = seed
         self.run_id = hashlib.sha256(canonical_json(effective).encode()).hexdigest()[:16]
-        self.config_sha = hashlib.sha256(canonical_json(config).encode()).hexdigest()
+        self.config_sha = hashlib.sha256(canonical_json(raw).encode()).hexdigest()
+        self.alignment = "same_day" if config.label.same_day else "next_day"
         self.timelines: list[ParticipantTimeline] = []
         self.eligible: list[ParticipantTimeline] = []
         self.labels = []
         self.datasets = {}
-        self.pooled = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -115,27 +177,15 @@ class PipelineRun:
     # -- stages ----------------------------------------------------------
 
     def stage_synth(self) -> None:
-        section = self.config.get("synth")
-        if section is None:
-            raise ConfigError("run config has no synth section and no raw_dir")
-        if "config_path" in section:
-            payload = read_json(section["config_path"])
-        else:
-            payload = dict(section)
-        payload.setdefault("seed", self.seed)
-        cohort = cohort_config_from_dict(payload)
-        truth = write_cohort(cohort, self.out_dir / "raw")
+        truth = write_cohort(cohort_of(self.config.synth, self.seed), self.out_dir / "raw")
         # write_cohort already wrote ground_truth.json; rewrite with run_id.
         self._write_json("raw/ground_truth.json", truth)
-        self._cohort = cohort
 
     def stage_ingest(self) -> None:
-        raw_dir = Path(self.config.get("raw_dir", self.out_dir / "raw"))
+        raw_dir = self.out_dir / "raw" if self.config.raw_dir is None else Path(self.config.raw_dir)
         if not raw_dir.exists():
             raise MissingInputError(f"raw data directory missing: {raw_dir}")
-        pids = sorted(
-            {p.name.rsplit("_", 1)[0] for p in raw_dir.glob("*_affect.csv")}
-        )
+        pids = sorted({p.name.rsplit("_", 1)[0] for p in raw_dir.glob("*_affect.csv")})
         if not pids:
             raise MissingInputError(f"no *_affect.csv files under {raw_dir}")
         self.timelines = []
@@ -144,25 +194,17 @@ class PipelineRun:
             for modality in Modality:
                 path = raw_dir / f"{pid}_{modality.value}.csv"
                 if path.exists():
-                    files.append(
-                        parse_modality_file(path, self.schema, modality, pid)
-                    )
-            reports = parse_affect_file(
-                raw_dir / f"{pid}_affect.csv", self.polarity, pid
-            ).values()
-            timeline = build_timeline(files, list(reports), self.schema)
+                    files.append(parse_modality_file(path, self.schema, modality, pid))
+            reports = parse_affect_file(raw_dir / f"{pid}_affect.csv", self.polarity, pid)
+            timeline = build_timeline(files, list(reports.values()), self.schema)
             self.timelines.append(timeline)
-            self._write_json(
-                f"timelines/{pid}.json", timeline_to_dict(timeline)
-            )
+            self._write_json(f"timelines/{pid}.json", timeline_to_dict(timeline))
 
     def stage_impute(self) -> None:
-        section = self.config.get("impute", {})
-        fallback = section.get("fallback", "drop")
         imputed = []
         for timeline in self.timelines:
             out = impute_all(timeline)
-            if fallback == "participant-mean":
+            if self.config.impute.fallback == "participant-mean":
                 out = fill_residual_with_participant_mean(out)
             imputed.append(out)
             self._write_json(
@@ -171,47 +213,39 @@ class PipelineRun:
         self.timelines = imputed
 
     def stage_label(self) -> None:
-        section = self.config.get("label", {})
-        min_days = int(self.config.get("eligibility", {}).get("min_days", 200))
+        section = self.config.label
+        min_days = self.config.eligibility.min_days
         self.eligible = filter_eligible_participants(self.timelines, min_days)
         if not self.eligible:
             raise PipelineError(
                 f"no participant exceeds {min_days} valid affect days"
             )
-        target = parse_target(section.get("target", "pa"), bool(section.get("pooled")))
         self.labels = build_labels_cohort(
             self.eligible,
-            target,
-            middle_band=float(section.get("middle_band", 0.20)),
-            alignment="same_day" if section.get("same_day") else "next_day",
+            parse_target(section.target, section.pooled),
+            middle_band=section.middle_band,
+            alignment=self.alignment,
         )
         eligible_ids = tuple(t.participant_id for t in self.eligible)
         self._write_json("labels.json", to_json(LabelsDocument(tuple(self.labels), min_days, eligible_ids)))
 
     def stage_dataset(self) -> None:
-        section = self.config.get("dataset", {})
-        fallback = section.get("fallback", "drop")
-        modalities = parse_modalities(section.get("modalities", [m.value for m in Modality]))
-        per_participant = {}
-        for timeline, labels in zip(self.eligible, self.labels):
-            per_participant[timeline.participant_id] = build_dataset(
-                timeline, labels, self.schema, modalities, fallback=fallback
+        section = self.config.dataset
+        modalities = parse_modalities(section.modalities)
+        self.datasets = {
+            timeline.participant_id: build_dataset(
+                timeline, labels, self.schema, modalities, fallback=section.fallback
             )
-        self.datasets = per_participant
-        self.pooled = concat_datasets(list(per_participant.values()))
-        self._write_json("dataset.json", dataset_to_dict(self.pooled))
+            for timeline, labels in zip(self.eligible, self.labels)
+        }
+        self._write_json("dataset.json", dataset_to_dict(concat_datasets(list(self.datasets.values()))))
 
     def stage_evaluate(self) -> None:
-        section = self.config.get("evaluate", {})
-        family = MODEL_NAMES[section.get("model", "rf")]
-        spec = ModelSpec(
-            family=family,
-            hyperparameters=section.get("hyperparameters", {}),
-            seed=self.seed,
-        )
-        k = int(section.get("folds", 5))
-        grid = default_grid(family) if section.get("tune") else None
-        stratified = bool(section.get("stratified", False))
+        section = self.config.evaluate
+        family = MODEL_NAMES[section.model]
+        spec = ModelSpec(family=family, hyperparameters=section.hyperparameters, seed=self.seed)
+        k = section.folds
+        grid = default_grid(family) if section.tune else None
 
         reports = {}
         for pid, ds in self.datasets.items():
@@ -221,7 +255,7 @@ class PipelineRun:
                 k=k,
                 seed=self.seed,
                 grid=grid,
-                stratified=stratified,
+                stratified=section.stratified,
                 modalities=subset_modalities(ds, self.schema),
             )
         macro = macro_average(list(reports.values()))
@@ -230,10 +264,9 @@ class PipelineRun:
         )
 
         ablation = {}
-        if section.get("ablation"):
+        if section.ablation:
             subsets_by_name = {
-                name: parse_modalities(names)
-                for name, names in section.get("subsets", DEFAULT_SUBSETS).items()
+                name: parse_modalities(names) for name, names in section.subsets.items()
             }
             for pid, ds in self.datasets.items():
                 subsets = paired_subsets(ds, self.schema, subsets_by_name)
@@ -263,16 +296,14 @@ class PipelineRun:
             for pid in sorted(reports):
                 for x, y in reports[pid].roc_points:
                     handle.write(f"{pid},{x!r},{y!r}\n")
-        self._reports = reports
 
     def stage_analyze(self) -> None:
-        section = self.config.get("analyze", {})
-        alignment = "same_day" if self.config.get("label", {}).get("same_day") else "next_day"
+        section = self.config.analyze
         doc: dict = {"format_version": FORMAT_VERSION}
 
-        if section.get("correlations", True):
+        if section.correlations:
             corr = feature_affect_correlations(
-                self.eligible, self.schema, alignment=alignment
+                self.eligible, self.schema, alignment=self.alignment
             )
             write_correlation_csv(
                 self.out_dir / "correlations.csv", corr, self.schema.feature_ids()
@@ -281,7 +312,7 @@ class PipelineRun:
                 f"{fid}:{target}": r for (fid, target), r in sorted(corr.items())
             }
 
-        if section.get("tvalues", True):
+        if section.tvalues:
             # The scores come from a default 100-tree RF whatever evaluate.model is.
             spec = ModelSpec(family=ModelFamily.RF, seed=self.seed)
             scored = []
@@ -289,9 +320,9 @@ class PipelineRun:
                 ds = self.datasets[timeline.participant_id]
                 model = train(spec, ds.X, ds.y, feature_ids=ds.feature_ids)
                 scored.append(
-                    (timeline.participant_id, monthly_scores(model, timeline, alignment=alignment))
+                    (timeline.participant_id, monthly_scores(model, timeline, alignment=self.alignment))
                 )
-            rows, warnings = tvalue_table(scored, section.get("baseline_months"))
+            rows, warnings = tvalue_table(scored, section.baseline_months)
             write_tvalues_csv(self.out_dir / "tvalues.csv", rows)
             doc["tvalues"] = rows
             doc["tvalue_warnings"] = warnings
@@ -322,64 +353,55 @@ def tvalue_table(
     return rows, warnings
 
 
-def preflight(config: dict) -> None:
-    """Validate the config before any output is created."""
-    if not isinstance(config, dict):
-        raise ConfigError("run config must be a JSON object")
-    unknown = set(config) - {
-        "seed",
-        "out_dir",
-        "stages",
-        "raw_dir",
-        "synth",
-        "impute",
-        "label",
-        "dataset",
-        "evaluate",
-        "analyze",
-        "eligibility",
-    }
-    if unknown:
-        raise ConfigError(f"unknown run-config keys: {sorted(unknown)}")
-    for stage in config.get("stages", STAGES):
+def cohort_of(synth: dict, seed: int) -> CohortConfig:
+    """The cohort a run config's synth section stands for: the section
+    itself, or the file its only key, config_path, names.  The cohort takes
+    the run's seed unless it states its own."""
+    payload, path = synth, "config.synth"
+    if "config_path" in synth:
+        if len(synth) > 1:
+            raise ConfigError(f"config.synth: config_path takes no other keys, got {sorted(synth)}")
+        path = read_config(str, synth["config_path"], "config.synth.config_path")
+        payload = read_json(path)
+    cohort = cohort_config_from_dict(payload, path)
+    return cohort if "seed" in payload else replace(cohort, seed=seed)
+
+
+def preflight(config: dict) -> RunConfig:
+    """The run config, read and checked before any output is created."""
+    run = read_config(RunConfig, config, "config")
+    for stage in run.stages:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
-    synth = config.get("synth")
-    if synth is not None and "config_path" in synth:
-        path = Path(synth["config_path"])
-        if not path.exists():
-            raise MissingInputError(f"synth config not found: {path}")
-    if synth is None:
-        raw_dir = config.get("raw_dir")
-        if raw_dir is None:
-            raise ConfigError("config needs either a synth section or raw_dir")
-        if not Path(raw_dir).exists():
-            raise MissingInputError(f"raw_dir not found: {raw_dir}")
-    model = config.get("evaluate", {}).get("model", "rf")
-    if not isinstance(model, str) or model not in MODEL_NAMES:
-        raise ConfigError(f"unknown model {model!r} (expected {'|'.join(MODEL_NAMES)})")
-    hyperparameters = config.get("evaluate", {}).get("hyperparameters", {})
-    if not isinstance(hyperparameters, dict):
-        raise ConfigError("evaluate.hyperparameters must be an object")
+    evaluate = run.evaluate
+    if evaluate.model not in MODEL_NAMES:
+        raise ConfigError(f"unknown model {evaluate.model!r} (expected {'|'.join(MODEL_NAMES)})")
     try:
-        spec = ModelSpec(family=MODEL_NAMES[model], hyperparameters=hyperparameters)
+        spec = ModelSpec(family=MODEL_NAMES[evaluate.model], hyperparameters=evaluate.hyperparameters)
     except SchemaError as exc:
         raise ConfigError(str(exc)) from exc
     _build(spec.family, spec.resolved())
-    label = config.get("label", {})
-    parse_target(label.get("target", "pa"), bool(label.get("pooled")))
-    parse_modalities(config.get("dataset", {}).get("modalities", ()))
-    subsets = config.get("evaluate", {}).get("subsets", {})
-    if not isinstance(subsets, dict):
-        raise ConfigError("evaluate.subsets must map subset names to modality lists")
-    for names in subsets.values():
+    if evaluate.folds < 2:
+        raise ConfigError(f"evaluate.folds must be at least 2, got {evaluate.folds}")
+    parse_target(run.label.target, run.label.pooled)
+    if not 0 <= run.label.middle_band < 1:
+        raise ConfigError(f"label.middle_band must be in [0, 1), got {run.label.middle_band}")
+    if run.eligibility.min_days < 0:
+        raise ConfigError(f"eligibility.min_days must be at least 0, got {run.eligibility.min_days}")
+    parse_modalities(run.dataset.modalities)
+    for names in evaluate.subsets.values():
         parse_modalities(names)
-    for section in ("impute", "dataset"):
-        fallback = config.get(section, {}).get("fallback", "drop")
+    for section, fallback in (("impute", run.impute.fallback), ("dataset", run.dataset.fallback)):
         if fallback not in FALLBACKS:
-            raise ConfigError(
-                f"unknown {section}.fallback {fallback!r} (expected {'|'.join(FALLBACKS)})"
-            )
+            raise ConfigError(f"unknown {section}.fallback {fallback!r} (expected {'|'.join(FALLBACKS)})")
+    if run.raw_dir is not None and not Path(run.raw_dir).exists():
+        raise MissingInputError(f"raw_dir not found: {run.raw_dir}")
+    if run.synth is None:
+        if run.raw_dir is None:
+            raise ConfigError("config needs either a synth section or raw_dir")
+    else:
+        cohort_of(run.synth, run.seed)
+    return run
 
 
 def run_pipeline(
@@ -387,32 +409,20 @@ def run_pipeline(
     seed_override: int | None = None,
     out_dir_override: Path | str | None = None,
 ) -> RunManifest:
-    config = read_json(config_path)
-    preflight(config)
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
-    out_dir = Path(out_dir_override or config.get("out_dir", "run_output"))
+    raw = read_json(config_path)
+    config = preflight(raw)
+    seed = config.seed if seed_override is None else seed_override
+    out_dir = Path(out_dir_override or config.out_dir)
     check_output(out_dir, directory=True)
-    stages = tuple(config.get("stages", STAGES))
-    run = PipelineRun(config, out_dir, seed)
+    run = PipelineRun(raw, config, out_dir, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    stage_fns: dict[str, Callable[[], None]] = {
-        "synth": run.stage_synth,
-        "ingest": run.stage_ingest,
-        "impute": run.stage_impute,
-        "label": run.stage_label,
-        "dataset": run.stage_dataset,
-        "evaluate": run.stage_evaluate,
-        "analyze": run.stage_analyze,
-    }
     executed = []
     for stage in STAGES:
-        if stage not in stages:
-            continue
-        if stage == "synth" and "synth" not in config:
+        if stage not in config.stages or stage == "synth" and config.synth is None:
             continue
         try:
-            stage_fns[stage]()
+            getattr(run, f"stage_{stage}")()
         except PipelineError as exc:
             raise type(exc)(f"stage {stage}: {exc}") from exc
         executed.append(stage)

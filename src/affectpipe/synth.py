@@ -33,11 +33,11 @@ from .core import (
     default_polarity,
     default_schema,
     dump_json,
-    from_json,
+    read_config,
     read_json,
     to_json,
 )
-from .errors import ConfigError, InputFormatError
+from .errors import ConfigError
 from .ingest import (
     RawSampleFile,
     RawSampleRow,
@@ -459,11 +459,8 @@ def write_cohort(config: CohortConfig, out_dir: Path | str) -> dict:
 # ---------------------------------------------------------------------------
 # Config serialization
 
-def cohort_config_from_dict(payload: dict) -> CohortConfig:
-    try:
-        return from_json(CohortConfig, payload)
-    except InputFormatError as exc:
-        raise ConfigError(f"bad cohort config: {exc}") from exc
+def cohort_config_from_dict(payload: dict, path: str = "cohort config") -> CohortConfig:
+    return read_config(CohortConfig, payload, path)
 
 
 def save_cohort_config(path: Path | str, config: CohortConfig) -> None:

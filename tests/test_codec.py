@@ -27,9 +27,10 @@ from affectpipe.core import (
     save_timeline,
     to_json,
 )
-from affectpipe.errors import InputFormatError, PipelineError, SchemaError
+from affectpipe.errors import ConfigError, InputFormatError, MissingInputError, PipelineError, SchemaError
 from affectpipe.labels import LabelSet, load_dataset
 from affectpipe.learners import ModelFamily, ModelSpec, load_model, save_model, train
+from affectpipe.pipeline import RunConfig, preflight
 from affectpipe.synth import CohortConfig, cohort_config_from_dict
 
 from conftest import TINY_SCHEMA, make_timeline
@@ -213,6 +214,24 @@ def workspace(tmp_path_factory):
         ),
         "cohort": (cohort, lambda doc, out: ["synth", "--config", doc, "--out-dir", out]),
     }
+    # A run config with every key set; it is checked through preflight.
+    docs["run_config"] = (
+        {
+            "seed": 3,
+            "out_dir": str(base / "run"),
+            "stages": ["synth", "ingest"],
+            "synth": {"n_participants": 1, "n_days": 31, "n_eligible": 1, "shift": None},
+            "raw_dir": str(base),
+            "eligibility": {"min_days": 10},
+            "impute": {"fallback": "drop"},
+            "label": {"target": "pa", "pooled": False, "middle_band": 0.2, "same_day": False},
+            "dataset": {"fallback": "drop", "modalities": ["ring", "watch"]},
+            "evaluate": {"model": "rf", "hyperparameters": {"n_trees": 3}, "folds": 3, "tune": False,
+                         "stratified": False, "ablation": True, "subsets": {"ring": ["ring"]}},
+            "analyze": {"correlations": True, "tvalues": False, "baseline_months": ["2020-01"]},
+        },
+        None,
+    )
     for family in ModelFamily:
         hp = {"n_trees": 3} if family is ModelFamily.RF else {}
         path = base / f"model_{family.value}.json"
@@ -301,7 +320,8 @@ REPLACEMENTS = (None, True, 7, 1.5, "x", [], {})
 
 @pytest.mark.parametrize(
     "kind",
-    ["timeline", "labels", "dataset", "schema", "cohort", *(f"model_{f.value}" for f in ModelFamily)],
+    ["timeline", "labels", "dataset", "schema", "cohort", "run_config",
+     *(f"model_{f.value}" for f in ModelFamily)],
 )
 # A warning would print a second line to stderr, so it fails the test.
 @pytest.mark.filterwarnings("error")
@@ -326,6 +346,15 @@ def test_mutated_documents_never_escape_the_exit_codes(workspace, kind, data):
         del value[data.draw(st.sampled_from(sorted(value)), label="key")]
     else:
         value["unexpected_key"] = 1
+    if kind == "run_config":
+        try:
+            outcome = preflight(doc)
+        except (ConfigError, MissingInputError) as exc:
+            outcome = exc
+        assert isinstance(outcome, (RunConfig, ConfigError, MissingInputError))
+        if op == "add" and isinstance(value, dict):
+            assert isinstance(outcome, ConfigError), outcome
+        return
     code, err = run_document(workspace, kind, doc)
     if code != 0:
         assert_one_error_line(code, err)

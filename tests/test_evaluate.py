@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe.core import Modality
-from affectpipe.errors import InsufficientDataError, SchemaError
+from affectpipe.errors import InsufficientDataError, PipelineError, SchemaError
 from affectpipe.core import from_json, to_json
 from affectpipe.evaluate import (
     REFERENCE_RESULTS,
@@ -85,6 +85,14 @@ def test_roc_all_tied_is_chance():
 def test_roc_requires_both_classes():
     with pytest.raises(InsufficientDataError):
         roc_auc(np.array([0.1, 0.9]), np.array([1, 1]))
+
+
+def test_roc_refuses_non_finite_scores():
+    # NaN equals nothing, not even itself, so it would never end a tie group.
+    for scores, count in (([np.nan, 0.5, 0.2], 1), ([np.inf, np.nan, -np.inf], 3)):
+        with pytest.raises(PipelineError, match=f"returned {count} non-finite scores of 3") as caught:
+            roc_auc(np.array(scores), np.array([0, 1, 1]))
+        assert type(caught.value) is PipelineError
 
 
 @settings(max_examples=80)

@@ -6,17 +6,20 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 from affectpipe.cli import main
 from affectpipe.core import dump_json, read_json
 from affectpipe.errors import ConfigError, MissingInputError, PipelineError
-from affectpipe.pipeline import STAGES, file_digest, preflight, run_pipeline
+from affectpipe.pipeline import STAGES, RunConfig, file_digest, preflight, run_pipeline
 from affectpipe.synth import CohortConfig, save_cohort_config
 
 SYNTH_SECTION = {
@@ -26,6 +29,37 @@ SYNTH_SECTION = {
     "report_prob_eligible": 0.95,
     "report_prob_other": 0.30,
 }
+
+
+# Run configs that used to run on regardless, fail late or crash with a
+# traceback, and the message each now fails with in preflight.
+BAD_CONFIGS = (
+    ({"label": {"targt": "na"}}, r"config\.label: unknown keys \['targt'\]"),
+    ({"evaluate": {"stratified": "no"}}, r"evaluate\.stratified: expected bool"),
+    ({"analyze": {"baseline_months": "2020-01"}}, r"analyze\.baseline_months: expected a list"),
+    ({"evaluate": {"folds": "3"}}, r"evaluate\.folds: expected int"),
+    ({"eligibility": {"min_days": -1}}, r"eligibility\.min_days must be at least 0"),
+    ({"eligibility": {"min_days": "x"}}, r"eligibility\.min_days: expected int"),
+    ({"seed": "x"}, r"config\.seed: expected int"),
+    ({"seed": True}, r"config\.seed: expected int"),
+    ({"evaluate": [1]}, r"config\.evaluate: expected an object"),
+    ({"label": None}, r"config\.label: expected an object"),
+    ({"synth": [1]}, r"config\.synth: expected an object"),
+    ({"out_dir": 5}, r"config\.out_dir: expected str"),
+    ({"raw_dir": 5}, r"config\.raw_dir: expected str"),
+    ({"label": {"middle_band": 1.5}}, r"label\.middle_band must be in \[0, 1\)"),
+    ({"evaluate": {"folds": 1}}, r"evaluate\.folds must be at least 2"),
+    ({"synth": {"n_dayz": 5}}, r"config\.synth: unknown keys \['n_dayz'\]"),
+    ({"synth": {"config_path": 5}}, r"config\.synth\.config_path: expected str"),
+    ({"synth": {"config_path": "x.json", "n_days": 40}}, r"config_path takes no other keys"),
+    ({"evaluate": {"model": "knn", "hyperparameters": {"k": 0}}}, r"k must be at least 1"),
+    ({"evaluate": {"model": "mlp", "hyperparameters": {"n_hidden": 0}}}, r"n_hidden must be at least 1"),
+    ({"evaluate": {"model": "mlp", "hyperparameters": {"epochs": 0}}}, r"epochs must be at least 1"),
+    ({"evaluate": {"model": "mlp", "hyperparameters": {"learning_rate": 0}}}, r"learning_rate must be positive"),
+    ({"evaluate": {"model": "svm", "hyperparameters": {"C": 0}}}, r"C must be positive"),
+    ({"evaluate": {"model": "svm", "hyperparameters": {"C": -1}}}, r"C must be positive"),
+    ({"evaluate": {"model": "svm", "hyperparameters": {"epochs": 0}}}, r"epochs must be at least 1"),
+)
 
 
 def run_config(out_dir, **overrides):
@@ -186,6 +220,9 @@ def test_preflight_rejects_unknown_stage_and_model():
             preflight({"synth": {}, "evaluate": {"hyperparameters": hyperparameters}})
     with pytest.raises(ConfigError, match="hyperparameters.k"):
         preflight({"synth": {}, "evaluate": {"model": "knn", "hyperparameters": {"k": "x"}}})
+    for fragment, message in BAD_CONFIGS:
+        with pytest.raises(ConfigError, match=message):
+            preflight({"synth": {}, **fragment})
     with pytest.raises(ConfigError, match="synth section or raw_dir"):
         preflight({})
 
@@ -466,6 +503,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         dump_json(cfg, {"synth": dict(SYNTH_SECTION), **section})
         assert main(["run", "--config", str(cfg), "--out-dir", str(run_out)]) == 2
         assert not run_out.exists()
+    # 2: each bad config, with one error line and no output
+    for fragment, _ in BAD_CONFIGS:
+        capsys.readouterr()
+        dump_json(cfg, {"synth": dict(SYNTH_SECTION), **fragment})
+        assert main(["run", "--config", str(cfg), "--out-dir", str(run_out)]) == 2
+        assert not run_out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     # 2: an output path that cannot be written, before any output exists
     a_file = tmp_path / "a_file"
     a_file.write_text("")
@@ -537,6 +582,24 @@ def test_cli_schema_error_exit_code(tmp_path):
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+def test_readme_lists_every_run_config_key():
+    """The README's run-config table names each RunConfig field, section by
+    section, and nothing else."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("\n## Run config\n", 1)[1].split("\n## ", 1)[0]
+    listed: dict[str, set[str]] = {}
+    for key in re.findall(r"^\| `([a-z_.]+)` \|", table, re.M):
+        section, _, name = key.rpartition(".")
+        listed.setdefault(section, set()).add(name)
+    declared: dict[str, set[str]] = {"": set()}
+    for name, tp in get_type_hints(RunConfig).items():
+        if is_dataclass(tp):
+            declared[name] = {f.name for f in fields(tp)}
+        else:
+            declared[""].add(name)
+    assert listed == declared
+
 
 # What a pip-generated console-script wrapper does: import the entry point's
 # module, resolve its attribute, name the program, and exit with its result.
