@@ -5,13 +5,13 @@ from __future__ import annotations
 import calendar
 import csv
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import FeatureSchema, ParticipantTimeline
+from .core import AffectReport, FeatureSchema, ParticipantTimeline, ordinals
 from .errors import InsufficientDataError
 from .learners import TrainedModel
 
@@ -64,32 +64,27 @@ def feature_affect_correlations(
 
     Sparse (< 3 pairs) or constant columns record None: undefined, not 0.
     """
-    lag = timedelta(days=1) if alignment == "next_day" else timedelta(0)
-    out: dict[tuple[str, str], float | None] = {}
-    pairs: dict[tuple[str, str], tuple[list[float], list[float]]] = {
-        (fid, t): ([], []) for fid in schema.feature_ids() for t in targets
-    }
+    lag = 1 if alignment == "next_day" else 0
+    fids = schema.feature_ids()
+    xs, ys = [np.empty((0, len(fids)))], [np.empty((0, len(targets)))]
     for timeline in timelines:
-        day_map = timeline.day_map()
-        for day in timeline.days:
-            target_day = day_map.get(day.day + lag)
-            if target_day is None or target_day.affect is None:
-                continue
-            composites = {"pa": target_day.affect.pa, "na": target_day.affect.na}
-            for fid in schema.feature_ids():
-                value = day.features.values.get(fid)
-                if value is None:
-                    continue
-                for t in targets:
-                    tv = composites.get(t)
-                    if tv is None:
-                        continue
-                    xs, ys = pairs[(fid, t)]
-                    xs.append(float(value))
-                    ys.append(float(tv))
-    for key, (xs, ys) in pairs.items():
-        out[key] = pearson_r(xs, ys) if len(xs) >= MIN_CORR_PAIRS else None
+        rows = timeline.rows_at(ordinals(timeline.dates) + lag)
+        reports = [timeline.affect[r] if r >= 0 else None for r in rows]
+        composites = [[_composite(report, t) for t in targets] for report in reports]
+        xs.append(timeline.columns(fids))
+        ys.append(np.array(composites, dtype=float).reshape(len(rows), len(targets)))
+    X, Y = np.concatenate(xs), np.concatenate(ys)
+    out: dict[tuple[str, str], float | None] = {}
+    for j, fid in enumerate(fids):
+        for k, t in enumerate(targets):
+            pair = ~np.isnan(X[:, j]) & ~np.isnan(Y[:, k])
+            out[(fid, t)] = pearson_r(X[pair, j], Y[pair, k]) if pair.sum() >= MIN_CORR_PAIRS else None
     return out
+
+
+def _composite(report: AffectReport | None, target: str) -> float | None:
+    """A report's PA or NA composite; None for no report or no composite."""
+    return None if report is None else {"pa": report.pa, "na": report.na}.get(target)
 
 
 def last_week_dates(year: int, month: int) -> list[date]:
@@ -114,24 +109,16 @@ def monthly_scores(
         feature_ids = model.feature_ids
     if feature_ids is None:
         raise InsufficientDataError("model does not record its feature ids")
-    lag = timedelta(days=1) if alignment == "next_day" else timedelta(0)
-    day_map = timeline.day_map()
-    months = sorted({(d.day.year, d.day.month) for d in timeline.days})
+    lag = 1 if alignment == "next_day" else 0
+    columns = timeline.columns(feature_ids)
+    months = sorted({(d.year, d.month) for d in timeline.dates})
     out: dict[str, np.ndarray] = {}
     for year, month in months:
-        rows = []
-        for day in last_week_dates(year, month):
-            feature_day = day_map.get(day - lag)
-            if feature_day is None:
-                continue
-            row = [feature_day.features.values.get(fid) for fid in feature_ids]
-            if any(v is None for v in row):
-                continue
-            rows.append(row)
-        if rows:
-            out[f"{year:04d}-{month:02d}"] = model.predict_proba(
-                np.asarray(rows, dtype=float)
-            )
+        rows = timeline.rows_at(ordinals(last_week_dates(year, month)) - lag)
+        X = columns[rows[rows >= 0]]
+        X = X[~np.isnan(X).any(axis=1)]
+        if len(X):
+            out[f"{year:04d}-{month:02d}"] = model.predict_proba(X)
     return out
 
 

@@ -101,7 +101,7 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
         reports = list(parse_affect_file(args.affect, polarity, args.participant).values())
     timeline = build_timeline(files, reports, schema)
     save_timeline(args.out, timeline)
-    print(f"wrote timeline with {len(timeline.days)} days to {args.out}")
+    print(f"wrote timeline with {len(timeline.dates)} days to {args.out}")
 
 
 def _cmd_impute(args: argparse.Namespace) -> None:

@@ -1,9 +1,13 @@
-"""Shared domain vocabulary: modalities, feature schemas, daily vectors, affect reports.
+"""Shared domain vocabulary: modalities, feature schemas, affect reports and
+participant timelines, plus the JSON codec.
 
-A participant timeline is an ordered sequence of calendar days.  Each day holds
-one aggregated value per schema feature (or a missing marker) and, when the
-participant answered the end-of-day survey, an affect report with twenty 0-100
-emotion ratings and their positive/negative composites.
+A participant timeline holds a days x features matrix: one row per calendar
+day (dates strictly increasing), one column per feature id.  ``values`` is a
+float matrix with NaN where a value is missing; ``provenance`` is an int8
+matrix of codes into ``PROVENANCES`` (measured, imputed or missing).  Each
+row also carries the day's affect report, when the participant answered the
+end-of-day survey: twenty 0-100 emotion ratings and their positive/negative
+composites.  ``timeline.days`` shows the same data day by day, as dicts.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from datetime import date
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import Any, ClassVar, Iterable, Mapping, NoReturn, Union, get_args, get_origin, get_type_hints
+from typing import Any, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -116,26 +120,6 @@ class ItemPolarity:
 
 
 @dataclass(frozen=True)
-class DailyFeatureVector:
-    """Aggregated feature values for one day; None marks a missing feature."""
-
-    day: date
-    values: dict[str, float | None]
-    provenance: dict[str, Provenance]
-
-    def __post_init__(self) -> None:
-        if set(self.values) != set(self.provenance):
-            raise SchemaError(f"{self.day}: provenance keys differ from value keys")
-        for fid, val in self.values.items():
-            missing = self.provenance[fid] is Provenance.MISSING
-            if missing != (val is None):
-                raise SchemaError(f"{self.day}: {fid!r} value/provenance disagree on missingness")
-
-    def is_missing(self, feature_id: str) -> bool:
-        return self.provenance.get(feature_id, Provenance.MISSING) is Provenance.MISSING
-
-
-@dataclass(frozen=True)
 class AffectReport:
     """One day's emotion ratings plus PA/NA composites.
 
@@ -174,46 +158,104 @@ def _side_mean(items: dict[str, float], side: tuple[str, ...]) -> float | None:
     return sum(items[item_id] for item_id in side) / len(side)
 
 
+def ordinals(dates: Sequence[date]) -> np.ndarray:
+    """The dates as day numbers (date.toordinal)."""
+    return np.fromiter((d.toordinal() for d in dates), np.int64, len(dates))
+
+
+# A provenance matrix holds indexes into PROVENANCES.
+PROVENANCES = tuple(Provenance)
+CODE_MEASURED, CODE_IMPUTED, CODE_MISSING = range(len(PROVENANCES))
+
+
+@dataclass(frozen=True)
+class DailyFeatureVector:
+    """One day of a timeline as dicts; None marks a missing value."""
+
+    day: date
+    values: dict[str, float | None]
+    provenance: dict[str, Provenance]
+
+
 @dataclass(frozen=True)
 class TimelineDay:
     day: date
     features: DailyFeatureVector
     affect: AffectReport | None = None
 
-    def __post_init__(self) -> None:
-        if self.features.day != self.day:
-            raise SchemaError(f"feature vector dated {self.features.day} attached to {self.day}")
-        if self.affect is not None and self.affect.day != self.day:
-            raise SchemaError(f"affect report dated {self.affect.day} attached to {self.day}")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticipantTimeline:
-    """Ordered per-participant day sequence; dates strictly increasing."""
+    """One participant's days as a days x features matrix (see the module
+    docstring); ``affect`` holds one report or None per date."""
 
     participant_id: str
-    days: tuple[TimelineDay, ...]
+    feature_ids: tuple[str, ...]
+    dates: tuple[date, ...]
+    values: np.ndarray
+    provenance: np.ndarray
+    affect: tuple[AffectReport | None, ...]
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.days, self.days[1:]):
-            if cur.day <= prev.day:
-                raise SchemaError(
-                    f"{self.participant_id}: dates not strictly increasing at {cur.day}"
-                )
+        pid, shape = self.participant_id, (len(self.dates), len(self.feature_ids))
+        if self.values.shape != shape or self.provenance.shape != shape or len(self.affect) != shape[0]:
+            raise SchemaError(f"{pid}: arrays do not match {shape[0]} dates x {shape[1]} features")
+        later = np.flatnonzero(np.diff(ordinals(self.dates)) <= 0)
+        if later.size:
+            raise SchemaError(f"{pid}: dates not strictly increasing at {self.dates[later[0] + 1]}")
+        rows, cols = np.nonzero(np.isfinite(self.values) == (self.provenance == CODE_MISSING))
+        if rows.size:
+            raise SchemaError(
+                f"{self.dates[rows[0]]}: {self.feature_ids[cols[0]]!r} value/provenance disagree on missingness"
+            )
+        for day, report in zip(self.dates, self.affect):
+            if report is not None and report.day != day:
+                raise SchemaError(f"affect report dated {report.day} attached to {day}")
 
-    def dates(self) -> tuple[date, ...]:
-        return tuple(d.day for d in self.days)
+    def rows_at(self, days: np.ndarray) -> np.ndarray:
+        """The row of each day number (see ordinals), -1 where the timeline
+        has no such day."""
+        own = ordinals(self.dates)
+        if not own.size:
+            return np.full(np.shape(days), -1)
+        rows = np.minimum(np.searchsorted(own, days), own.size - 1)
+        return np.where(own[rows] == days, rows, -1)
 
-    def day_map(self) -> dict[date, TimelineDay]:
-        return {d.day: d for d in self.days}
+    def columns(self, feature_ids: Iterable[str]) -> np.ndarray:
+        """The value columns of ``feature_ids`` in that order; NaN for a
+        feature the timeline does not have."""
+        index = {fid: j for j, fid in enumerate(self.feature_ids)}
+        padded = np.column_stack([self.values, np.full(len(self.dates), np.nan)])
+        return padded[:, [index.get(fid, -1) for fid in feature_ids]]
 
-    def with_days(self, days: Iterable[TimelineDay]) -> ParticipantTimeline:
-        return ParticipantTimeline(self.participant_id, tuple(days))
+    def as_lists(self, provenance_names: Sequence) -> tuple[list, list]:
+        """Per-day lists of the values (None where missing) and of
+        ``provenance_names[code]`` for each provenance code."""
+        values = np.where(self.provenance == CODE_MISSING, None, self.values).tolist()
+        return values, np.array(provenance_names, dtype=object)[self.provenance].tolist()
+
+    @property
+    def days(self) -> tuple[TimelineDay, ...]:
+        """The timeline day by day, built from the arrays on each access."""
+        fids = self.feature_ids
+        return tuple(
+            TimelineDay(day, DailyFeatureVector(day, dict(zip(fids, v)), dict(zip(fids, p))), report)
+            for day, v, p, report in zip(self.dates, *self.as_lists(PROVENANCES), self.affect)
+        )
+
+
+def column_means(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Each column's mean over the cells marked true, NaN for a column with
+    none.  The sum is added day by day from 0.0, as a loop over the days
+    adds it; np.sum may add in another order."""
+    stacked = np.vstack([np.zeros(values.shape[1]), np.where(cells, values, 0.0)])
+    with np.errstate(invalid="ignore"):
+        return np.cumsum(stacked, axis=0)[-1] / cells.sum(axis=0)
 
 
 def valid_affect_day_count(timeline: ParticipantTimeline) -> int:
     """Number of days with a complete (all twenty items answered) affect report."""
-    return sum(1 for d in timeline.days if d.affect is not None and d.affect.complete)
+    return sum(1 for a in timeline.affect if a is not None and a.complete)
 
 
 def filter_eligible_participants(
@@ -515,30 +557,28 @@ class _DayEntry:
     provenance: dict[str, Provenance]
     affect: _AffectEntry | None = None
 
-    def to_day(self) -> TimelineDay:
-        affect = self.affect and AffectReport(self.date, self.affect.items, self.affect.pa, self.affect.na)
-        return TimelineDay(self.date, DailyFeatureVector(self.date, self.features, self.provenance), affect)
-
 
 @dataclass(frozen=True)
 class _TimelineDocument:
-    """A timeline as stored: each day's vector and report flattened into it."""
+    """A timeline as stored: one entry per day, each with the same feature
+    keys in its features and its provenance."""
 
     participant_id: str
     days: tuple[_DayEntry, ...]
 
 
 def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
-    days = []
-    for d in timeline.days:
-        days.append(
-            {
-                "date": d.day.isoformat(),
-                "features": d.features.values,
-                "provenance": {k: v.value for k, v in d.features.provenance.items()},
-                "affect": d.affect and {"items": d.affect.items, "pa": d.affect.pa, "na": d.affect.na},
-            }
-        )
+    fids = timeline.feature_ids
+    values, names = timeline.as_lists([p.value for p in PROVENANCES])
+    days = [
+        {
+            "date": day.isoformat(),
+            "features": dict(zip(fids, v)),
+            "provenance": dict(zip(fids, p)),
+            "affect": report and {"items": report.items, "pa": report.pa, "na": report.na},
+        }
+        for day, v, p, report in zip(timeline.dates, values, names, timeline.affect)
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "participant_id": timeline.participant_id,
@@ -548,7 +588,20 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
 
 def timeline_from_dict(payload: dict) -> ParticipantTimeline:
     doc = from_json(_TimelineDocument, payload, "timeline")
-    return ParticipantTimeline(doc.participant_id, tuple(entry.to_day() for entry in doc.days))
+    fids = tuple(doc.days[0].features) if doc.days else ()
+    for entry in doc.days:
+        if entry.features.keys() != set(fids) or entry.provenance.keys() != entry.features.keys():
+            raise SchemaError(f"timeline {entry.date}: feature or provenance keys differ from the first day's")
+    codes = {p: code for code, p in enumerate(PROVENANCES)}
+    shape = (len(doc.days), len(fids))
+    return ParticipantTimeline(
+        doc.participant_id,
+        fids,
+        tuple(entry.date for entry in doc.days),
+        np.array([[e.features[f] for f in fids] for e in doc.days], dtype=float).reshape(shape),
+        np.array([[codes[e.provenance[f]] for f in fids] for e in doc.days], dtype=np.int8).reshape(shape),
+        tuple(e.affect and AffectReport(e.date, e.affect.items, e.affect.pa, e.affect.na) for e in doc.days),
+    )
 
 
 def save_timeline(path: Path | str, timeline: ParticipantTimeline) -> None:

@@ -9,87 +9,49 @@ pass never serve as donors.  Affect reports are left untouched.
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import timedelta
 
-from .core import DailyFeatureVector, ParticipantTimeline, Provenance, TimelineDay
+import numpy as np
+
+from .core import CODE_IMPUTED, CODE_MEASURED, CODE_MISSING, ParticipantTimeline, column_means, ordinals
 
 WINDOW_OFFSETS = (-2, -1, 1, 2)
 
 
-def impute_feature(timeline: ParticipantTimeline, feature_id: str) -> ParticipantTimeline:
-    """Impute one feature across a timeline; other features pass through."""
-    return impute_all(timeline, feature_ids=(feature_id,))
+def _fill(timeline: ParticipantTimeline, means: np.ndarray) -> ParticipantTimeline:
+    """The timeline with each missing value whose mean is not NaN set to it
+    and marked imputed."""
+    fill = (timeline.provenance == CODE_MISSING) & ~np.isnan(means)
+    return replace(
+        timeline,
+        values=np.where(fill, means, timeline.values),
+        provenance=np.where(fill, CODE_IMPUTED, timeline.provenance).astype(np.int8),
+    )
 
 
-def impute_all(
-    timeline: ParticipantTimeline, feature_ids: tuple[str, ...] | None = None
-) -> ParticipantTimeline:
-    """Apply window imputation to every (or the named) feature columns.
+def impute_all(timeline: ParticipantTimeline) -> ParticipantTimeline:
+    """Apply window imputation to every feature column.
 
     Donor lookup is by calendar date, not by row position: absent days in the
     timeline simply contribute no donors.
     """
-    day_map = timeline.day_map()
-    new_days: list[TimelineDay] = []
-    for day in timeline.days:
-        targets = feature_ids if feature_ids is not None else tuple(day.features.values)
-        values = dict(day.features.values)
-        provenance = dict(day.features.provenance)
-        for fid in targets:
-            if fid not in values or values[fid] is not None:
-                continue
-            donors: list[float] = []
-            for off in WINDOW_OFFSETS:
-                other = day_map.get(day.day + timedelta(days=off))
-                if other is None:
-                    continue
-                if other.features.provenance.get(fid) is not Provenance.MEASURED:
-                    continue
-                donor = other.features.values.get(fid)
-                if donor is not None:
-                    donors.append(donor)
-            if donors:
-                values[fid] = sum(donors) / len(donors)
-                provenance[fid] = Provenance.IMPUTED
-        new_days.append(
-            replace(
-                day,
-                features=DailyFeatureVector(day=day.day, values=values, provenance=provenance),
-            )
-        )
-    return timeline.with_days(tuple(new_days))
+    measured = timeline.provenance == CODE_MEASURED
+    days = ordinals(timeline.dates)
+    # Donors are added in offset order, an absent one as 0.0, which gives
+    # the same sum as adding only the present ones.
+    total = np.zeros(timeline.values.shape)
+    count = np.zeros(timeline.values.shape, dtype=np.int64)
+    for offset in WINDOW_OFFSETS:
+        rows = timeline.rows_at(days + offset)
+        donor = (rows >= 0)[:, None] & measured[rows]
+        total += np.where(donor, timeline.values[rows], 0.0)
+        count += donor
+    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN: no donors
+        means = total / count
+    return _fill(timeline, means)
 
 
-def fill_residual_with_participant_mean(
-    timeline: ParticipantTimeline, feature_ids: tuple[str, ...] | None = None
-) -> ParticipantTimeline:
+def fill_residual_with_participant_mean(timeline: ParticipantTimeline) -> ParticipantTimeline:
     """Fill values still missing after window imputation with the participant
     mean of measured values for that feature.  Features with no measured value
     anywhere stay missing."""
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for day in timeline.days:
-        for fid, value in day.features.values.items():
-            if value is None:
-                continue
-            if day.features.provenance[fid] is not Provenance.MEASURED:
-                continue
-            sums[fid] = sums.get(fid, 0.0) + value
-            counts[fid] = counts.get(fid, 0) + 1
-
-    new_days: list[TimelineDay] = []
-    for day in timeline.days:
-        targets = feature_ids if feature_ids is not None else tuple(day.features.values)
-        values = dict(day.features.values)
-        provenance = dict(day.features.provenance)
-        for fid in targets:
-            if values.get(fid) is None and counts.get(fid, 0) > 0:
-                values[fid] = sums[fid] / counts[fid]
-                provenance[fid] = Provenance.IMPUTED
-        new_days.append(
-            replace(
-                day,
-                features=DailyFeatureVector(day=day.day, values=values, provenance=provenance),
-            )
-        )
-    return timeline.with_days(tuple(new_days))
+    return _fill(timeline, column_means(timeline.values, timeline.provenance == CODE_MEASURED))

@@ -14,17 +14,18 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import (
+    CODE_MEASURED,
+    CODE_MISSING,
     AffectReport,
-    DailyFeatureVector,
     FeatureSchema,
     ItemPolarity,
     Modality,
     ParticipantTimeline,
-    Provenance,
-    TimelineDay,
 )
-from .errors import InputFormatError, MissingInputError, NoDataError, SchemaError
+from .errors import InputFormatError, MissingInputError, SchemaError
 
 MODALITY_HEADER = ["date", "feature_id", "value", "duration_min"]
 AFFECT_HEADER = ["date", "item_id", "rating"]
@@ -137,17 +138,6 @@ def parse_affect_file(
     }
 
 
-def aggregate_day(samples: Sequence) -> float:
-    """Duration-weighted average of one feature's samples for one day."""
-    if not samples:
-        raise NoDataError("no samples to aggregate")
-    fids = {s.feature_id for s in samples}
-    if len(fids) != 1:
-        raise SchemaError(f"aggregate_day got mixed features: {sorted(fids)}")
-    total = sum(s.duration_min for s in samples)
-    return sum(s.value * s.duration_min for s in samples) / total
-
-
 def build_timeline(
     files: Sequence[RawSampleFile],
     affect_reports: Iterable[AffectReport],
@@ -155,8 +145,9 @@ def build_timeline(
 ) -> ParticipantTimeline:
     """Merge modality files and affect reports into one participant timeline.
 
-    Every date seen in any input is materialized; features without samples on
-    a day are marked missing so imputation can consider them later.
+    Every date seen in any input gets a row; a feature's daily value is the
+    duration-weighted mean of its samples that day, and features without
+    samples on a day are marked missing so imputation can consider them later.
     """
     if not files and not affect_reports:
         raise InputFormatError("nothing to build a timeline from")
@@ -165,49 +156,47 @@ def build_timeline(
         raise SchemaError(f"files span multiple participants: {sorted(pids)}")
     participant_id = next(iter(pids)) if pids else ""
 
-    # (date, feature) -> samples; a pair sourced from two files of the same
-    # modality is ambiguous and rejected.
-    samples: dict[tuple[date, str], list[RawSampleRow]] = {}
-    origin: dict[tuple[date, str], int] = {}
-    for idx, f in enumerate(files):
-        for row in f.rows:
-            key = (row.day, row.feature_id)
-            if key in origin and origin[key] != idx:
-                raise InputFormatError(
-                    f"duplicate samples for {row.feature_id!r} on {row.day} "
-                    f"across {f.modality.value} files"
-                )
-            origin[key] = idx
-            samples.setdefault(key, []).append(row)
-
     affect_by_day: dict[date, AffectReport] = {}
     for report in affect_reports:
         if report.day in affect_by_day:
             raise InputFormatError(f"duplicate affect report for {report.day}")
         affect_by_day[report.day] = report
 
-    all_dates = sorted({d for d, _ in samples} | set(affect_by_day))
     feature_ids = schema.feature_ids()
-    days = []
-    for day in all_dates:
-        values: dict[str, float | None] = {}
-        provenance: dict[str, Provenance] = {}
-        for fid in feature_ids:
-            rows = samples.get((day, fid))
-            if rows:
-                values[fid] = aggregate_day(rows)
-                provenance[fid] = Provenance.MEASURED
-            else:
-                values[fid] = None
-                provenance[fid] = Provenance.MISSING
-        days.append(
-            TimelineDay(
-                day=day,
-                features=DailyFeatureVector(day=day, values=values, provenance=provenance),
-                affect=affect_by_day.get(day),
+    column = {fid: j for j, fid in enumerate(feature_ids)}
+    sample_days = [[row.day for row in f.rows] for f in files]
+    dates = sorted(set(affect_by_day).union(*sample_days))
+    row_of = {day: i for i, day in enumerate(dates)}
+    shape = (len(dates), len(feature_ids))
+    # Sums in sample order, as the per-cell sum of value * duration over the
+    # sum of durations; a cell sampled in two files is ambiguous and rejected.
+    weighted, duration, measured = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    for f, days in zip(files, sample_days):
+        try:
+            cell = (
+                np.array([row_of[day] for day in days], dtype=np.intp),
+                np.array([column[row.feature_id] for row in f.rows], dtype=np.intp),
             )
-        )
-    return ParticipantTimeline(participant_id=participant_id, days=tuple(days))
+        except KeyError as exc:
+            raise SchemaError(f"unknown feature id {exc.args[0]!r}") from None
+        clash = np.flatnonzero(measured[cell])
+        if clash.size:
+            row = f.rows[clash[0]]
+            raise InputFormatError(
+                f"duplicate samples for {row.feature_id!r} on {row.day} across {f.modality.value} files"
+            )
+        minutes = np.array([row.duration_min for row in f.rows], dtype=float)
+        np.add.at(weighted, cell, np.array([row.value for row in f.rows], dtype=float) * minutes)
+        np.add.at(duration, cell, minutes)
+        measured[cell] = True
+    return ParticipantTimeline(
+        participant_id=participant_id,
+        feature_ids=feature_ids,
+        dates=tuple(dates),
+        values=np.divide(weighted, duration, out=np.full(shape, np.nan), where=measured),
+        provenance=np.where(measured, CODE_MEASURED, CODE_MISSING).astype(np.int8),
+        affect=tuple(affect_by_day.get(day) for day in dates),
+    )
 
 
 def write_modality_csv(path: Path | str, rows: Iterable[RawSampleRow]) -> None:

@@ -9,7 +9,7 @@ magnitude (ties go to PA) and maps its sign to Happy/Sad.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -21,9 +21,11 @@ from .core import (
     FeatureSchema,
     Modality,
     ParticipantTimeline,
+    column_means,
     default_polarity,
     dump_json,
     from_json,
+    ordinals,
     read_json,
     to_json,
 )
@@ -194,8 +196,7 @@ def target_values(
     """
     values: dict[date, float] = {}
     excluded: dict[date, str] = {}
-    for day in timeline.days:
-        report = day.affect
+    for day, report in zip(timeline.dates, timeline.affect):
         if report is None:
             continue
         if target.kind == "pa":
@@ -205,9 +206,9 @@ def target_values(
         else:
             value = report.items.get(target.item_id)  # type: ignore[arg-type]
         if value is None:
-            excluded[day.day] = EXCLUDE_MISSING_AFFECT
+            excluded[day] = EXCLUDE_MISSING_AFFECT
         else:
-            values[day.day] = float(value)
+            values[day] = float(value)
     return values, excluded
 
 
@@ -218,15 +219,14 @@ def composite_values(
     pa: dict[date, float] = {}
     na: dict[date, float] = {}
     excluded: dict[date, str] = {}
-    for day in timeline.days:
-        report = day.affect
+    for day, report in zip(timeline.dates, timeline.affect):
         if report is None:
             continue
         if report.pa is None or report.na is None:
-            excluded[day.day] = EXCLUDE_MISSING_AFFECT
+            excluded[day] = EXCLUDE_MISSING_AFFECT
         else:
-            pa[day.day] = report.pa
-            na[day.day] = report.na
+            pa[day] = report.pa
+            na[day] = report.na
     return pa, na, excluded
 
 
@@ -386,51 +386,24 @@ def build_dataset(
     feature_ids = tuple(schema.features_for(modalities))
     if not feature_ids:
         raise SchemaError("no features selected")
-    lag = timedelta(days=1) if labels.alignment == "next_day" else timedelta(0)
-    day_map = timeline.day_map()
-
-    means: dict[str, float] = {}
+    lag = 1 if labels.alignment == "next_day" else 0
+    label_days = sorted(labels.entries)
+    rows = timeline.rows_at(ordinals(label_days) - lag)
+    y = np.array([labels.entries[d] is Label.HIGH for d in label_days], dtype=np.int8)[rows >= 0]
+    rows = rows[rows >= 0]
+    columns = timeline.columns(feature_ids)
+    X = columns[rows]
     if fallback == "participant-mean":
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for day in timeline.days:
-            for fid in feature_ids:
-                value = day.features.values.get(fid)
-                if value is not None:
-                    sums[fid] = sums.get(fid, 0.0) + value
-                    counts[fid] = counts.get(fid, 0) + 1
-        means = {fid: sums[fid] / counts[fid] for fid in sums}
-
-    rows: list[list[float]] = []
-    ys: list[int] = []
-    dates: list[date] = []
-    for label_day in sorted(labels.entries):
-        feature_day = day_map.get(label_day - lag)
-        if feature_day is None:
-            continue
-        row: list[float] = []
-        ok = True
-        for fid in feature_ids:
-            value = feature_day.features.values.get(fid)
-            if value is None and fallback == "participant-mean":
-                value = means.get(fid)
-            if value is None:
-                ok = False
-                break
-            row.append(float(value))
-        if not ok:
-            continue
-        rows.append(row)
-        ys.append(1 if labels.entries[label_day] is Label.HIGH else 0)
-        dates.append(feature_day.day)
-    if not rows:
+        X = np.where(np.isnan(X), column_means(columns, ~np.isnan(columns)), X)
+    keep = ~np.isnan(X).any(axis=1)
+    if not keep.any():
         raise NoDataError("no labeled days align with feature days")
     return Dataset(
         feature_ids=feature_ids,
-        X=np.array(rows, dtype=float),
-        y=np.array(ys, dtype=np.int8),
-        dates=tuple(dates),
-        participant_ids=tuple([timeline.participant_id] * len(rows)),
+        X=X[keep],
+        y=y[keep],
+        dates=tuple(timeline.dates[r] for r in rows[keep]),
+        participant_ids=tuple([timeline.participant_id] * int(keep.sum())),
         target=labels.target,
         alignment=labels.alignment,
     )

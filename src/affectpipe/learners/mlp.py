@@ -89,10 +89,13 @@ class MLPModel:
         rng = np.random.Generator(np.random.PCG64(seed_seq))
         y = np.asarray(y, dtype=float)
         self.params = init_params(X.shape[1], self.n_hidden, rng)
-        for _ in range(self.epochs):
-            _, grads = loss_and_grads(self.params, X, y)
-            for key in self.params:
-                self.params[key] = self.params[key] - self.learning_rate * grads[key]
+        # A learning rate far too large overflows; the non-finite scores that
+        # follow are refused by the caller, so numpy need not warn as well.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.epochs):
+                _, grads = loss_and_grads(self.params, X, y)
+                for key in self.params:
+                    self.params[key] = self.params[key] - self.learning_rate * grads[key]
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -394,12 +394,13 @@ def preflight(config: dict) -> RunConfig:
     for section, fallback in (("impute", run.impute.fallback), ("dataset", run.dataset.fallback)):
         if fallback not in FALLBACKS:
             raise ConfigError(f"unknown {section}.fallback {fallback!r} (expected {'|'.join(FALLBACKS)})")
+    # Ingest reads raw_dir when it is set, so a cohort synthesised next to
+    # it would never be read.
+    if (run.synth is None) == (run.raw_dir is None):
+        raise ConfigError("config needs a synth section or raw_dir, and not both")
     if run.raw_dir is not None and not Path(run.raw_dir).exists():
         raise MissingInputError(f"raw_dir not found: {run.raw_dir}")
-    if run.synth is None:
-        if run.raw_dir is None:
-            raise ConfigError("config needs either a synth section or raw_dir")
-    else:
+    if run.synth is not None:
         cohort_of(run.synth, run.seed)
     return run
 

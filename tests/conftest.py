@@ -4,17 +4,17 @@ from __future__ import annotations
 
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from affectpipe.core import (
+    CODE_MEASURED,
+    CODE_MISSING,
     AffectReport,
-    DailyFeatureVector,
     FeatureSchema,
     FeatureSpec,
     Modality,
     ParticipantTimeline,
-    Provenance,
-    TimelineDay,
     default_polarity,
     default_schema,
 )
@@ -33,22 +33,6 @@ TINY_SCHEMA = FeatureSchema(
 )
 
 
-def make_day(schema, day, values, affect=None, provenance=None):
-    """TimelineDay with MEASURED/MISSING provenance inferred from None."""
-    vals = {fid: values.get(fid) for fid in schema.feature_ids()}
-    prov = {
-        fid: (Provenance.MISSING if v is None else Provenance.MEASURED)
-        for fid, v in vals.items()
-    }
-    if provenance:
-        prov.update(provenance)
-    return TimelineDay(
-        day=day,
-        features=DailyFeatureVector(day=day, values=vals, provenance=prov),
-        affect=affect,
-    )
-
-
 def make_report(day, pa=50.0, na=20.0, polarity=None):
     """Complete 20-item report whose composites equal pa/na exactly."""
     polarity = polarity or default_polarity()
@@ -65,21 +49,28 @@ def make_timeline(
     start=D0,
     dates=None,
 ):
-    """Timeline from a list of per-day value dicts (index i -> start + i days).
+    """Timeline from a list of per-day value dicts (index i -> start + i days);
+    a feature left out or None is missing, every other value measured.
 
     ``dates`` overrides the consecutive-day default so calendar gaps can be
     constructed.  ``affect_by_index`` maps list index -> AffectReport factory
     args (pa, na) or a prebuilt report.
     """
     affect_by_index = affect_by_index or {}
-    days = []
-    for i, values in enumerate(values_by_day):
-        d = dates[i] if dates is not None else start + timedelta(days=i)
-        affect = affect_by_index.get(i)
-        if isinstance(affect, tuple):
-            affect = make_report(d, *affect)
-        days.append(make_day(schema, d, values, affect=affect))
-    return ParticipantTimeline(pid, tuple(days))
+    fids = schema.feature_ids()
+    if dates is None:
+        dates = [start + timedelta(days=i) for i in range(len(values_by_day))]
+    values = np.array([[row.get(fid) for fid in fids] for row in values_by_day], dtype=float)
+    values = values.reshape(len(values_by_day), len(fids))
+    affect = [affect_by_index.get(i) for i in range(len(dates))]
+    return ParticipantTimeline(
+        pid,
+        fids,
+        tuple(dates),
+        values,
+        np.where(np.isnan(values), CODE_MISSING, CODE_MEASURED).astype(np.int8),
+        tuple(make_report(d, *a) if isinstance(a, tuple) else a for d, a in zip(dates, affect)),
+    )
 
 
 def series_timeline(pid, series, fid="sleep_deep", schema=TINY_SCHEMA, **kw):

@@ -289,10 +289,10 @@ def test_monthly_scores_counts_and_values():
     assert set(scores) == {"2020-01", "2020-02"}
     assert scores["2020-01"].size == 7
     assert scores["2020-02"].size == 7
-    day_map = tl.day_map()
+    days = tl.days
     expected = []
     for day in last_week_dates(2020, 1):
-        fd = day_map[day - timedelta(days=1)]
+        fd = days[tl.dates.index(day - timedelta(days=1))]
         expected.append([fd.features.values[fid] for fid in ds.feature_ids])
     np.testing.assert_allclose(
         scores["2020-01"], model.predict_proba(np.asarray(expected))
@@ -312,10 +312,10 @@ def test_monthly_scores_same_day_alignment():
     tl = scored_timeline()
     model, ds = fit_knn(tl)
     scores = monthly_scores(model, tl, alignment="same_day")
-    day_map = tl.day_map()
+    days = tl.days
     expected = []
     for day in last_week_dates(2020, 2):
-        fd = day_map[day]
+        fd = days[tl.dates.index(day)]
         expected.append([fd.features.values[fid] for fid in ds.feature_ids])
     np.testing.assert_allclose(
         scores["2020-02"], model.predict_proba(np.asarray(expected))

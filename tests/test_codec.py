@@ -214,24 +214,24 @@ def workspace(tmp_path_factory):
         ),
         "cohort": (cohort, lambda doc, out: ["synth", "--config", doc, "--out-dir", out]),
     }
-    # A run config with every key set; it is checked through preflight.
-    docs["run_config"] = (
-        {
-            "seed": 3,
-            "out_dir": str(base / "run"),
-            "stages": ["synth", "ingest"],
-            "synth": {"n_participants": 1, "n_days": 31, "n_eligible": 1, "shift": None},
-            "raw_dir": str(base),
-            "eligibility": {"min_days": 10},
-            "impute": {"fallback": "drop"},
-            "label": {"target": "pa", "pooled": False, "middle_band": 0.2, "same_day": False},
-            "dataset": {"fallback": "drop", "modalities": ["ring", "watch"]},
-            "evaluate": {"model": "rf", "hyperparameters": {"n_trees": 3}, "folds": 3, "tune": False,
-                         "stratified": False, "ablation": True, "subsets": {"ring": ["ring"]}},
-            "analyze": {"correlations": True, "tvalues": False, "baseline_months": ["2020-01"]},
-        },
-        None,
-    )
+    # Run configs with every key set, one with a synth section and one with
+    # raw_dir (a config may not have both); they are checked through preflight.
+    every_key = {
+        "seed": 3,
+        "out_dir": str(base / "run"),
+        "stages": ["synth", "ingest"],
+        "eligibility": {"min_days": 10},
+        "impute": {"fallback": "drop"},
+        "label": {"target": "pa", "pooled": False, "middle_band": 0.2, "same_day": False},
+        "dataset": {"fallback": "drop", "modalities": ["ring", "watch"]},
+        "evaluate": {"model": "rf", "hyperparameters": {"n_trees": 3}, "folds": 3, "tune": False,
+                     "stratified": False, "ablation": True, "subsets": {"ring": ["ring"]}},
+        "analyze": {"correlations": True, "tvalues": False, "baseline_months": ["2020-01"]},
+    }
+    synth = {"n_participants": 1, "n_days": 31, "n_eligible": 1, "shift": None}
+    docs["run_config"] = (dict(every_key, synth=synth), None)
+    docs["run_config_raw_dir"] = (dict(every_key, raw_dir=str(base)), None)
+    (base / "a_file").write_text("")
     for family in ModelFamily:
         hp = {"n_trees": 3} if family is ModelFamily.RF else {}
         path = base / f"model_{family.value}.json"
@@ -244,11 +244,24 @@ def workspace(tmp_path_factory):
     return base, docs
 
 
-def run_document(workspace, kind, doc):
+def run_document(workspace, kind, doc, out=None):
     base, docs = workspace
     path = base / "mutated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    return run_cli(docs[kind][1](str(path), str(base / f"out_{kind}")))
+    if kind.startswith("run_config"):
+        return run_cli(["run", "--config", str(path)])
+    return run_cli(docs[kind][1](str(path), str(out or base / f"out_{kind}")))
+
+
+def unwritable_outputs(base, directory):
+    """Output paths that cannot be written: for a file, a directory, one in
+    a missing directory and one under an existing file; for a directory, an
+    existing file and paths under one (missing parents of a directory are
+    created, so they are no fault)."""
+    a_file = base / "a_file"
+    if directory:
+        return [a_file, a_file / "sub", a_file / "missing" / "sub"]
+    return [base, base / "missing" / "out.json", a_file / "out.json"]
 
 
 def assert_one_error_line(code, err):
@@ -266,11 +279,20 @@ def _first_affect(doc):
     return next(d["affect"] for d in doc["days"] if d["affect"])
 
 
+def _drop_feature(doc, fid):
+    day = doc["days"][1]
+    day["features"].pop(fid)
+    day["provenance"].pop(fid)
+
+
 MALFORMED_CASES = [
     ("dataset", lambda d: d["rows"][0].pop("features"), 4),
     ("labels", lambda d: d["participants"][0].pop("target"), 4),
     ("timeline", lambda d: _first_affect(d).update(items=3), 4),
     ("timeline", lambda d: d["days"][0].update(features=[1.0]), 4),
+    # every day of a timeline carries the same feature keys, in both maps
+    ("timeline", lambda d: _drop_feature(d, "sleep_deep"), 5),
+    ("timeline", lambda d: d["days"][1]["provenance"].update(extra="measured"), 5),
     ("model_RF", lambda d: d.pop("seed"), 4),
     ("cohort", lambda d: d.update(n_participant=3), 2),
 ]
@@ -320,7 +342,7 @@ REPLACEMENTS = (None, True, 7, 1.5, "x", [], {})
 
 @pytest.mark.parametrize(
     "kind",
-    ["timeline", "labels", "dataset", "schema", "cohort", "run_config",
+    ["timeline", "labels", "dataset", "schema", "cohort", "run_config", "run_config_raw_dir",
      *(f"model_{f.value}" for f in ModelFamily)],
 )
 # A warning would print a second line to stderr, so it fails the test.
@@ -335,7 +357,17 @@ def test_mutated_documents_never_escape_the_exit_codes(workspace, kind, data):
         by_depth.setdefault(len(path), []).append((path, value))
     depth = data.draw(st.sampled_from(sorted(by_depth)), label="depth")
     path, value = data.draw(st.sampled_from(by_depth[depth]), label="location")
-    op = data.draw(st.sampled_from(["drop", "retype", "add"]), label="op")
+    op = data.draw(st.sampled_from(["drop", "retype", "add", "output"]), label="op")
+    if op == "output":
+        # --out, --out-dir (cohort) or the run config's out_dir
+        directory = kind == "cohort" or kind.startswith("run_config")
+        out = data.draw(st.sampled_from(unwritable_outputs(workspace[0], directory)), label="out")
+        if kind.startswith("run_config"):
+            doc["out_dir"] = str(out)
+        code, err = run_document(workspace, kind, doc, out)
+        assert code == 2, err
+        assert_one_error_line(code, err)
+        return
     if op == "retype" or not isinstance(value, dict) or (op == "drop" and not value):
         new = data.draw(st.sampled_from([r for r in REPLACEMENTS if type(r) is not type(value)]))
         if path:
@@ -346,7 +378,7 @@ def test_mutated_documents_never_escape_the_exit_codes(workspace, kind, data):
         del value[data.draw(st.sampled_from(sorted(value)), label="key")]
     else:
         value["unexpected_key"] = 1
-    if kind == "run_config":
+    if kind.startswith("run_config"):
         try:
             outcome = preflight(doc)
         except (ConfigError, MissingInputError) as exc:

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import Provenance, timeline_to_dict
+from affectpipe.core import CODE_IMPUTED, CODE_MISSING, Provenance, timeline_to_dict
 from affectpipe.impute import (
     WINDOW_OFFSETS,
     fill_residual_with_participant_mean,
     impute_all,
-    impute_feature,
 )
 
 from conftest import D0, make_timeline, series_timeline
@@ -87,11 +88,12 @@ def test_measured_values_and_affect_untouched():
     assert before == after
 
 
-def test_impute_feature_leaves_other_columns_alone():
-    tl = make_timeline("p", [{"sleep_deep": 1.0, "heart_rate": 50.0}, {}, {"sleep_deep": 3.0, "heart_rate": 52.0}])
-    out = impute_feature(tl, "sleep_deep")
+def test_each_column_imputes_from_its_own_donors():
+    tl = make_timeline("p", [{"sleep_deep": 1.0, "heart_rate": 50.0}, {}, {"sleep_deep": 3.0}])
+    out = impute_all(tl)
     assert column(out) == [1.0, 2.0, 3.0]
-    assert [d.features.values["heart_rate"] for d in out.days] == [50.0, None, 52.0]
+    assert column(out, "heart_rate") == [50.0, 50.0, 50.0]
+    assert column(out, "walk_steps") == [None, None, None]
 
 
 def test_impute_all_is_idempotent():
@@ -133,28 +135,13 @@ def test_residual_fill_uses_participant_mean():
 def test_residual_fill_ignores_imputed_donors():
     # a previously imputed cell (value 1000) must not contaminate the mean
     tl = series_timeline("p", [10.0, None, 30.0, None])
-    first = impute_all(tl, feature_ids=(FID,))
-    days = list(first.days)
-    vec = days[3].features
-    values = dict(vec.values, **{FID: 1000.0})
-    prov = dict(vec.provenance, **{FID: Provenance.IMPUTED})
-    days[3] = type(days[3])(
-        day=days[3].day,
-        features=type(vec)(day=vec.day, values=values, provenance=prov),
-        affect=days[3].affect,
-    )
-    doctored = first.with_days(days)
+    first = impute_all(tl)
+    values, codes = first.values.copy(), first.provenance.copy()
+    j = first.feature_ids.index(FID)
+    values[3, j], codes[3, j] = 1000.0, CODE_IMPUTED
     # remove the window-imputed middle cell again so the fallback has work
-    days = list(doctored.days)
-    vec = days[1].features
-    values = dict(vec.values, **{FID: None})
-    prov = dict(vec.provenance, **{FID: Provenance.MISSING})
-    days[1] = type(days[1])(
-        day=days[1].day,
-        features=type(vec)(day=vec.day, values=values, provenance=prov),
-        affect=days[1].affect,
-    )
-    out = fill_residual_with_participant_mean(doctored.with_days(days))
+    values[1, j], codes[1, j] = np.nan, CODE_MISSING
+    out = fill_residual_with_participant_mean(replace(first, values=values, provenance=codes))
     assert out.days[1].features.values[FID] == 20.0  # mean of 10 and 30 only
 
 
@@ -162,3 +149,41 @@ def test_residual_fill_skips_never_measured_feature():
     tl = make_timeline("p", [{"heart_rate": 50.0}, {"heart_rate": 52.0}])
     out = fill_residual_with_participant_mean(tl)
     assert column(out) == [None, None]
+
+
+# ---------------------------------------------------------------------------
+# the array code against a day-by-day loop
+
+
+def loop_window_then_mean(values, dates):
+    """Window imputation, then the participant-mean fallback, one day at a
+    time with Python sums: the reference the array code must equal bit for bit."""
+    by_date = dict(zip(dates, values))
+    window = []
+    for day, value in zip(dates, values):
+        donors = [by_date.get(day + timedelta(days=off)) for off in WINDOW_OFFSETS]
+        donors = [v for v in donors if v is not None]
+        window.append(value if value is not None or not donors else sum(donors) / len(donors))
+    measured = [v for v in values if v is not None]
+    mean = sum(measured, 0.0) / len(measured) if measured else None
+    return window, [mean if v is None else v for v in window]
+
+
+@settings(max_examples=60)
+@given(
+    cells=st.lists(
+        st.tuples(st.integers(1, 3), st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False))),
+        min_size=1,
+        max_size=15,
+    )
+)
+def test_array_imputation_equals_the_day_by_day_loop(cells):
+    dates, day = [], D0
+    for gap, _ in cells:
+        day += timedelta(days=gap)
+        dates.append(day)
+    values = [v for _, v in cells]
+    window, filled = loop_window_then_mean(values, dates)
+    once = impute_all(series_timeline("p", values, dates=dates))
+    assert column(once) == window
+    assert column(fill_residual_with_participant_mean(once)) == filled

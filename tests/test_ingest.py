@@ -4,21 +4,20 @@ from __future__ import annotations
 
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import Modality, Provenance, default_polarity
+from affectpipe.core import CODE_MISSING, Modality, Provenance, default_polarity
 from affectpipe.errors import (
     InputFormatError,
     MissingInputError,
-    NoDataError,
     SchemaError,
 )
 from affectpipe.ingest import (
     RawSampleFile,
     RawSampleRow,
-    aggregate_day,
     build_timeline,
     parse_affect_file,
     parse_modality_file,
@@ -176,16 +175,22 @@ def test_parse_affect_rejects_unknown_item(tmp_path, polarity):
 # aggregation
 
 
+def daily_value(samples):
+    """The value build_timeline aggregates for the day of one feature's samples."""
+    tl = build_timeline([RawSampleFile("p01", Modality.RING, tuple(samples))], [], TINY_SCHEMA)
+    return tl.values[0, tl.feature_ids.index(samples[0].feature_id)]
+
+
 def test_aggregate_duration_weighted_mean():
     samples = [
         RawSampleRow(D1, "heart_rate", 10.0, 120.0),
         RawSampleRow(D1, "heart_rate", 20.0, 360.0),
     ]
-    assert aggregate_day(samples) == 17.5
+    assert daily_value(samples) == 17.5
 
 
 def test_aggregate_single_sample_is_identity():
-    assert aggregate_day([RawSampleRow(D1, "heart_rate", 42.0, 5.0)]) == 42.0
+    assert daily_value([RawSampleRow(D1, "heart_rate", 42.0, 5.0)]) == 42.0
 
 
 def test_aggregate_boolean_gives_covered_fraction():
@@ -193,21 +198,7 @@ def test_aggregate_boolean_gives_covered_fraction():
         RawSampleRow(D1, "main_activity", 1.0, 60.0),
         RawSampleRow(D1, "main_activity", 0.0, 180.0),
     ]
-    assert aggregate_day(samples) == 0.25
-
-
-def test_aggregate_empty_rejected():
-    with pytest.raises(NoDataError):
-        aggregate_day([])
-
-
-def test_aggregate_mixed_features_rejected():
-    samples = [
-        RawSampleRow(D1, "heart_rate", 10.0, 5.0),
-        RawSampleRow(D1, "sleep_deep", 10.0, 5.0),
-    ]
-    with pytest.raises(SchemaError, match="mixed"):
-        aggregate_day(samples)
+    assert daily_value(samples) == 0.25
 
 
 @settings(max_examples=60)
@@ -220,10 +211,12 @@ def test_aggregate_mixed_features_rejected():
     scale=st.floats(0.01, 100, allow_nan=False),
 )
 def test_aggregate_scale_invariance_and_bounds(pairs, scale):
-    rows = [RawSampleRow(D1, "f", v, d) for v, d in pairs]
-    scaled = [RawSampleRow(D1, "f", v, d * scale) for v, d in pairs]
-    agg = aggregate_day(rows)
-    assert aggregate_day(scaled) == pytest.approx(agg, rel=1e-9, abs=1e-9)
+    rows = [RawSampleRow(D1, "heart_rate", v, d) for v, d in pairs]
+    scaled = [RawSampleRow(D1, "heart_rate", v, d * scale) for v, d in pairs]
+    agg = daily_value(rows)
+    # the sums are added in sample order, bit for bit
+    assert agg == sum(v * d for v, d in pairs) / sum(d for _, d in pairs)
+    assert daily_value(scaled) == pytest.approx(agg, rel=1e-9, abs=1e-9)
     values = [v for v, _ in pairs]
     assert min(values) - 1e-9 <= agg <= max(values) + 1e-9
 
@@ -245,16 +238,16 @@ def test_build_timeline_materializes_all_dates():
     )
     affect = [make_report(date(2020, 3, 2), 55.0, 15.0)]
     tl = build_timeline([ring], affect, TINY_SCHEMA)
-    assert tl.dates() == (date(2020, 3, 1), date(2020, 3, 2), date(2020, 3, 3))
+    assert tl.dates == (date(2020, 3, 1), date(2020, 3, 2), date(2020, 3, 3))
     # the affect-only day carries a fully missing feature vector
+    assert (tl.provenance[1] == CODE_MISSING).all() and np.isnan(tl.values[1]).all()
     mid = tl.days[1]
-    assert all(mid.features.is_missing(fid) for fid in TINY_SCHEMA.feature_ids())
     assert mid.affect is not None and mid.affect.pa == 55.0
     # ring day: measured heart_rate, everything else missing
     first = tl.days[0]
     assert first.features.values["heart_rate"] == 60.0
     assert first.features.provenance["heart_rate"] is Provenance.MEASURED
-    assert first.features.is_missing("walk_steps")
+    assert first.features.provenance["walk_steps"] is Provenance.MISSING
 
 
 def test_build_timeline_aggregates_within_day():

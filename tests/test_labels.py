@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import Modality, from_json, to_json
+from affectpipe.core import CODE_MISSING, Modality, from_json, to_json
 from affectpipe.errors import InsufficientDataError, NoDataError, SchemaError
 from affectpipe.labels import (
     EXCLUDE_MIDDLE_BAND,
@@ -234,9 +235,7 @@ def test_build_labels_missing_affect_days():
     # day 10 has no report at all, day 11 gets a partial one
     partial = make_report(D0 + timedelta(days=11), 50.0, 20.0)
     partial = type(partial)(day=partial.day, items=partial.items, pa=None, na=20.0)
-    tl = tl.with_days(
-        list(tl.days[:11]) + [type(tl.days[11])(day=tl.days[11].day, features=tl.days[11].features, affect=partial)]
-    )
+    tl = replace(tl, affect=tl.affect[:11] + (partial,))
     ls = build_labels(tl, TargetSpec(kind="pa"))
     assert ls.excluded[D0 + timedelta(days=11)] == EXCLUDE_MISSING_AFFECT
     assert D0 + timedelta(days=10) not in ls.entries
@@ -342,17 +341,10 @@ def test_build_dataset_same_day_alignment():
 def test_build_dataset_drop_vs_mean_fallback():
     tl = ramp_timeline()
     # knock out one feature on day 4 (which feeds the day-5 label)
-    days_list = list(tl.days)
-    vec = days_list[4].features
-    values = dict(vec.values, heart_rate=None)
-    prov = dict(vec.provenance)
-    prov["heart_rate"] = type(prov["heart_rate"]).MISSING
-    days_list[4] = type(days_list[4])(
-        day=days_list[4].day,
-        features=type(vec)(day=vec.day, values=values, provenance=prov),
-        affect=days_list[4].affect,
-    )
-    tl = tl.with_days(days_list)
+    values, codes = tl.values.copy(), tl.provenance.copy()
+    j = tl.feature_ids.index("heart_rate")
+    values[4, j], codes[4, j] = np.nan, CODE_MISSING
+    tl = replace(tl, values=values, provenance=codes)
     ls = build_labels(tl, TargetSpec(kind="pa"))
     feature_day = D0 + timedelta(days=4)
     assert feature_day + timedelta(days=1) in ls.entries  # day-5 label exists

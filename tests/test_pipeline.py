@@ -47,6 +47,7 @@ BAD_CONFIGS = (
     ({"synth": [1]}, r"config\.synth: expected an object"),
     ({"out_dir": 5}, r"config\.out_dir: expected str"),
     ({"raw_dir": 5}, r"config\.raw_dir: expected str"),
+    ({"raw_dir": "."}, r"synth section or raw_dir, and not both"),
     ({"label": {"middle_band": 1.5}}, r"label\.middle_band must be in \[0, 1\)"),
     ({"evaluate": {"folds": 1}}, r"evaluate\.folds must be at least 2"),
     ({"synth": {"n_dayz": 5}}, r"config\.synth: unknown keys \['n_dayz'\]"),
@@ -599,6 +600,32 @@ def test_readme_lists_every_run_config_key():
         else:
             declared[""].add(name)
     assert listed == declared
+
+
+def run_cli_process(tmp_path, *argv):
+    """The CLI in a process of its own, so stderr is what a user sees
+    (pytest would catch warnings instead)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "affectpipe.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+
+
+def test_diverging_mlp_fails_with_one_error_line(tmp_path):
+    path, _ = run_config(
+        tmp_path,
+        synth={"n_participants": 3, "n_days": 70, "n_eligible": 2, "shift": None},
+        eligibility={"min_days": 40},
+        evaluate={"model": "mlp", "hyperparameters": {"learning_rate": 1000}},
+        analyze={"correlations": False, "tvalues": False},
+    )
+    proc = run_cli_process(tmp_path, "run", "--config", str(path), "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: stage evaluate: the learner returned 44 non-finite scores of 44\n"
 
 
 # What a pip-generated console-script wrapper does: import the entry point's
