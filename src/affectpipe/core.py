@@ -455,33 +455,80 @@ def _fail(path: str, message: str) -> NoReturn:
     raise InputFormatError(f"{path}: {message}")
 
 
+# Keys a stored document carries besides its fields.
+_DOCUMENT_KEYS = frozenset({"format_version", "run_id"})
+# What a value of each scalar type but an enum must be.
+_EXPECTED = {float: "a finite number", date: "an ISO date", int: "int", str: "str", bool: "bool"}
+
+
+def _finite_float(value: Any) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(value)
+    return float(value)
+
+
+@functools.cache
+def _scalar_reader(tp: Any) -> Any:
+    """For a scalar type (a number, str, bool, date, enum, Any, or one of
+    these or None), a function that returns from_json(tp, value) for a good
+    value and raises TypeError or ValueError for a bad one; None for any
+    other type."""
+    if tp is float:
+        return _finite_float
+    if tp in (int, str, bool):
+        def read(value: Any) -> Any:
+            if type(value) is not tp:
+                raise TypeError(value)
+            return value
+        return read
+    if tp is date:
+        return date.fromisoformat
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp
+    if tp is Any or tp is object:
+        return lambda value: value
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        inner = _scalar_reader(next(a for a in args if a is not type(None)))
+        return inner and (lambda value: None if value is None else inner(value))
+    return None
+
+
+def _scalars(tp: Any, values: Iterable) -> list | None:
+    """from_json(tp, v) of each value in one pass, with no path built, when
+    ``tp`` is a scalar type and every value is good; None otherwise, and the
+    caller reads value by value to name the bad one."""
+    read = _scalar_reader(tp)
+    if read is not None:
+        with contextlib.suppress(TypeError, ValueError):
+            return list(map(read, values))
+    return None
+
+
 def from_json(tp: Any, value: Any, path: str | None = None) -> Any:
     """Read a JSON value as type ``tp`` (a type annotation), the inverse of to_json.
 
     A missing key takes its field's default, and fails without one; a key the
-    class does not have fails, except format_version and run_id.  Every
-    failure is one InputFormatError naming the path of the bad value.
+    class does not have fails, except format_version and run_id on a class
+    whose ``json_document`` is true.  Every failure is one InputFormatError
+    naming the path of the bad value.
     """
     path = path or tp.__name__
-    if tp is float:
-        if type(value) not in (int, float) or not math.isfinite(value):
-            _fail(path, "expected a finite number")
-        return float(value)
-    if tp in (int, str, bool):
-        if type(value) is not tp:
-            _fail(path, f"expected {tp.__name__}")
-        return value
-    if tp is date or isinstance(tp, type) and issubclass(tp, Enum):
+    if tp in (float, int, str, bool, date) or isinstance(tp, type) and issubclass(tp, Enum):
         try:
-            return date.fromisoformat(value) if tp is date else tp(value)
+            return _scalar_reader(tp)(value)
         except (TypeError, ValueError):
-            _fail(path, "expected an ISO date" if tp is date else f"expected one of {[m.value for m in tp]}")
+            if tp in _EXPECTED:
+                _fail(path, f"expected {_EXPECTED[tp]}")
+            _fail(path, f"expected one of {[m.value for m in tp]}")
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
         if not isinstance(value, dict):
             _fail(path, "expected an object")
         spec = _fields_of(tp)
-        unknown = set(value) - {key for _, key, _, _ in spec} - {"format_version", "run_id"}
+        unknown = set(value) - {key for _, key, _, _ in spec}
+        if getattr(tp, "json_document", False):
+            unknown -= _DOCUMENT_KEYS
         if unknown:
             _fail(path, f"unknown keys {sorted(unknown)}")
         kwargs = {}
@@ -508,12 +555,17 @@ def from_json(tp: Any, value: Any, path: str | None = None) -> Any:
             if len(value) != len(args):
                 _fail(path, f"expected {len(args)} items")
             return tuple(from_json(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-        items = [from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)] if args else value
+        items = _scalars(args[0], value) if args else value
+        if items is None:
+            items = [from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
         return tuple(items) if tuple in (tp, origin) else items
     if tp is dict or origin in (dict, abc.Mapping):
         if not isinstance(value, dict):
             _fail(path, "expected an object")
         key_type, value_type = args or (str, Any)
+        keys, values = _scalars(key_type, value), _scalars(value_type, value.values())
+        if keys is not None and values is not None:
+            return dict(zip(keys, values))
         entries = ((f"{path}.{k}", k, v) for k, v in value.items())
         return {from_json(key_type, k, p): from_json(value_type, v, p) for p, k, v in entries}
     if tp is np.ndarray:
@@ -563,6 +615,7 @@ class _TimelineDocument:
     """A timeline as stored: one entry per day, each with the same feature
     keys in its features and its provenance."""
 
+    json_document: ClassVar[bool] = True
     participant_id: str
     days: tuple[_DayEntry, ...]
 

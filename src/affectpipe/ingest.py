@@ -8,7 +8,7 @@ a day are combined by a duration-weighted average.
 from __future__ import annotations
 
 import csv
-import math
+import io
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -31,19 +31,55 @@ MODALITY_HEADER = ["date", "feature_id", "value", "duration_min"]
 AFFECT_HEADER = ["date", "item_id", "rating"]
 
 
-@dataclass(frozen=True)
-class RawSampleRow:
-    day: date
-    feature_id: str
-    value: float
-    duration_min: float
+# One record per raw sample; feature ids are str objects.
+SAMPLE_DTYPE = np.dtype(
+    [("day", "datetime64[D]"), ("feature_id", object), ("value", float), ("duration_min", float)]
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawSampleFile:
+    """One modality file of a participant; ``rows`` holds one SAMPLE_DTYPE
+    record per sample, in file order."""
+
     participant_id: str
     modality: Modality
-    rows: tuple[RawSampleRow, ...]
+    rows: np.ndarray
+
+
+def sample_rows(day, feature_id, value, duration_min) -> np.ndarray:
+    """A SAMPLE_DTYPE array from its four columns."""
+    rows = np.empty(len(value), SAMPLE_DTYPE)
+    rows["day"], rows["feature_id"], rows["value"], rows["duration_min"] = (
+        day, feature_id, value, duration_min
+    )
+    return rows
+
+
+def _distinct(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct texts in the order first seen, and the index of each
+    text into them."""
+    index = {text: k for k, text in enumerate(dict.fromkeys(texts))}
+    return list(index), np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+
+
+def _attempt(parse, text: str):
+    """parse(text), or the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc
+
+
+def _floats(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, str]]:
+    """float() of each text, NaN where it refuses one, and the message of
+    each refusal by row."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), {}
+    except ValueError:
+        parsed = [_attempt(float, text) for text in texts]
+    refused = {i: str(p) for i, p in enumerate(parsed) if isinstance(p, ValueError)}
+    return np.array([np.nan if i in refused else p for i, p in enumerate(parsed)], dtype=float), refused
 
 
 def parse_modality_file(
@@ -56,46 +92,78 @@ def parse_modality_file(
 
     Raises InputFormatError with the offending line number for malformed rows,
     SchemaError for unknown features or features of a different modality.
+    The checks run over whole columns and report what a row-by-row reading
+    meets first: the earliest bad line, and on it the earliest check.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"no such file: {path}")
-    rows: list[RawSampleRow] = []
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != MODALITY_HEADER:
+        if next(reader, None) != MODALITY_HEADER:
             raise InputFormatError(f"{path}: expected header {','.join(MODALITY_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise InputFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0])
-                value = float(row[2])
-                duration = float(row[3])
-            except ValueError as exc:
-                raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (math.isfinite(value) and math.isfinite(duration)):
-                raise InputFormatError(f"{path}:{lineno}: value and duration must be finite")
-            fid = row[1]
-            if not schema.has(fid):
-                raise SchemaError(f"{path}:{lineno}: unknown feature id {fid!r}")
-            spec = schema.spec_of(fid)
-            if spec.modality is not modality:
-                raise SchemaError(
-                    f"{path}:{lineno}: feature {fid!r} belongs to {spec.modality.value}, "
-                    f"file declared {modality.value}"
-                )
-            if not duration > 0:
-                raise InputFormatError(f"{path}:{lineno}: duration must be > 0, got {duration}")
-            if spec.kind == "boolean" and value not in (0.0, 1.0):
-                raise InputFormatError(
-                    f"{path}:{lineno}: boolean feature {fid!r} must be 0 or 1, got {value}"
-                )
-            rows.append(RawSampleRow(day, fid, value, duration))
-    return RawSampleFile(participant_id=participant_id, modality=modality, rows=tuple(rows))
+        records = list(reader)
+    # Blank lines are skipped; a line of another width stands in as four
+    # empty fields, and its width check comes first.
+    widths = np.fromiter(map(len, records), np.intp, len(records))
+    lines = np.flatnonzero(widths) + 2
+    widths = widths[widths > 0]
+    columns = tuple(zip(*(r if len(r) == 4 else [""] * 4 for r in records if r)))
+    day_texts, fids, value_texts, duration_texts = columns or ((),) * 4
+
+    # Dates, schema and modality once per distinct text; numbers by column.
+    distinct_days, day_codes = _distinct(day_texts)
+    days = [_attempt(date.fromisoformat, text) for text in distinct_days]
+    day_refused = np.array([isinstance(d, ValueError) for d in days], dtype=bool)
+    values, value_refused = _floats(value_texts)
+    durations, duration_refused = _floats(duration_texts)
+    distinct_fids, codes = _distinct(fids)
+    specs = [schema.spec_of(fid) if schema.has(fid) else None for fid in distinct_fids]
+
+    def per_row(flags: list[bool]) -> np.ndarray:
+        return np.array(flags, dtype=bool)[codes]
+
+    def rows_of(refused: dict[int, str]) -> np.ndarray:
+        rows = np.zeros(len(fids), dtype=bool)
+        rows[list(refused)] = True
+        return rows
+
+    # (rows failing, error class, message) in the order each row is checked
+    checks = [
+        (widths != 4, InputFormatError, lambda i: f"expected 4 fields, got {widths[i]}"),
+        (day_refused[day_codes], InputFormatError, lambda i: str(days[day_codes[i]])),
+        (rows_of(value_refused), InputFormatError, value_refused.get),
+        (rows_of(duration_refused), InputFormatError, duration_refused.get),
+        (
+            ~(np.isfinite(values) & np.isfinite(durations)),
+            InputFormatError,
+            lambda i: "value and duration must be finite",
+        ),
+        (per_row([spec is None for spec in specs]), SchemaError, lambda i: f"unknown feature id {fids[i]!r}"),
+        (
+            per_row([spec is not None and spec.modality is not modality for spec in specs]),
+            SchemaError,
+            lambda i: f"feature {fids[i]!r} belongs to {specs[codes[i]].modality.value}, "
+            f"file declared {modality.value}",
+        ),
+        (~(durations > 0), InputFormatError, lambda i: f"duration must be > 0, got {float(durations[i])}"),
+        (
+            per_row([spec is not None and spec.kind == "boolean" for spec in specs])
+            & (values != 0.0)
+            & (values != 1.0),
+            InputFormatError,
+            lambda i: f"boolean feature {fids[i]!r} must be 0 or 1, got {float(values[i])}",
+        ),
+    ]
+    failed = np.array([rows for rows, _, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        i = bad[0]
+        _, error, message = checks[np.argmax(failed[:, i])]
+        raise error(f"{path}:{lines[i]}: {message(i)}")
+    day_array = np.array(days, dtype="datetime64[D]")[day_codes]
+    rows = sample_rows(day_array, np.array(distinct_fids, dtype=object)[codes], values, durations)
+    return RawSampleFile(participant_id=participant_id, modality=modality, rows=rows)
 
 
 def parse_affect_file(
@@ -149,7 +217,8 @@ def build_timeline(
     duration-weighted mean of its samples that day, and features without
     samples on a day are marked missing so imputation can consider them later.
     """
-    if not files and not affect_reports:
+    reports = list(affect_reports)
+    if not files and not reports:
         raise InputFormatError("nothing to build a timeline from")
     pids = {f.participant_id for f in files}
     if len(pids) > 1:
@@ -157,60 +226,83 @@ def build_timeline(
     participant_id = next(iter(pids)) if pids else ""
 
     affect_by_day: dict[date, AffectReport] = {}
-    for report in affect_reports:
+    for report in reports:
         if report.day in affect_by_day:
             raise InputFormatError(f"duplicate affect report for {report.day}")
         affect_by_day[report.day] = report
 
     feature_ids = schema.feature_ids()
     column = {fid: j for j, fid in enumerate(feature_ids)}
-    sample_days = [[row.day for row in f.rows] for f in files]
-    dates = sorted(set(affect_by_day).union(*sample_days))
-    row_of = {day: i for i, day in enumerate(dates)}
+    # The distinct days by sorting: np.unique would import numpy.ma (about
+    # 1 MB) long before any later stage needs it.
+    days = np.sort(
+        np.concatenate([np.array(list(affect_by_day), dtype="datetime64[D]")] + [f.rows["day"] for f in files])
+    )
+    first = np.ones(days.size, dtype=bool)
+    first[1:] = days[1:] != days[:-1]
+    days = days[first]
+    dates = tuple(days.tolist())
     shape = (len(dates), len(feature_ids))
     # Sums in sample order, as the per-cell sum of value * duration over the
     # sum of durations; a cell sampled in two files is ambiguous and rejected.
     weighted, duration, measured = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
-    for f, days in zip(files, sample_days):
+    for f in files:
+        fids = f.rows["feature_id"]
         try:
-            cell = (
-                np.array([row_of[day] for day in days], dtype=np.intp),
-                np.array([column[row.feature_id] for row in f.rows], dtype=np.intp),
-            )
+            columns = np.fromiter(map(column.__getitem__, fids), np.intp, len(fids))
         except KeyError as exc:
             raise SchemaError(f"unknown feature id {exc.args[0]!r}") from None
+        cell = (np.searchsorted(days, f.rows["day"]), columns)
         clash = np.flatnonzero(measured[cell])
         if clash.size:
-            row = f.rows[clash[0]]
             raise InputFormatError(
-                f"duplicate samples for {row.feature_id!r} on {row.day} across {f.modality.value} files"
+                f"duplicate samples for {fids[clash[0]]!r} on {dates[cell[0][clash[0]]]} "
+                f"across {f.modality.value} files"
             )
-        minutes = np.array([row.duration_min for row in f.rows], dtype=float)
-        np.add.at(weighted, cell, np.array([row.value for row in f.rows], dtype=float) * minutes)
+        minutes = f.rows["duration_min"]
+        np.add.at(weighted, cell, f.rows["value"] * minutes)
         np.add.at(duration, cell, minutes)
         measured[cell] = True
     return ParticipantTimeline(
         participant_id=participant_id,
         feature_ids=feature_ids,
-        dates=tuple(dates),
+        dates=dates,
         values=np.divide(weighted, duration, out=np.full(shape, np.nan), where=measured),
         provenance=np.where(measured, CODE_MEASURED, CODE_MISSING).astype(np.int8),
         affect=tuple(affect_by_day.get(day) for day in dates),
     )
 
 
-def write_modality_csv(path: Path | str, rows: Iterable[RawSampleRow]) -> None:
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row (quoted if it must be)."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", text, ""])
+    return buffer.getvalue()[1:-3]
+
+
+def write_modality_csv(path: Path | str, rows: np.ndarray) -> None:
+    """Write samples as csv.writer writes them, each feature id encoded once."""
+    fids = rows["feature_id"].tolist()
+    encoded = {fid: _csv_field(fid) for fid in dict.fromkeys(fids)}
+    lines = zip(
+        np.datetime_as_string(rows["day"]).tolist(),
+        map(encoded.__getitem__, fids),
+        map(repr, rows["value"].tolist()),
+        map(repr, rows["duration_min"].tolist()),
+    )
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MODALITY_HEADER)
-        for row in rows:
-            writer.writerow([row.day.isoformat(), row.feature_id, repr(row.value), repr(row.duration_min)])
+        handle.write("\r\n".join([",".join(MODALITY_HEADER), *map(",".join, lines), ""]))
 
 
 def write_affect_csv(path: Path | str, reports: Iterable[AffectReport]) -> None:
+    """Write one row per rating, as csv.writer writes them, items sorted within a day."""
+    lines = [",".join(AFFECT_HEADER)]
+    encoded: dict[str, str] = {}
+    for report in reports:
+        day = report.day.isoformat()
+        for item_id in sorted(report.items):
+            if item_id not in encoded:
+                encoded[item_id] = _csv_field(item_id)
+            lines.append(f"{day},{encoded[item_id]},{report.items[item_id]!r}")
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(AFFECT_HEADER)
-        for report in reports:
-            for item_id in sorted(report.items):
-                writer.writerow([report.day.isoformat(), item_id, repr(report.items[item_id])])
+        handle.write("\r\n".join([*lines, ""]))

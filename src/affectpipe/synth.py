@@ -27,6 +27,7 @@ from .core import (
     FORMAT_VERSION,
     AffectReport,
     FeatureSchema,
+    FeatureSpec,
     ItemPolarity,
     Modality,
     ParticipantTimeline,
@@ -40,8 +41,8 @@ from .core import (
 from .errors import ConfigError
 from .ingest import (
     RawSampleFile,
-    RawSampleRow,
     build_timeline,
+    sample_rows,
     write_affect_csv,
     write_modality_csv,
 )
@@ -248,13 +249,13 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _observed_value(unit: str, kind: str, z: float) -> float:
+def _observed_values(unit: str, kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "boolean":
-        return float(_logistic(np.asarray(z)))
+        return _logistic(z)
     dist, a, b = _UNIT_TRANSFORMS[unit]
     if dist == "lognormal":
-        return float(np.exp(a + b * z))
-    return float(a + b * z)
+        return np.exp(a + b * z)
+    return a + b * z
 
 
 def _missing_mask(
@@ -274,6 +275,46 @@ def _missing_mask(
             block[i] = True
             in_block -= 1
     return day_miss | block
+
+
+def _modality_rows(
+    specs: Sequence[FeatureSpec], days: np.ndarray, z: np.ndarray, rng_intraday: np.random.Generator
+) -> np.ndarray:
+    """The samples of one modality file: a row per day (``days``) and feature
+    (``specs``, the columns of the latents ``z``), in that order.
+
+    A boolean's daily fraction is one on-run and one off-run whose weighted
+    mean recovers it; a split feature is two intraday windows around the
+    daily value; every other feature is one 1440-minute row.
+    """
+    values = np.empty(z.shape)
+    for j, spec in enumerate(specs):
+        values[:, j] = _observed_values(spec.units, spec.kind, z[:, j])
+    boolean = np.array([s.kind == "boolean" for s in specs], dtype=bool)
+    split = np.array([s.feature_id in _SPLIT_FEATURES for s in specs], dtype=bool) & ~boolean
+    first, second = values.copy(), np.zeros(values.shape)
+    minutes = np.stack([np.full(values.shape, 1440.0), np.zeros(values.shape)], axis=-1)
+
+    f = np.clip(values[:, boolean], 1e-6, 1.0 - 1e-6)
+    first[:, boolean] = 1.0
+    minutes[:, boolean] = np.stack([f * 1440.0, (1.0 - f) * 1440.0], axis=-1)
+
+    v = values[:, split]
+    delta = rng_intraday.normal(0.0, 0.05 * np.abs(v) + 1e-9)
+    d1, d2 = 600.0, 840.0
+    first[:, split] = v + delta
+    second[:, split] = v - delta * d1 / d2
+    minutes[:, split] = (d1, d2)
+
+    # Keep the second row of a pair only where the feature has one.
+    paired = np.broadcast_to(np.stack([np.ones_like(boolean), boolean | split], axis=-1), minutes.shape)
+    fids = np.array([s.feature_id for s in specs], dtype=object)
+    return sample_rows(
+        np.broadcast_to(days[:, None, None], paired.shape)[paired],
+        np.broadcast_to(fids[None, :, None], paired.shape)[paired],
+        np.stack([first, second], axis=-1)[paired],
+        minutes[paired],
+    )
 
 
 @dataclass(frozen=True)
@@ -333,57 +374,30 @@ def _sample_participant(
     rng_report = _rng(config, _SALT_REPORT, index)
     pos_items = config.polarity.positive
     neg_items = config.polarity.negative
-    reports: list[AffectReport] = []
-    for t in range(1, n_days):
-        reported = rng_report.random() < report_prob
-        eta_p = rng_items.normal(0.0, sig.item_noise_sd, len(pos_items))
-        eta_n = rng_items.normal(0.0, sig.item_noise_sd, len(neg_items))
-        if not reported:
-            continue
-        eta_p -= eta_p.mean()
-        eta_n -= eta_n.mean()
-        items = {
-            item: float(np.clip(pa[t - 1] + e, 0.0, 100.0))
-            for item, e in zip(pos_items, eta_p)
-        }
-        items.update(
-            {
-                item: float(np.clip(na[t - 1] + e, 0.0, 100.0))
-                for item, e in zip(neg_items, eta_n)
-            }
+    # Each day after the first draws its report coin and twenty item noises,
+    # reported or not.
+    reported = np.flatnonzero(rng_report.random(n_days - 1) < report_prob)
+    eta = rng_items.normal(0.0, sig.item_noise_sd, (n_days - 1, 2, len(pos_items)))[reported]
+    eta -= eta.mean(axis=-1, keepdims=True)
+    composites = np.stack([pa[reported], na[reported]], axis=-1)
+    ratings = np.clip(composites[:, :, None] + eta, 0.0, 100.0).tolist()
+    reports = [
+        AffectReport.from_items(
+            dates[t + 1], dict(zip(pos_items + neg_items, pos + neg)), config.polarity
         )
-        reports.append(AffectReport.from_items(dates[t], items, config.polarity))
+        for t, (pos, neg) in zip(reported.tolist(), ratings)
+    ]
 
     rng_missing = _rng(config, _SALT_MISSING, index)
     rng_intraday = _rng(config, _SALT_INTRADAY, index)
+    days = np.array(dates, dtype="datetime64[D]")
     files: dict[Modality, RawSampleFile] = {}
     for modality in Modality:
-        mask = _missing_mask(rng_missing, n_days, config.missingness, modality)
-        rows: list[RawSampleRow] = []
-        for t in range(n_days):
-            if mask[t]:
-                continue
-            for fid in schema.features_for([modality]):
-                spec = schema.spec_of(fid)
-                value = _observed_value(spec.units, spec.kind, z[t, fid_index[fid]])
-                if spec.kind == "boolean":
-                    # Fractional daily coverage encoded as one on-run and one
-                    # off-run whose weighted mean recovers the fraction.
-                    f = min(max(value, 1e-6), 1.0 - 1e-6)
-                    rows.append(RawSampleRow(dates[t], fid, 1.0, f * 1440.0))
-                    rows.append(RawSampleRow(dates[t], fid, 0.0, (1.0 - f) * 1440.0))
-                elif fid in _SPLIT_FEATURES:
-                    delta = float(rng_intraday.normal(0.0, 0.05 * abs(value) + 1e-9))
-                    d1, d2 = 600.0, 840.0
-                    rows.append(RawSampleRow(dates[t], fid, value + delta, d1))
-                    rows.append(
-                        RawSampleRow(dates[t], fid, value - delta * d1 / d2, d2)
-                    )
-                else:
-                    rows.append(RawSampleRow(dates[t], fid, value, 1440.0))
-        files[modality] = RawSampleFile(
-            participant_id=pid, modality=modality, rows=tuple(rows)
-        )
+        kept = np.flatnonzero(~_missing_mask(rng_missing, n_days, config.missingness, modality))
+        specs = [schema.spec_of(fid) for fid in schema.features_for([modality])]
+        columns = [fid_index[spec.feature_id] for spec in specs]
+        rows = _modality_rows(specs, days[kept], z[np.ix_(kept, columns)], rng_intraday)
+        files[modality] = RawSampleFile(participant_id=pid, modality=modality, rows=rows)
     truth = ParticipantTruth(
         participant_id=pid,
         eligible=eligible,

@@ -305,6 +305,25 @@ def test_malformed_documents_exit_with_one_error_line(workspace, kind, edit, cod
     assert_one_error_line(found, err)
 
 
+def test_document_keys_are_refused_outside_documents(workspace):
+    """format_version and run_id belong to stored documents: a run config
+    refuses them with exit 2, a document below its top level with exit 4."""
+    with pytest.raises(ConfigError, match=r"^config: unknown keys \['run_id'\]$"):
+        preflight({"synth": {}, "run_id": 5, "label": {"run_id": [1]}})
+    docs = workspace[1]
+    for kind, edit, code in [
+        ("run_config", lambda d: d["label"].update(run_id=[1]), 2),
+        ("timeline", lambda d: d["days"][0].update(run_id="abc"), 4),
+        ("labels", lambda d: d["participants"][0]["target"].update(format_version=1), 4),
+        ("model_RF", lambda d: d["model"].update(run_id="abc"), 4),
+    ]:
+        found, err = run_document(workspace, kind, _edit(docs[kind][0], edit))
+        assert found == code and "unknown keys" in err, err
+        assert_one_error_line(found, err)
+    # a run's timelines carry both keys at the top
+    assert run_document(workspace, "timeline", dict(docs["timeline"][0], run_id="abc"))[0] == 0
+
+
 def test_evaluate_labels_list_non_finite_tokens_and_bad_bytes_exit_4(workspace):
     base, docs = workspace
     path = base / "mutated.json"

@@ -1,7 +1,8 @@
 """Golden digests: the exact bytes of every stage artifact of two tiny runs.
 
 Acceptance 10 checks that two runs of the same code agree; these digests
-also pin the bytes across changes to the code.  A change that alters an
+also pin the bytes across changes to the code.  The tiny runs have no
+planted shift, so a third set pins the raw files of a cohort with one.  A change that alters an
 artifact on purpose must say so and update the digests here.
 """
 
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from affectpipe.pipeline import run_pipeline
+from affectpipe.synth import CohortConfig, PlantedShift, write_cohort
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,3 +109,29 @@ def test_tiny_run_artifacts_match_golden_digests(tmp_path, name, overrides):
         if p.is_file() and p.name != "manifest.json"
     }
     assert digests == GOLDEN[name]
+
+
+# The raw files of a 3 x 70 cohort whose planted shift falls in its second
+# month (February 2020).
+SHIFTED_COHORT = {
+        "ground_truth.json": "122c09a0163784b997814ee48a02a2cae3ad0cfb76512d3864f71efd63be3331",
+        "p01_affect.csv": "a86b3dccfcc1c5e402003d5b1f127fa735767980e928a8433c0fd420779c8bd6",
+        "p01_phone.csv": "d633658f54cc7326b00fb7e673dea656e8f321c8a805e09eb36161e2b1a7e135",
+        "p01_ring.csv": "9134bc7c449f7ea8402942080fae21443ceeac416fb9c3bd05b9d5ca58b164f4",
+        "p01_watch.csv": "851d9b5714d7171796eebb22ad535bb8efe54dae00dee0339a09c16169ed2bfc",
+        "p02_affect.csv": "fa9edfe084fb12b1425691ff14810f13704463e1a1e3913178980b745d776fec",
+        "p02_phone.csv": "530cb3acfee720514b675b50d1c685e22fb88a9e9a49cb60c151b158513624f6",
+        "p02_ring.csv": "90d695aca8a2b175bd0396bab4fcbf03301b01743a3749bd374e805ec89c1ae2",
+        "p02_watch.csv": "14f27a9e905d4ec56b266d5e849778032a1326d2568c779f83f61514f00d3e13",
+        "p03_affect.csv": "f69f2bcde91ce0232e426abd49bb1481dc6cf44a9106eed33332d8eb415f833c",
+        "p03_phone.csv": "85fbdc1ec26e19044c244c863c931e456210c800ccd35b97a94c4b7d34391e4c",
+        "p03_ring.csv": "4dc3fece119cb858991f68094f12aa54771612896386c33ac3c39eea43b4e0cc",
+        "p03_watch.csv": "0746a3dbdbbe6e265115b21640bb27a67f968da997419c9c0b1c7ca614253d6d",
+}
+
+
+def test_shifted_cohort_files_match_golden_digests(tmp_path):
+    config = CohortConfig(n_participants=3, n_days=70, n_eligible=2, shift=PlantedShift(month_index=2))
+    write_cohort(config, tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == SHIFTED_COHORT

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from datetime import date
 
 import numpy as np
@@ -9,15 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_MISSING, Modality, Provenance, default_polarity
+from affectpipe.core import CODE_MISSING, AffectReport, Modality, Provenance
 from affectpipe.errors import (
     InputFormatError,
     MissingInputError,
     SchemaError,
 )
 from affectpipe.ingest import (
+    AFFECT_HEADER,
+    MODALITY_HEADER,
+    SAMPLE_DTYPE,
     RawSampleFile,
-    RawSampleRow,
     build_timeline,
     parse_affect_file,
     parse_modality_file,
@@ -28,6 +33,11 @@ from affectpipe.ingest import (
 from conftest import TINY_SCHEMA, make_report
 
 D1 = date(2020, 3, 1)
+
+
+def samples(rows):
+    """A samples array of (day, feature id, value, duration_min) tuples."""
+    return np.array(list(rows), dtype=SAMPLE_DTYPE)
 
 
 def write(tmp_path, name, text):
@@ -48,10 +58,7 @@ def test_parse_modality_rows(tmp_path):
     parsed = parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p01")
     assert parsed.participant_id == "p01"
     assert parsed.modality is Modality.RING
-    assert parsed.rows == (
-        RawSampleRow(D1, "heart_rate", 62.0, 5.0),
-        RawSampleRow(D1, "heart_rate", 70.0, 15.0),
-    )
+    assert parsed.rows.tolist() == [(D1, "heart_rate", 62.0, 5.0), (D1, "heart_rate", 70.0, 15.0)]
 
 
 def test_parse_modality_header_required(tmp_path):
@@ -175,30 +182,22 @@ def test_parse_affect_rejects_unknown_item(tmp_path, polarity):
 # aggregation
 
 
-def daily_value(samples):
+def daily_value(rows):
     """The value build_timeline aggregates for the day of one feature's samples."""
-    tl = build_timeline([RawSampleFile("p01", Modality.RING, tuple(samples))], [], TINY_SCHEMA)
-    return tl.values[0, tl.feature_ids.index(samples[0].feature_id)]
+    tl = build_timeline([ring_file(rows)], [], TINY_SCHEMA)
+    return tl.values[0, tl.feature_ids.index(rows[0][1])]
 
 
 def test_aggregate_duration_weighted_mean():
-    samples = [
-        RawSampleRow(D1, "heart_rate", 10.0, 120.0),
-        RawSampleRow(D1, "heart_rate", 20.0, 360.0),
-    ]
-    assert daily_value(samples) == 17.5
+    assert daily_value([(D1, "heart_rate", 10.0, 120.0), (D1, "heart_rate", 20.0, 360.0)]) == 17.5
 
 
 def test_aggregate_single_sample_is_identity():
-    assert daily_value([RawSampleRow(D1, "heart_rate", 42.0, 5.0)]) == 42.0
+    assert daily_value([(D1, "heart_rate", 42.0, 5.0)]) == 42.0
 
 
 def test_aggregate_boolean_gives_covered_fraction():
-    samples = [
-        RawSampleRow(D1, "main_activity", 1.0, 60.0),
-        RawSampleRow(D1, "main_activity", 0.0, 180.0),
-    ]
-    assert daily_value(samples) == 0.25
+    assert daily_value([(D1, "main_activity", 1.0, 60.0), (D1, "main_activity", 0.0, 180.0)]) == 0.25
 
 
 @settings(max_examples=60)
@@ -211,8 +210,8 @@ def test_aggregate_boolean_gives_covered_fraction():
     scale=st.floats(0.01, 100, allow_nan=False),
 )
 def test_aggregate_scale_invariance_and_bounds(pairs, scale):
-    rows = [RawSampleRow(D1, "heart_rate", v, d) for v, d in pairs]
-    scaled = [RawSampleRow(D1, "heart_rate", v, d * scale) for v, d in pairs]
+    rows = [(D1, "heart_rate", v, d) for v, d in pairs]
+    scaled = [(D1, "heart_rate", v, d * scale) for v, d in pairs]
     agg = daily_value(rows)
     # the sums are added in sample order, bit for bit
     assert agg == sum(v * d for v, d in pairs) / sum(d for _, d in pairs)
@@ -226,15 +225,12 @@ def test_aggregate_scale_invariance_and_bounds(pairs, scale):
 
 
 def ring_file(rows, pid="p01"):
-    return RawSampleFile(pid, Modality.RING, tuple(rows))
+    return RawSampleFile(pid, Modality.RING, samples(rows))
 
 
 def test_build_timeline_materializes_all_dates():
     ring = ring_file(
-        [
-            RawSampleRow(date(2020, 3, 1), "heart_rate", 60.0, 60.0),
-            RawSampleRow(date(2020, 3, 3), "heart_rate", 62.0, 60.0),
-        ]
+        [(date(2020, 3, 1), "heart_rate", 60.0, 60.0), (date(2020, 3, 3), "heart_rate", 62.0, 60.0)]
     )
     affect = [make_report(date(2020, 3, 2), 55.0, 15.0)]
     tl = build_timeline([ring], affect, TINY_SCHEMA)
@@ -251,25 +247,20 @@ def test_build_timeline_materializes_all_dates():
 
 
 def test_build_timeline_aggregates_within_day():
-    ring = ring_file(
-        [
-            RawSampleRow(D1, "heart_rate", 10.0, 120.0),
-            RawSampleRow(D1, "heart_rate", 20.0, 360.0),
-        ]
-    )
+    ring = ring_file([(D1, "heart_rate", 10.0, 120.0), (D1, "heart_rate", 20.0, 360.0)])
     tl = build_timeline([ring], [], TINY_SCHEMA)
     assert tl.days[0].features.values["heart_rate"] == 17.5
 
 
 def test_build_timeline_rejects_cross_file_duplicates():
-    row = RawSampleRow(D1, "heart_rate", 60.0, 60.0)
+    row = (D1, "heart_rate", 60.0, 60.0)
     with pytest.raises(InputFormatError, match="duplicate"):
         build_timeline([ring_file([row]), ring_file([row])], [], TINY_SCHEMA)
 
 
 def test_build_timeline_rejects_multiple_participants():
-    a = ring_file([RawSampleRow(D1, "heart_rate", 60.0, 60.0)], pid="a")
-    b = ring_file([RawSampleRow(D1, "sleep_deep", 30.0, 60.0)], pid="b")
+    a = ring_file([(D1, "heart_rate", 60.0, 60.0)], pid="a")
+    b = ring_file([(D1, "sleep_deep", 30.0, 60.0)], pid="b")
     with pytest.raises(SchemaError, match="multiple participants"):
         build_timeline([a, b], [], TINY_SCHEMA)
 
@@ -286,16 +277,165 @@ def test_build_timeline_requires_some_input():
 
 
 def test_csv_round_trips(tmp_path, polarity):
-    rows = (
-        RawSampleRow(D1, "heart_rate", 62.123456789012, 5.5),
-        RawSampleRow(date(2020, 3, 2), "sleep_deep", 91.25, 480.0),
-    )
+    rows = [(D1, "heart_rate", 62.123456789012, 5.5), (date(2020, 3, 2), "sleep_deep", 91.25, 480.0)]
     path = tmp_path / "ring.csv"
-    write_modality_csv(path, rows)
-    assert parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p").rows == rows
+    write_modality_csv(path, samples(rows))
+    assert parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p").rows.tolist() == rows
 
     reports = [make_report(D1, 47.375, 21.0625, polarity)]
     apath = tmp_path / "affect.csv"
     write_affect_csv(apath, reports)
     parsed = parse_affect_file(apath, polarity, "p")
     assert parsed[D1] == reports[0]
+
+
+def test_build_timeline_refuses_an_empty_generator():
+    with pytest.raises(InputFormatError, match="nothing to build"):
+        build_timeline([], iter([]), TINY_SCHEMA)
+    # an empty file is input, and gives a timeline without days
+    assert build_timeline([ring_file([])], iter([]), TINY_SCHEMA).dates == ()
+
+
+# ---------------------------------------------------------------------------
+# column parser against the row-by-row reference
+
+
+def reference_parse(path, schema, modality):
+    """The row-by-row parser the column parser replaced: the samples as
+    (day, feature id, value, duration) tuples, or the error it raises."""
+    rows = []
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != MODALITY_HEADER:
+            raise InputFormatError(f"{path}: expected header {','.join(MODALITY_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise InputFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            try:
+                day = date.fromisoformat(row[0])
+                value = float(row[2])
+                duration = float(row[3])
+            except ValueError as exc:
+                raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(value) and math.isfinite(duration)):
+                raise InputFormatError(f"{path}:{lineno}: value and duration must be finite")
+            fid = row[1]
+            if not schema.has(fid):
+                raise SchemaError(f"{path}:{lineno}: unknown feature id {fid!r}")
+            spec = schema.spec_of(fid)
+            if spec.modality is not modality:
+                raise SchemaError(
+                    f"{path}:{lineno}: feature {fid!r} belongs to {spec.modality.value}, "
+                    f"file declared {modality.value}"
+                )
+            if not duration > 0:
+                raise InputFormatError(f"{path}:{lineno}: duration must be > 0, got {duration}")
+            if spec.kind == "boolean" and value not in (0.0, 1.0):
+                raise InputFormatError(
+                    f"{path}:{lineno}: boolean feature {fid!r} must be 0 or 1, got {value}"
+                )
+            rows.append((day, fid, value, duration))
+    return rows
+
+
+# field index -> replacement texts, by mutation
+MUTATIONS = {
+    "bad date": (0, ["2020-02-30", "2020-13-01", "yesterday", "", "2020-3-1", "20200301"]),
+    "non-number": (st.sampled_from([2, 3]), ["sixty", "", "1e", "--1", "0x10", "1_000"]),
+    "non-finite": (st.sampled_from([2, 3]), ["nan", "inf", "-Infinity", "NaN"]),
+    "unknown id": (1, ["blood_oxygen", "", "Heart_rate"]),
+    "other modality": (1, ["walk_steps", "heart_rate", "main_activity"]),
+    "duration <= 0": (3, ["0", "-5", "-0.0", "0.0"]),
+    "boolean 0.5": (2, ["0.5"]),
+}
+
+
+def mutate(data, lines, i, kind):
+    """Apply one mutation of ``kind`` to line ``i`` of ``lines`` (in place)."""
+    fields = lines[i].split(",")
+    if kind == "wrong field count":
+        fields = data.draw(st.sampled_from([fields[:3], fields + ["1"], fields[:1]]))
+    elif kind == "quoted field":
+        j = data.draw(st.integers(0, 3))
+        fields[j] = data.draw(st.sampled_from([f'"{fields[j]}"', f'"{fields[j]},x"', f'"{fields[j]}\n"']))
+    elif kind == "blank line":
+        lines.insert(i, data.draw(st.sampled_from(["", " "])))
+        return
+    else:
+        index, texts = MUTATIONS[kind]
+        j = data.draw(index) if isinstance(index, st.SearchStrategy) else index
+        fields[j] = data.draw(st.sampled_from(texts))
+    lines[i] = ",".join(fields)
+
+
+KINDS = sorted(MUTATIONS) + ["quoted field", "wrong field count", "blank line"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_parser_matches_the_row_reference(tmp_path_factory, data):
+    modality = data.draw(st.sampled_from([Modality.RING, Modality.PHONE]))
+    fids = TINY_SCHEMA.features_for([modality])
+    n = data.draw(st.integers(1, 6))
+    lines = ["date,feature_id,value,duration_min"] + [
+        f"2020-03-0{1 + k % 3},{fids[k % len(fids)]},{k % 2}.0,{60 * (k + 1)}" for k in range(n)
+    ]
+    # One or two mutations, on one line or two; from the last line so an
+    # inserted line moves no other target, and on one line those that
+    # change its fields before those that change its shape.
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=2))
+    targets = data.draw(st.lists(st.integers(1, n), min_size=len(kinds), max_size=len(kinds)))
+    for i, kind in sorted(zip(targets, kinds), key=lambda t: (-t[0], KINDS.index(t[1]))):
+        mutate(data, lines, i, kind)
+    path = tmp_path_factory.mktemp("parity") / "file.csv"
+    ending = data.draw(st.sampled_from(["\n", "\r\n"]))
+    path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
+    try:
+        expected = reference_parse(path, TINY_SCHEMA, modality)
+    except (InputFormatError, SchemaError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_modality_file(path, TINY_SCHEMA, modality, "p01")
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_modality_file(path, TINY_SCHEMA, modality, "p01").rows.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fids=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), min_size=1, max_size=4),
+    numbers=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=8),
+)
+def test_modality_csv_is_what_csv_writer_writes(tmp_path_factory, fids, numbers):
+    rows = [
+        (date(2020, 3, 1 + k % 9), fids[k % len(fids)], numbers[k], numbers[k - 1]) for k in range(len(numbers))
+    ]
+    path = tmp_path_factory.mktemp("writer") / "file.csv"
+    write_modality_csv(path, samples(rows))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(MODALITY_HEADER)
+    for day, fid, value, duration in rows:
+        writer.writerow([day.isoformat(), fid, repr(value), repr(duration)])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    items=st.dictionaries(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), st.floats(0, 100), min_size=1, max_size=4
+    )
+)
+def test_affect_csv_is_what_csv_writer_writes(tmp_path_factory, items):
+    reports = [AffectReport(D1, items, None, None), AffectReport(date(2020, 3, 2), items, None, None)]
+    path = tmp_path_factory.mktemp("writer") / "affect.csv"
+    write_affect_csv(path, reports)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(AFFECT_HEADER)
+    for report in reports:
+        for item_id in sorted(report.items):
+            writer.writerow([report.day.isoformat(), item_id, repr(report.items[item_id])])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")

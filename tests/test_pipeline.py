@@ -174,6 +174,22 @@ def test_seed_override_changes_run_id_and_data(tmp_path):
     assert m1.outputs["report.json"] != m2.outputs["report.json"]
 
 
+def test_compare_runs_lists_each_differing_artifact(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "compare_runs.py"
+    outputs = {"a": {"x.json": "1", "y.csv": "2"}, "b": {"x.json": "1", "y.csv": "3", "z": "4"}}
+    for run, digests in outputs.items():
+        (tmp_path / run).mkdir()
+        dump_json(tmp_path / run / "manifest.json", {"outputs": digests})
+
+    def compare(a, b):
+        done = subprocess.run([sys.executable, str(script), str(tmp_path / a), str(tmp_path / b)],
+                              capture_output=True, text=True)
+        return done.returncode, done.stdout.splitlines()
+
+    assert compare("a", "a") == (0, ["2 artifacts identical"])
+    assert compare("a", "b") == (1, ["differs: y.csv", "only in B: z"])
+
+
 # ---------------------------------------------------------------------------
 # preflight
 
