@@ -102,7 +102,8 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class ItemPolarity:
-    """The ten positively and ten negatively valenced survey item ids."""
+    """The ten positively and ten negatively valenced survey item ids;
+    ``known`` is the set of all twenty."""
 
     positive: tuple[str, ...]
     negative: tuple[str, ...]
@@ -114,6 +115,7 @@ class ItemPolarity:
             raise SchemaError("polarity requires exactly 10 unique negative item ids")
         if set(self.positive) & set(self.negative):
             raise SchemaError("positive and negative item sets overlap")
+        object.__setattr__(self, "known", frozenset(self.all_items()))
 
     def all_items(self) -> tuple[str, ...]:
         return self.positive + self.negative
@@ -143,19 +145,18 @@ class AffectReport:
 
     @classmethod
     def from_items(cls, day: date, items: dict[str, float], polarity: ItemPolarity) -> AffectReport:
-        known = set(polarity.all_items())
-        for item_id in items:
-            if item_id not in known:
-                raise InputFormatError(f"{day}: unknown affect item {item_id!r}")
+        if not polarity.known.issuperset(items):
+            unknown = next(item_id for item_id in items if item_id not in polarity.known)
+            raise InputFormatError(f"{day}: unknown affect item {unknown!r}")
         pa = _side_mean(items, polarity.positive)
         na = _side_mean(items, polarity.negative)
         return cls(day=day, items=dict(items), pa=pa, na=na)
 
 
 def _side_mean(items: dict[str, float], side: tuple[str, ...]) -> float | None:
-    if any(item_id not in items for item_id in side):
+    if not all(map(items.__contains__, side)):
         return None
-    return sum(items[item_id] for item_id in side) / len(side)
+    return sum(map(items.__getitem__, side)) / len(side)
 
 
 def ordinals(dates: Sequence[date]) -> np.ndarray:
@@ -228,19 +229,15 @@ class ParticipantTimeline:
         padded = np.column_stack([self.values, np.full(len(self.dates), np.nan)])
         return padded[:, [index.get(fid, -1) for fid in feature_ids]]
 
-    def as_lists(self, provenance_names: Sequence) -> tuple[list, list]:
-        """Per-day lists of the values (None where missing) and of
-        ``provenance_names[code]`` for each provenance code."""
-        values = np.where(self.provenance == CODE_MISSING, None, self.values).tolist()
-        return values, np.array(provenance_names, dtype=object)[self.provenance].tolist()
-
     @property
     def days(self) -> tuple[TimelineDay, ...]:
         """The timeline day by day, built from the arrays on each access."""
         fids = self.feature_ids
+        values = np.where(self.provenance == CODE_MISSING, None, self.values).tolist()
+        provenance = np.array(PROVENANCES, dtype=object)[self.provenance].tolist()
         return tuple(
             TimelineDay(day, DailyFeatureVector(day, dict(zip(fids, v)), dict(zip(fids, p))), report)
-            for day, v, p, report in zip(self.dates, *self.as_lists(PROVENANCES), self.affect)
+            for day, v, p, report in zip(self.dates, values, provenance, self.affect)
         )
 
 
@@ -375,9 +372,29 @@ def default_polarity() -> ItemPolarity:
 # JSON codec
 
 
+class RawJSON(str):
+    """Canonical JSON text already rendered.  canonical_json writes a
+    top-level value of this type as it stands, and so does %r."""
+
+    __repr__ = str.__str__
+
+
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(payload: dict) -> str:
-    """Canonical JSON text (sorted keys, fixed separators); NaN and Infinity are refused."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Canonical JSON text (sorted keys, fixed separators); NaN and Infinity
+    are refused.  A top-level value that is RawJSON is written as it stands."""
+    if not any(isinstance(value, RawJSON) for value in payload.values()):
+        return _canonical(payload)
+    # One join, so a long RawJSON value is copied once.
+    pieces = []
+    for key, value in sorted(payload.items()):
+        pieces += [",", json.dumps(key), ":", value if isinstance(value, RawJSON) else _canonical(value)]
+    pieces[0] = "{"
+    pieces.append("}")
+    return "".join(pieces)
 
 
 def dump_json(path: Path | str, payload: dict) -> None:
@@ -386,7 +403,10 @@ def dump_json(path: Path | str, payload: dict) -> None:
         text = canonical_json(payload)
     except ValueError as exc:
         raise PipelineError(f"{path}: {exc}") from exc
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    # Two writes: text + "\n" would copy the whole document once more.
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.write("\n")
 
 
 def check_output(path: Path | str, directory: bool = False) -> None:
@@ -620,22 +640,88 @@ class _TimelineDocument:
     days: tuple[_DayEntry, ...]
 
 
+_NULL = RawJSON("null")
+
+
+def _json_number(value: Any) -> Any:
+    """What %r must get to write ``value`` as JSON: a finite float as itself,
+    null for None, and any other value as json.dumps writes it."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    return _NULL if value is None else RawJSON(_canonical(value))
+
+
+def _members(keys: Iterable[str]) -> list[str]:
+    """Each key as JSON text followed by a colon."""
+    return [json.dumps(key) + ":" for key in keys]
+
+
+def _template(members: list[str]) -> str:
+    """The inside of a JSON object whose values %r writes."""
+    return ",".join(member.replace("%", "%%") + "%r" for member in members)
+
+
 def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
-    fids = timeline.feature_ids
-    values, names = timeline.as_lists([p.value for p in PROVENANCES])
-    days = [
-        {
-            "date": day.isoformat(),
-            "features": dict(zip(fids, v)),
-            "provenance": dict(zip(fids, p)),
-            "affect": report and {"items": report.items, "pa": report.pa, "na": report.na},
-        }
-        for day, v, p, report in zip(timeline.dates, values, names, timeline.affect)
-    ]
+    """The timeline document, its ``days`` rendered as canonical JSON text.
+
+    A day is one % template over Python floats, with features and provenance
+    in sorted key order; provenance text is built once per distinct day
+    pattern and affect text from one template per item-key set.  A
+    non-finite value outside a missing cell raises PipelineError.
+    """
+    pid, values, codes = timeline.participant_id, timeline.values, timeline.provenance
+    missing = codes == CODE_MISSING
+    bad = np.argwhere(~(missing | np.isfinite(values)))
+    if bad.size:
+        row, col = bad[0]
+        raise PipelineError(
+            f"timeline {pid}: {timeline.dates[row]} {timeline.feature_ids[col]!r}: "
+            f"{values[row, col]} is not a finite number"
+        )
+    # A repeated feature id keeps its last column, as a dict would.
+    column = {fid: j for j, fid in enumerate(timeline.feature_ids)}
+    fids = sorted(column)
+    order = [column[fid] for fid in fids]
+    members = _members(fids)
+    day_template = '{"affect":%s,"date":"%s","features":{' + _template(members) + '},"provenance":%s}'
+    rows = values[:, order].tolist()
+    for i, j in zip(*np.nonzero(missing[:, order])):
+        rows[i][j] = _NULL
+    names = np.array([_canonical(p.value) for p in PROVENANCES], dtype=object)
+    patterns = np.ascontiguousarray(codes[:, order])
+    width = patterns.shape[1] * patterns.itemsize
+    pattern_bytes = patterns.tobytes()
+    provenance_texts: dict[bytes, str] = {}
+    affect_templates: dict[frozenset[str], tuple[list[str], str]] = {}
+    days = []
+    for i, (day, row, report) in enumerate(zip(timeline.dates, rows, timeline.affect)):
+        pattern = pattern_bytes[i * width:(i + 1) * width]
+        provenance = provenance_texts.get(pattern)
+        if provenance is None:
+            provenance = "{" + ",".join(map(str.__add__, members, names[patterns[i]])) + "}"
+            provenance_texts[pattern] = provenance
+        affect = "null"
+        if report is not None:
+            item_set = frozenset(report.items)
+            if item_set not in affect_templates:
+                items = sorted(item_set)
+                template = '{"items":{' + _template(_members(items)) + '},"na":%r,"pa":%r}'
+                affect_templates[item_set] = items, template
+            items, template = affect_templates[item_set]
+            numbers = [*map(report.items.__getitem__, items), report.na, report.pa]
+            try:
+                affect = template % tuple(map(_json_number, numbers))
+            except ValueError as exc:
+                raise PipelineError(f"timeline {pid}: {day} affect: {exc}") from exc
+        days.append(day_template % (affect, day.isoformat(), *row, provenance))
+    # Brackets on the end days, so the long text is built once.
+    if days:
+        days[0] = "[" + days[0]
+        days[-1] += "]"
     return {
         "format_version": FORMAT_VERSION,
-        "participant_id": timeline.participant_id,
-        "days": days,
+        "participant_id": pid,
+        "days": RawJSON(",".join(days) if days else "[]"),
     }
 
 

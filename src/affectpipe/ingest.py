@@ -11,6 +11,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,7 +50,8 @@ class RawSampleFile:
 
 def sample_rows(day, feature_id, value, duration_min) -> np.ndarray:
     """A SAMPLE_DTYPE array from its four columns."""
-    rows = np.empty(len(value), SAMPLE_DTYPE)
+    # np.empty fills the object field item by item, np.zeros at once.
+    rows = np.zeros(len(value), SAMPLE_DTYPE)
     rows["day"], rows["feature_id"], rows["value"], rows["duration_min"] = (
         day, feature_id, value, duration_min
     )
@@ -82,6 +84,65 @@ def _floats(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, str]]:
     return np.array([np.nan if i in refused else p for i, p in enumerate(parsed)], dtype=float), refused
 
 
+def _plain_fields(text: str, header: list[str]) -> list[str] | None:
+    """The fields of the data lines of a plain CSV text, line by line; None
+    when ``text`` is not plain.
+
+    Plain means: the exact header, every line ending in \\n, or every one in
+    \\r\\n, no quote, lone \\r or NUL, and every line with the header's field
+    count and no more characters than csv.reader takes in one field.
+    csv.reader reads such a text as these fields.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    returns = text.count("\r")
+    lines = text.split("\r\n" if returns else "\n")
+    if (returns and not returns == len(lines) - 1 == text.count("\n")) or lines[0] != ",".join(header):
+        return None
+    del lines[0]
+    if lines and not lines[-1]:
+        lines.pop()
+    if set(map(str.count, lines, repeat(","))) - {len(header) - 1} or (
+        max(map(len, lines), default=0) > csv.field_size_limit()
+    ):
+        return None
+    return ",".join(lines).split(",") if lines else []
+
+
+def _read_columns(path: Path, header: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[Sequence[str], ...]]:
+    """The width and line number of each non-blank record of a CSV file
+    after its header, and its columns (a record of another width stands in
+    as empty fields).  A plain file is split directly, any other goes
+    through csv.reader; both give the same records.  A file that is not
+    UTF-8, has another header or that csv.reader refuses raises
+    InputFormatError naming the file."""
+    if not path.exists():
+        raise MissingInputError(f"no such file: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    width = len(header)
+    fields = _plain_fields(text, header)
+    if fields is not None:
+        n = len(fields) // width
+        columns = tuple(fields[k::width] for k in range(width))
+        return np.full(n, width), np.arange(2, n + 2), columns
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != header:
+            raise InputFormatError(f"{path}: expected header {','.join(header)}")
+        records = list(reader)
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    # Blank lines are skipped; they count in the line numbers.
+    widths = np.fromiter(map(len, records), np.intp, len(records))
+    lines = np.flatnonzero(widths) + 2
+    columns = tuple(zip(*(r if len(r) == width else [""] * width for r in records if r)))
+    return widths[widths > 0], lines, columns or ((),) * width
+
+
 def parse_modality_file(
     path: Path | str,
     schema: FeatureSchema,
@@ -96,20 +157,7 @@ def parse_modality_file(
     meets first: the earliest bad line, and on it the earliest check.
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) != MODALITY_HEADER:
-            raise InputFormatError(f"{path}: expected header {','.join(MODALITY_HEADER)}")
-        records = list(reader)
-    # Blank lines are skipped; a line of another width stands in as four
-    # empty fields, and its width check comes first.
-    widths = np.fromiter(map(len, records), np.intp, len(records))
-    lines = np.flatnonzero(widths) + 2
-    widths = widths[widths > 0]
-    columns = tuple(zip(*(r if len(r) == 4 else [""] * 4 for r in records if r)))
-    day_texts, fids, value_texts, duration_texts = columns or ((),) * 4
+    widths, lines, (day_texts, fids, value_texts, duration_texts) = _read_columns(path, MODALITY_HEADER)
 
     # Dates, schema and modality once per distinct text; numbers by column.
     distinct_days, day_codes = _distinct(day_texts)
@@ -123,17 +171,12 @@ def parse_modality_file(
     def per_row(flags: list[bool]) -> np.ndarray:
         return np.array(flags, dtype=bool)[codes]
 
-    def rows_of(refused: dict[int, str]) -> np.ndarray:
-        rows = np.zeros(len(fids), dtype=bool)
-        rows[list(refused)] = True
-        return rows
-
     # (rows failing, error class, message) in the order each row is checked
     checks = [
         (widths != 4, InputFormatError, lambda i: f"expected 4 fields, got {widths[i]}"),
         (day_refused[day_codes], InputFormatError, lambda i: str(days[day_codes[i]])),
-        (rows_of(value_refused), InputFormatError, value_refused.get),
-        (rows_of(duration_refused), InputFormatError, duration_refused.get),
+        (_refused_rows(value_refused, len(fids)), InputFormatError, value_refused.get),
+        (_refused_rows(duration_refused, len(fids)), InputFormatError, duration_refused.get),
         (
             ~(np.isfinite(values) & np.isfinite(durations)),
             InputFormatError,
@@ -155,54 +198,74 @@ def parse_modality_file(
             lambda i: f"boolean feature {fids[i]!r} must be 0 or 1, got {float(values[i])}",
         ),
     ]
+    _raise_first(path, lines, checks)
+    day_array = np.array(days, dtype="datetime64[D]")[day_codes]
+    rows = sample_rows(day_array, np.array(distinct_fids, dtype=object)[codes], values, durations)
+    return RawSampleFile(participant_id=participant_id, modality=modality, rows=rows)
+
+
+def _refused_rows(refused: dict[int, str], n: int) -> np.ndarray:
+    """A mask of the n rows, true at each refused row."""
+    rows = np.zeros(n, dtype=bool)
+    rows[list(refused)] = True
+    return rows
+
+
+def _raise_first(path: Path, lines: np.ndarray, checks: list) -> None:
+    """Raise the error of the earliest failing row, and on it of the
+    earliest failing check, with its line number; checks holds (rows
+    failing, error class, message of a row) in the order each row is checked."""
     failed = np.array([rows for rows, _, _ in checks])
     bad = np.flatnonzero(failed.any(axis=0))
     if bad.size:
         i = bad[0]
         _, error, message = checks[np.argmax(failed[:, i])]
         raise error(f"{path}:{lines[i]}: {message(i)}")
-    day_array = np.array(days, dtype="datetime64[D]")[day_codes]
-    rows = sample_rows(day_array, np.array(distinct_fids, dtype=object)[codes], values, durations)
-    return RawSampleFile(participant_id=participant_id, modality=modality, rows=rows)
 
 
 def parse_affect_file(
     path: Path | str, polarity: ItemPolarity, participant_id: str
 ) -> dict[date, AffectReport]:
-    """Parse an affect CSV into per-day reports (possibly partial)."""
+    """Parse an affect CSV into per-day reports (possibly partial), one per
+    date in the order first seen, its items in file order.  The checks run
+    over whole columns, as in parse_modality_file."""
     path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"no such file: {path}")
-    known = set(polarity.all_items())
-    by_day: dict[date, dict[str, float]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != AFFECT_HEADER:
-            raise InputFormatError(f"{path}: expected header {','.join(AFFECT_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise InputFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0])
-                rating = float(row[2])
-            except ValueError as exc:
-                raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-            item_id = row[1]
-            if item_id not in known:
-                raise InputFormatError(f"{path}:{lineno}: unknown affect item {item_id!r}")
-            if not 0.0 <= rating <= 100.0:
-                raise InputFormatError(
-                    f"{path}:{lineno}: rating out of [0, 100]: {rating}"
-                )
-            items = by_day.setdefault(day, {})
-            if item_id in items:
-                raise InputFormatError(f"{path}:{lineno}: duplicate rating for {item_id!r} on {day}")
-            items[item_id] = rating
+    widths, lines, (day_texts, item_ids, rating_texts) = _read_columns(path, AFFECT_HEADER)
+    distinct_days, day_codes = _distinct(day_texts)
+    days = [_attempt(date.fromisoformat, text) for text in distinct_days]
+    day_refused = np.array([isinstance(d, ValueError) for d in days], dtype=bool)
+    ratings, rating_refused = _floats(rating_texts)
+    distinct_items, item_codes = _distinct(item_ids)
+    unknown = np.array([item_id not in polarity.known for item_id in distinct_items], dtype=bool)[item_codes]
+    # A rating repeats an earlier one when its date (by day number, as two
+    # texts may name one date) and item are the same.
+    day_numbers = np.array([-1 if isinstance(d, ValueError) else d.toordinal() for d in days], dtype=np.int64)
+    pairs = day_numbers[day_codes] * len(distinct_items) + item_codes
+    order = np.argsort(pairs, kind="stable")
+    repeated = np.zeros(len(pairs), dtype=bool)
+    repeated[order[1:]] = pairs[order[1:]] == pairs[order[:-1]]
+    checks = [
+        (widths != 3, InputFormatError, lambda i: f"expected 3 fields, got {widths[i]}"),
+        (day_refused[day_codes], InputFormatError, lambda i: str(days[day_codes[i]])),
+        (_refused_rows(rating_refused, len(item_ids)), InputFormatError, rating_refused.get),
+        (unknown, InputFormatError, lambda i: f"unknown affect item {item_ids[i]!r}"),
+        (~((ratings >= 0.0) & (ratings <= 100.0)), InputFormatError,
+         lambda i: f"rating out of [0, 100]: {float(ratings[i])}"),
+        (repeated, InputFormatError,
+         lambda i: f"duplicate rating for {item_ids[i]!r} on {days[day_codes[i]]}"),
+    ]
+    _raise_first(path, lines, checks)
+    # The rows of each date together, dates in the order first seen; every
+    # report holds the one str object of each item id.
+    rank = {day: k for k, day in enumerate(dict.fromkeys(days))}
+    row_ranks = np.array([rank[day] for day in days], dtype=np.intp)[day_codes]
+    order = np.argsort(row_ranks, kind="stable")
+    bounds = np.searchsorted(row_ranks[order], np.arange(len(rank) + 1)).tolist()
+    items = np.array(distinct_items, dtype=object)[item_codes[order]].tolist()
+    rated = ratings[order].tolist()
     return {
-        day: AffectReport.from_items(day, items, polarity) for day, items in by_day.items()
+        day: AffectReport.from_items(day, dict(zip(items[a:b], rated[a:b])), polarity)
+        for day, a, b in zip(rank, bounds, bounds[1:])
     }
 
 

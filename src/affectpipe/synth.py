@@ -372,18 +372,17 @@ def _sample_participant(
 
     rng_items = _rng(config, _SALT_ITEMS, index)
     rng_report = _rng(config, _SALT_REPORT, index)
-    pos_items = config.polarity.positive
-    neg_items = config.polarity.negative
+    item_ids = config.polarity.all_items()
     # Each day after the first draws its report coin and twenty item noises,
     # reported or not.
     reported = np.flatnonzero(rng_report.random(n_days - 1) < report_prob)
-    eta = rng_items.normal(0.0, sig.item_noise_sd, (n_days - 1, 2, len(pos_items)))[reported]
+    eta = rng_items.normal(0.0, sig.item_noise_sd, (n_days - 1, 2, len(config.polarity.positive)))[reported]
     eta -= eta.mean(axis=-1, keepdims=True)
     composites = np.stack([pa[reported], na[reported]], axis=-1)
     ratings = np.clip(composites[:, :, None] + eta, 0.0, 100.0).tolist()
     reports = [
         AffectReport.from_items(
-            dates[t + 1], dict(zip(pos_items + neg_items, pos + neg)), config.polarity
+            dates[t + 1], dict(zip(item_ids, pos + neg)), config.polarity
         )
         for t, (pos, neg) in zip(reported.tolist(), ratings)
     ]

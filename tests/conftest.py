@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -15,8 +16,10 @@ from affectpipe.core import (
     FeatureSpec,
     Modality,
     ParticipantTimeline,
+    canonical_json,
     default_polarity,
     default_schema,
+    timeline_to_dict,
 )
 
 D0 = date(2020, 1, 1)
@@ -31,6 +34,12 @@ TINY_SCHEMA = FeatureSchema(
         FeatureSpec("main_activity", Modality.PHONE, "boolean", "fraction"),
     )
 )
+
+
+def timeline_document(timeline):
+    """The timeline document as written: timeline_to_dict, whose days are
+    JSON text, through canonical_json and decoded."""
+    return json.loads(canonical_json(timeline_to_dict(timeline)))
 
 
 def make_report(day, pa=50.0, na=20.0, polarity=None):

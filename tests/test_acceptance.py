@@ -20,7 +20,6 @@ from affectpipe.core import (
     Provenance,
     default_schema,
     filter_eligible_participants,
-    timeline_to_dict,
     valid_affect_day_count,
 )
 from affectpipe.evaluate import ablation_run, cross_validate, paired_subsets, roc_auc
@@ -47,7 +46,7 @@ from affectpipe.synth import (
     generate,
 )
 
-from conftest import D0, series_timeline
+from conftest import D0, series_timeline, timeline_document
 
 RF_DEFAULTS = {"n_trees": 100, "max_depth": None, "max_features": "sqrt"}
 NO_MISSING = MissingnessSpec(
@@ -93,11 +92,11 @@ def test_acceptance_1_imputation_window_fixtures():
             "p01", series, affect_by_index={i: (50.0, 20.0) for i in range(len(series))}
         )
         affect_before = json.dumps(
-            [d["affect"] for d in timeline_to_dict(tl)["days"]], sort_keys=True
+            [d["affect"] for d in timeline_document(tl)["days"]], sort_keys=True
         )
         out = impute_all(tl)
         affect_after = json.dumps(
-            [d["affect"] for d in timeline_to_dict(out)["days"]], sort_keys=True
+            [d["affect"] for d in timeline_document(out)["days"]], sort_keys=True
         )
         assert affect_after == affect_before  # byte-identical affect
         return out

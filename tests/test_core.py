@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -19,21 +20,24 @@ from affectpipe.core import (
     ItemPolarity,
     Modality,
     ParticipantTimeline,
+    PROVENANCES,
     Provenance,
+    canonical_json,
     default_polarity,
     default_schema,
     dump_json,
     filter_eligible_participants,
     from_json,
     read_json,
+    save_timeline,
     timeline_from_dict,
     timeline_to_dict,
     to_json,
     valid_affect_day_count,
 )
-from affectpipe.errors import SchemaError
+from affectpipe.errors import PipelineError, SchemaError
 
-from conftest import D0, make_report, make_timeline
+from conftest import D0, make_report, make_timeline, timeline_document
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +276,86 @@ def test_timeline_round_trip(tiny_schema):
         [{"sleep_deep": 30.0, "heart_rate": None}, {"sleep_deep": None}],
         affect_by_index={0: (45.0, 25.0)},
     )
-    payload = timeline_to_dict(tl)
+    payload = timeline_document(tl)
     back = timeline_from_dict(payload)
-    assert timeline_to_dict(back) == payload
+    assert timeline_document(back) == payload
+
+
+def reference_document(timeline):
+    """The dict the timeline renderer replaced, for json.dumps to write."""
+    fids = timeline.feature_ids
+    values = np.where(timeline.provenance == CODE_MISSING, None, timeline.values).tolist()
+    names = np.array([p.value for p in PROVENANCES], dtype=object)[timeline.provenance].tolist()
+    days = [
+        {
+            "date": day.isoformat(),
+            "features": dict(zip(fids, v)),
+            "provenance": dict(zip(fids, p)),
+            "affect": report and {"items": report.items, "pa": report.pa, "na": report.na},
+        }
+        for day, v, p, report in zip(timeline.dates, values, names, timeline.affect)
+    ]
+    return {"format_version": 1, "participant_id": timeline.participant_id, "days": days}
+
+
+# Keys that JSON escapes, that a % template must escape, that sort in
+# another order than they are listed, and that are not ASCII.
+KEYS = st.text(st.sampled_from(["a", "b", "Z", "_", " ", '"', "\\", "%", "é", "中", "\x01", "\u2028"]), max_size=4)
+NUMBERS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1, 100.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+RATINGS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 50.0, 100.0]) | st.floats(0.0, 100.0)
+
+
+@st.composite
+def timelines(draw):
+    fids = tuple(draw(st.lists(KEYS, max_size=5)))
+    gaps = draw(st.lists(st.integers(1, 3), max_size=5))
+    dates = tuple(D0 + timedelta(days=sum(gaps[:k])) for k in range(len(gaps)))
+    shape = (len(dates), len(fids))
+    n = shape[0] * shape[1]
+    codes = np.array(
+        draw(st.lists(st.sampled_from([CODE_MEASURED, CODE_IMPUTED, CODE_MISSING]), min_size=n, max_size=n)),
+        dtype=np.int8,
+    ).reshape(shape)
+    numbers = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+    values = np.where(codes == CODE_MISSING, np.nan, np.array(numbers, dtype=float).reshape(shape))
+    polarity = default_polarity()
+    reports = []
+    for day in dates:
+        kind = draw(st.sampled_from(["absent", "any items", "survey"]))
+        if kind == "absent":
+            reports.append(None)
+        elif kind == "any items":
+            items = draw(st.dictionaries(KEYS, RATINGS, max_size=4))
+            pa, na = draw(st.none() | NUMBERS), draw(st.none() | NUMBERS)
+            reports.append(AffectReport(day, items, pa, na))
+        else:
+            answered = draw(st.lists(st.sampled_from(polarity.all_items()), unique=True, min_size=1))
+            ratings = draw(st.lists(RATINGS, min_size=len(answered), max_size=len(answered)))
+            reports.append(AffectReport.from_items(day, dict(zip(answered, ratings)), polarity))
+    return ParticipantTimeline(draw(KEYS), fids, dates, values, codes, tuple(reports))
+
+
+@settings(max_examples=200, deadline=None)
+@given(timeline=timelines(), run_id=st.none() | KEYS)
+def test_timeline_text_equals_the_dict_written_by_json(timeline, run_id):
+    expected, payload = reference_document(timeline), timeline_to_dict(timeline)
+    if run_id is not None:
+        expected["run_id"] = payload["run_id"] = run_id
+    written = json.dumps(expected, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert canonical_json(payload) == written
+
+
+def test_timeline_text_refuses_a_planted_non_finite_value(tmp_path):
+    tl = make_timeline("p01", [{"sleep_deep": 30.0, "heart_rate": None}, {"sleep_deep": 31.0}])
+    tl.values[0, 1] = np.inf  # a missing cell is written as null whatever it holds
+    assert timeline_document(tl)["days"][0]["features"]["heart_rate"] is None
+    tl.values[1, 0] = np.nan
+    with pytest.raises(PipelineError, match="timeline p01: 2020-01-02 'sleep_deep': nan is not a finite number"):
+        save_timeline(tmp_path / "tl.json", tl)
+    tl = make_timeline("p01", [{"sleep_deep": 30.0}], affect_by_index={0: (50.0, 20.0)})
+    tl.affect[0].items["proud"] = float("nan")
+    with pytest.raises(PipelineError, match="timeline p01: 2020-01-01 affect: Out of range float"):
+        save_timeline(tmp_path / "tl.json", tl)
+    assert not (tmp_path / "tl.json").exists()

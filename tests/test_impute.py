@@ -17,7 +17,7 @@ from affectpipe.impute import (
     impute_all,
 )
 
-from conftest import D0, make_timeline, series_timeline
+from conftest import D0, make_timeline, series_timeline, timeline_document
 
 FID = "sleep_deep"
 
@@ -83,8 +83,8 @@ def test_measured_values_and_affect_untouched():
     )
     out = impute_all(tl)
     assert [d.features.values["heart_rate"] for d in out.days] == [60.0, 60.0, 60.0]
-    before = [d["affect"] for d in timeline_to_dict(tl)["days"]]
-    after = [d["affect"] for d in timeline_to_dict(out)["days"]]
+    before = [d["affect"] for d in timeline_document(tl)["days"]]
+    after = [d["affect"] for d in timeline_document(out)["days"]]
     assert before == after
 
 

@@ -6,13 +6,15 @@ import csv
 import io
 import math
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_MISSING, AffectReport, Modality, Provenance
+from affectpipe import ingest
+from affectpipe.core import CODE_MISSING, AffectReport, Modality, Provenance, default_polarity
 from affectpipe.errors import (
     InputFormatError,
     MissingInputError,
@@ -169,6 +171,17 @@ def test_parse_affect_rejects_duplicate_item(tmp_path, polarity):
         f"date,item_id,rating\n2020-03-01,{item},40\n2020-03-01,{item},41\n",
     )
     with pytest.raises(InputFormatError, match="duplicate"):
+        parse_affect_file(path, polarity, "p01")
+
+
+def test_parse_affect_rejects_duplicate_item_under_another_date_spelling(tmp_path, polarity):
+    try:
+        date.fromisoformat("20200301")
+    except ValueError:
+        pytest.skip("this Python reads only YYYY-MM-DD dates")
+    item = polarity.positive[0]
+    path = write(tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,{item},40\n20200301,{item},41\n")
+    with pytest.raises(InputFormatError, match=f":3: duplicate rating for '{item}' on 2020-03-01"):
         parse_affect_file(path, polarity, "p01")
 
 
@@ -341,10 +354,45 @@ def reference_parse(path, schema, modality):
     return rows
 
 
-# field index -> replacement texts, by mutation
+def reference_affect_parse(path, polarity):
+    """The row loop parse_affect_file replaced: each day's items in file
+    order, or the error it raises."""
+    known = set(polarity.all_items())
+    by_day = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != AFFECT_HEADER:
+            raise InputFormatError(f"{path}: expected header {','.join(AFFECT_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise InputFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            try:
+                day = date.fromisoformat(row[0])
+                rating = float(row[2])
+            except ValueError as exc:
+                raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+            item_id = row[1]
+            if item_id not in known:
+                raise InputFormatError(f"{path}:{lineno}: unknown affect item {item_id!r}")
+            if not 0.0 <= rating <= 100.0:
+                raise InputFormatError(f"{path}:{lineno}: rating out of [0, 100]: {rating}")
+            items = by_day.setdefault(day, {})
+            if item_id in items:
+                raise InputFormatError(f"{path}:{lineno}: duplicate rating for {item_id!r} on {day}")
+            items[item_id] = rating
+    return by_day
+
+
+BAD_DATES = ["2020-02-30", "2020-13-01", "yesterday", "", "2020-3-1", "20200301"]
+NON_NUMBERS = ["sixty", "", "1e", "--1", "0x10", "1_000"]
+
+# field index -> replacement texts, by mutation, for a modality file
 MUTATIONS = {
-    "bad date": (0, ["2020-02-30", "2020-13-01", "yesterday", "", "2020-3-1", "20200301"]),
-    "non-number": (st.sampled_from([2, 3]), ["sixty", "", "1e", "--1", "0x10", "1_000"]),
+    "bad date": (0, BAD_DATES),
+    "non-number": (st.sampled_from([2, 3]), NON_NUMBERS),
     "non-finite": (st.sampled_from([2, 3]), ["nan", "inf", "-Infinity", "NaN"]),
     "unknown id": (1, ["blood_oxygen", "", "Heart_rate"]),
     "other modality": (1, ["walk_steps", "heart_rate", "main_activity"]),
@@ -352,26 +400,79 @@ MUTATIONS = {
     "boolean 0.5": (2, ["0.5"]),
 }
 
+# and for an affect file
+AFFECT_MUTATIONS = {
+    "bad date": (0, BAD_DATES),
+    "non-number": (2, NON_NUMBERS),
+    "rating range": (2, ["101", "-1", "100.000001", "nan", "inf", "-0.0", "1e2"]),
+    "unknown item": (1, ["serene", "", "Interested", "proud "]),
+    "same date": (0, ["2020-03-01", "2020-03-02", "20200301"]),
+}
 
-def mutate(data, lines, i, kind):
+# Mutations of any line: the first four make a file that is not plain.
+SHAPES = ["quoted field", "lone CR", "NUL", "blank line", "wrong field count"]
+
+
+def mutate(data, lines, i, kind, mutations):
     """Apply one mutation of ``kind`` to line ``i`` of ``lines`` (in place)."""
     fields = lines[i].split(",")
     if kind == "wrong field count":
-        fields = data.draw(st.sampled_from([fields[:3], fields + ["1"], fields[:1]]))
+        fields = data.draw(st.sampled_from([fields[:-1], fields + ["1"], fields[:1]]))
     elif kind == "quoted field":
-        j = data.draw(st.integers(0, 3))
+        j = data.draw(st.integers(0, len(fields) - 1))
         fields[j] = data.draw(st.sampled_from([f'"{fields[j]}"', f'"{fields[j]},x"', f'"{fields[j]}\n"']))
+    elif kind in ("lone CR", "NUL"):
+        k = data.draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:k] + ("\r" if kind == "lone CR" else "\0") + lines[i][k:]
+        return
     elif kind == "blank line":
         lines.insert(i, data.draw(st.sampled_from(["", " "])))
         return
     else:
-        index, texts = MUTATIONS[kind]
+        index, texts = mutations[kind]
         j = data.draw(index) if isinstance(index, st.SearchStrategy) else index
         fields[j] = data.draw(st.sampled_from(texts))
     lines[i] = ",".join(fields)
 
 
-KINDS = sorted(MUTATIONS) + ["quoted field", "wrong field count", "blank line"]
+def mutated_file(data, path, header, rows, mutations):
+    """Write ``rows`` under ``header`` after one or two mutations, on one line
+    or two, and maybe another header; with \\n or \\r\\n line ends, mixed or
+    not, and with or without a final one."""
+    kinds = sorted(mutations) + SHAPES
+    lines = [header] + rows
+    # From the last line, so an inserted line moves no other target, and on
+    # one line those that change its fields before those that change its shape.
+    drawn = data.draw(st.lists(st.sampled_from(kinds), max_size=2))
+    targets = data.draw(st.lists(st.integers(1, len(rows)), min_size=len(drawn), max_size=len(drawn)))
+    for i, kind in sorted(zip(targets, drawn), key=lambda t: (-t[0], kinds.index(t[1]))):
+        mutate(data, lines, i, kind, mutations)
+    if data.draw(st.booleans()):
+        lines[0] = data.draw(st.sampled_from([header.upper(), header + ",x", header[:-1], " " + header, ""]))
+    endings = data.draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"]]))
+    ends = [data.draw(st.sampled_from(endings)) for _ in lines]
+    if data.draw(st.booleans()):
+        ends[-1] = ""
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
+    return path
+
+
+def outcome(parse):
+    """What parse() returns, or the class and message of what it raises."""
+    try:
+        return parse()
+    except (InputFormatError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+def agree(reference, parse):
+    """The reference's outcome; parse must give it on its own read path and
+    on the csv path."""
+    expected = outcome(reference)
+    assert outcome(parse) == expected
+    with mock.patch.object(ingest, "_plain_fields", return_value=None):
+        assert outcome(parse) == expected
+    return expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -380,27 +481,65 @@ def test_column_parser_matches_the_row_reference(tmp_path_factory, data):
     modality = data.draw(st.sampled_from([Modality.RING, Modality.PHONE]))
     fids = TINY_SCHEMA.features_for([modality])
     n = data.draw(st.integers(1, 6))
-    lines = ["date,feature_id,value,duration_min"] + [
-        f"2020-03-0{1 + k % 3},{fids[k % len(fids)]},{k % 2}.0,{60 * (k + 1)}" for k in range(n)
+    rows = [f"2020-03-0{1 + k % 3},{fids[k % len(fids)]},{k % 2}.0,{60 * (k + 1)}" for k in range(n)]
+    path = mutated_file(data, tmp_path_factory.mktemp("parity") / "file.csv", ",".join(MODALITY_HEADER), rows,
+                        MUTATIONS)
+    agree(
+        lambda: reference_parse(path, TINY_SCHEMA, modality),
+        lambda: parse_modality_file(path, TINY_SCHEMA, modality, "p01").rows.tolist(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_affect_column_parser_matches_the_row_reference(tmp_path_factory, data):
+    polarity = default_polarity()
+    items = polarity.all_items()
+    n = data.draw(st.integers(1, 8))
+    # a few items on each of three days, some days out of order
+    rows = [f"2020-03-0{1 + k % 3},{items[k // 3 % 20]},{(7 * k) % 101}.5" for k in range(n)]
+    path = mutated_file(data, tmp_path_factory.mktemp("parity") / "affect.csv", ",".join(AFFECT_HEADER), rows,
+                        AFFECT_MUTATIONS)
+
+    def parsed():
+        reports = parse_affect_file(path, polarity, "p01")
+        assert all(r.day == day for day, r in reports.items())
+        return [(day, list(r.items.items())) for day, r in reports.items()]
+
+    agree(lambda: [(day, list(i.items())) for day, i in reference_affect_parse(path, polarity).items()], parsed)
+
+
+def test_plain_fields_splits_only_plain_text():
+    header = ["date", "item_id", "rating"]
+    plain = [
+        "date,item_id,rating\n2020-03-01,a, 1\n2020-03-02,b,2\n",
+        "date,item_id,rating\r\n2020-03-01,a,1\r\n2020-03-02,b,2\r\n",
+        "date,item_id,rating\n2020-03-01,a,1\n2020-03-02,b,2",
+        "date,item_id,rating\n,,\n",
+        "date,item_id,rating\n",
+        "date,item_id,rating",
+        # a line as long as the longest field csv.reader takes
+        "date,item_id,rating\n2020-03-01,a," + "9" * (csv.field_size_limit() - 13) + "\n",
     ]
-    # One or two mutations, on one line or two; from the last line so an
-    # inserted line moves no other target, and on one line those that
-    # change its fields before those that change its shape.
-    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=2))
-    targets = data.draw(st.lists(st.integers(1, n), min_size=len(kinds), max_size=len(kinds)))
-    for i, kind in sorted(zip(targets, kinds), key=lambda t: (-t[0], KINDS.index(t[1]))):
-        mutate(data, lines, i, kind)
-    path = tmp_path_factory.mktemp("parity") / "file.csv"
-    ending = data.draw(st.sampled_from(["\n", "\r\n"]))
-    path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
-    try:
-        expected = reference_parse(path, TINY_SCHEMA, modality)
-    except (InputFormatError, SchemaError) as exc:
-        with pytest.raises(type(exc)) as raised:
-            parse_modality_file(path, TINY_SCHEMA, modality, "p01")
-        assert str(raised.value) == str(exc)
-    else:
-        assert parse_modality_file(path, TINY_SCHEMA, modality, "p01").rows.tolist() == expected
+    for text in plain:
+        fields = [field for record in list(csv.reader(io.StringIO(text, newline="")))[1:] for field in record]
+        assert ingest._plain_fields(text, header) == fields, text[:60]
+    not_plain = [
+        'date,item_id,rating\n2020-03-01,"a",1\n',
+        "date,item_id,rating\n2020-03-01,a\0,1\n",
+        "date,item_id,rating\n2020-03-01,a,1\r2020-03-02,b,2\n",
+        "date,item_id,rating\r\n2020-03-01,a,1\n",
+        "date,item_id,rating\n2020-03-01,a,1\r\n",
+        "date,item_id,rating\n\n2020-03-01,a,1\n",
+        "date,item_id,rating\n2020-03-01,a,1\n\n",
+        "date,item,rating\n2020-03-01,a,1\n",
+        "date,item_id,rating\n2020-03-01,a\n",
+        "date,item_id,rating\n2020-03-01,a,1,\n",
+        "date,item_id,rating\n2020-03-01,a," + "9" * (csv.field_size_limit() - 12) + "\n",
+        "",
+    ]
+    for text in not_plain:
+        assert ingest._plain_fields(text, header) is None, text[:60]
 
 
 @settings(max_examples=60, deadline=None)

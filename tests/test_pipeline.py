@@ -190,6 +190,80 @@ def test_compare_runs_lists_each_differing_artifact(tmp_path):
     assert compare("a", "b") == (1, ["differs: y.csv", "only in B: z"])
 
 
+# Stands in for perfbench/run.py: logs its checkout and arguments, then
+# prints a line of noise and the next canned result of its checkout.
+FAKE_RUN = """
+import json, sys
+from pathlib import Path
+here = Path.cwd()
+with open(here.parent / "calls.log", "a") as log:
+    log.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+calls = sum(1 for line in open(here.parent / "calls.log") if line.startswith(here.name + " "))
+print("workload demo")
+print(json.dumps(json.loads((here / "canned.json").read_text())[calls - 1]))
+"""
+
+
+def test_ab_pairs_alternates_and_counts_wins(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "ab_pairs.py"
+    spec = {
+        "run_seconds": 20,
+        "end_to_end": [
+            {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "macro_accuracy", "unit": "fraction", "better": "higher", "bound": 0.15},
+        ],
+    }
+
+    def result(run_s, accuracy=0.5, correct=True, failed=0):
+        metrics = {"run_s": {"value": run_s, "unit": "s"},
+                   "macro_accuracy": {"value": accuracy, "unit": "fraction"}}
+        return {"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics}
+
+    def checkout(name, canned):
+        root = tmp_path / name
+        (root / "perfbench").mkdir(parents=True, exist_ok=True)
+        (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (root / "BENCHMARK.json").write_text(json.dumps(spec))
+        (root / "canned.json").write_text(json.dumps(canned))
+        return root
+
+    def ab(pairs):
+        (tmp_path / "calls.log").unlink(missing_ok=True)
+        done = subprocess.run(
+            [sys.executable, str(script), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+             "--workload", "cohort_etl", "--seed", "7", "--pairs", str(pairs)],
+            capture_output=True, text=True, timeout=60,
+        )
+        return done.returncode, done.stdout.splitlines()
+
+    checkout("parent", [result(10.0), result(9.0), result(11.0, 0.4)])
+    checkout("change", [result(8.0), result(9.0), result(7.0, 0.6)])
+    code, out = ab(3)
+    assert code == 0
+    assert out == [
+        "pair 1 (parent first): run_s 10/8  macro_accuracy 0.5/0.5",
+        "pair 2 (change first): run_s 9/9  macro_accuracy 0.5/0.5",
+        "pair 3 (parent first): run_s 11/7  macro_accuracy 0.4/0.6",
+        "run_s (s, lower is better): parent median 10 [q1 9.5, q3 10.5]; "
+        "change median 8 [q1 7.5, q3 8.5]; change better in 2 of 3",
+        "macro_accuracy (fraction, higher is better): parent median 0.5 [q1 0.45, q3 0.5]; "
+        "change median 0.5 [q1 0.5, q3 0.55]; change better in 1 of 3",
+    ]
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    arguments = "--workload cohort_etl --seed 7 --seconds 20 --trace 0"
+    assert calls == [f"{side} {arguments}" for side in ("parent", "change", "change", "parent", "parent", "change")]
+
+    # an incorrect result or a failed run on either side is exit 1
+    checkout("change", [result(8.0), result(9.0, correct=False), result(7.0)])
+    code, out = ab(3)
+    assert code == 1 and "pair 2 change: correct False, failed 0" in out
+    checkout("change", [result(8.0, failed=1)])
+    assert ab(1)[0] == 1
+    # different benchmarks are not compared
+    (tmp_path / "change" / "perfbench" / "run.py").write_text(FAKE_RUN + "\n")
+    assert ab(1) == (2, [])
+
+
 # ---------------------------------------------------------------------------
 # preflight
 
@@ -503,6 +577,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(
         ["ingest", "--participant", "p01", "--ring", str(bad), "--out", str(tmp_path / "t")]
     ) == 4
+    # 4: a raw CSV that is not UTF-8, or whose field csv.reader refuses as too
+    # long, is one error line naming the file
+    affect = tmp_path / "affect.csv"
+    affect.write_text("date,item_id,rating\n2020-03-01,proud,50\n")
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(b"date,feature_id,value,duration_min\n2020-03-01,heart_rate,6\xff,5\n")
+    long_id = tmp_path / "long_id.csv"
+    long_id.write_text(f"date,feature_id,value,duration_min\n2020-03-01,{'x' * 140_000},6,5\n")
+    affect_not_utf8 = tmp_path / "affect_not_utf8.csv"
+    affect_not_utf8.write_bytes(b"date,item_id,rating\n2020-03-01,proud,5\xff\n")
+    for named, args in (
+        (not_utf8, ["--ring", str(not_utf8), "--affect", str(affect)]),
+        (long_id, ["--ring", str(long_id), "--affect", str(affect)]),
+        (affect_not_utf8, ["--affect", str(affect_not_utf8)]),
+    ):
+        capsys.readouterr()
+        assert main(["ingest", "--participant", "p01", *args, "--out", str(tmp_path / "t")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
     # 2: pipeline run with an unknown config key
     cfg = tmp_path / "cfg.json"
     dump_json(cfg, {"bogus": 1, "synth": dict(SYNTH_SECTION)})
@@ -543,6 +636,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "nodir").exists()
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_non_finite_timeline_value_is_one_error_line(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from affectpipe import cli
+    from affectpipe.core import save_timeline
+    from conftest import make_timeline
+
+    rows = [{"sleep_deep": 30.0, "heart_rate": 60.0}] * 3
+    tl = tmp_path / "tl.json"
+    save_timeline(tl, make_timeline("p01", rows))
+    planted = make_timeline("p01", rows)
+    planted.values[1, 0] = np.nan  # measured, after the timeline checked itself
+    monkeypatch.setattr(cli, "impute_all", lambda timeline: planted)
+    capsys.readouterr()
+    assert main(["impute", "--in", str(tl), "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: timeline p01: 2020-01-02 'sleep_deep': nan is not a finite number\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_insufficient_data_exit_code(tmp_path, capsys):
