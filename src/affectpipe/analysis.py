@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import calendar
 import csv
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -122,13 +121,6 @@ def monthly_scores(
     return out
 
 
-@dataclass(frozen=True)
-class MonthlyTValues:
-    participant_id: str
-    tvalues: Mapping[str, float]
-    warnings: tuple[str, ...]
-
-
 def tvalues_from_scores(
     scores_by_month: Mapping[str, np.ndarray],
     baseline_months: Sequence[str] | None = None,
@@ -155,25 +147,6 @@ def tvalues_from_scores(
             continue
         tvalues[month] = abs(welch_t(scores, pooled))
     return tvalues, warnings
-
-
-def monthly_tvalues(
-    model: TrainedModel,
-    timeline: ParticipantTimeline,
-    feature_ids: Sequence[str] | None = None,
-    alignment: str = "next_day",
-    baseline_months: Sequence[str] | None = None,
-) -> MonthlyTValues:
-    scores = monthly_scores(model, timeline, feature_ids, alignment)
-    qualified = sum(1 for s in scores.values() if s.size >= MIN_GROUP_SCORES)
-    if qualified < 2:
-        raise InsufficientDataError(
-            "need at least 2 months with 3+ scored days in the last week"
-        )
-    tvalues, warnings = tvalues_from_scores(scores, baseline_months)
-    return MonthlyTValues(
-        participant_id=timeline.participant_id, tvalues=tvalues, warnings=warnings
-    )
 
 
 def pooled_monthly_tvalues(

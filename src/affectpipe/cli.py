@@ -11,22 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (
-    feature_affect_correlations,
-    monthly_scores,
-    write_correlation_csv,
-    write_tvalues_csv,
-)
-from .core import (
-    Modality,
-    check_output,
-    default_polarity,
-    default_schema,
-    load_schema,
-    load_timeline,
-    parse_modalities,
-    save_timeline,
-)
+from .core import Modality, check_output, default_schema, load_schema, load_timeline, save_timeline
 from .errors import (
     ConfigError,
     InputFormatError,
@@ -36,31 +21,23 @@ from .errors import (
     PipelineError,
     SchemaError,
 )
-from .evaluate import (
-    REFERENCE_RESULTS,
-    cross_validate,
-    relative_improvement,
-    save_report,
-    subset_modalities,
-    write_accuracy_table_csv,
-    write_roc_csv,
+from .evaluate import REFERENCE_RESULTS, relative_improvement, save_report, write_accuracy_table_csv, write_roc_csv
+from .labels import FALLBACKS, TARGET_NAMES, concat_datasets, load_dataset, load_labels, save_dataset, save_labels
+from .learners import MODEL_NAMES, load_model, save_model, train
+from .pipeline import (
+    DatasetConfig,
+    EvaluateConfig,
+    ImputeConfig,
+    LabelConfig,
+    analyze_correlations,
+    analyze_tvalues,
+    build_datasets,
+    evaluate_dataset,
+    impute_timeline,
+    ingest_participant,
+    label_timelines,
+    run_pipeline,
 )
-from .impute import fill_residual_with_participant_mean, impute_all
-from .ingest import build_timeline, parse_affect_file, parse_modality_file
-from .labels import (
-    FALLBACKS,
-    TARGET_NAMES,
-    build_dataset,
-    build_labels_cohort,
-    concat_datasets,
-    load_dataset,
-    load_labels,
-    parse_target,
-    save_dataset,
-    save_labels,
-)
-from .learners import MODEL_NAMES, ModelSpec, default_grid, load_model, save_model, train
-from .pipeline import run_pipeline, tvalue_table
 from .synth import load_cohort_config, write_cohort
 
 EXIT_CODES = [
@@ -86,97 +63,55 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
-    schema = _schema_from_arg(args.schema)
-    polarity = default_polarity()
-    files = []
-    for modality, path in (
-        (Modality.RING, args.ring),
-        (Modality.WATCH, args.watch),
-        (Modality.PHONE, args.phone),
-    ):
-        if path is not None:
-            files.append(parse_modality_file(path, schema, modality, args.participant))
-    reports = []
-    if args.affect is not None:
-        reports = list(parse_affect_file(args.affect, polarity, args.participant).values())
-    timeline = build_timeline(files, reports, schema)
+    given = {m: getattr(args, m.value) for m in Modality}
+    files = {m: path for m, path in given.items() if path is not None}
+    timeline = ingest_participant(args.participant, files, args.affect, _schema_from_arg(args.schema))
     save_timeline(args.out, timeline)
     print(f"wrote timeline with {len(timeline.dates)} days to {args.out}")
 
 
 def _cmd_impute(args: argparse.Namespace) -> None:
-    timeline = load_timeline(args.infile)
-    out = impute_all(timeline)
-    if args.fallback == "participant-mean":
-        out = fill_residual_with_participant_mean(out)
-    save_timeline(args.out, out)
+    section = ImputeConfig(fallback=args.fallback)
+    save_timeline(args.out, impute_timeline(load_timeline(args.infile), section))
     print(f"wrote imputed timeline to {args.out}")
 
 
 def _cmd_label(args: argparse.Namespace) -> None:
-    timelines = [load_timeline(p) for p in args.infiles]
-    target = parse_target(args.target, args.pooled)
-    label_sets = build_labels_cohort(
-        timelines,
-        target,
-        middle_band=args.middle_band,
-        alignment="same_day" if args.same_day else "next_day",
-    )
+    section = LabelConfig(target=args.target, pooled=args.pooled, middle_band=args.middle_band, same_day=args.same_day)
+    label_sets = label_timelines([load_timeline(p) for p in args.infiles], section)
     save_labels(args.out, label_sets)
     n = sum(len(l.entries) for l in label_sets)
     print(f"wrote {n} labels for {len(label_sets)} participants to {args.out}")
 
 
 def _cmd_dataset(args: argparse.Namespace) -> None:
-    modalities = parse_modalities(args.modalities.split(","))
+    section = DatasetConfig(fallback=args.fallback, modalities=tuple(args.modalities.split(",")))
     schema = _schema_from_arg(args.schema)
-    timelines = {t.participant_id: t for t in (load_timeline(p) for p in args.infiles)}
-    label_sets = load_labels(args.labels)
-    parts = []
-    for labels in label_sets:
-        timeline = timelines.get(labels.participant_id)
-        if timeline is None:
-            raise MissingInputError(
-                f"no timeline supplied for participant {labels.participant_id!r}"
-            )
-        parts.append(
-            build_dataset(timeline, labels, schema, modalities, fallback=args.fallback)
-        )
-    ds = concat_datasets(parts)
+    timelines = [load_timeline(p) for p in args.infiles]
+    datasets = build_datasets(timelines, load_labels(args.labels), schema, section)
+    ds = concat_datasets(list(datasets.values()))
     save_dataset(args.out, ds)
     print(f"wrote dataset with {ds.n_rows} rows x {len(ds.feature_ids)} features to {args.out}")
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
+    section = EvaluateConfig(model=args.model, tune=args.tune)
+    spec = section.spec(args.seed)
     ds = load_dataset(args.data)
-    family = MODEL_NAMES[args.model]
-    spec = ModelSpec(family=family, seed=args.seed)
-    grid = default_grid(family) if args.tune else None
-    model = train(spec, ds.X, ds.y, grid=grid, feature_ids=ds.feature_ids)
+    model = train(spec, ds.X, ds.y, grid=section.grid(), feature_ids=ds.feature_ids)
     save_model(args.out, model)
-    print(f"wrote trained {family.value} model to {args.out}")
+    print(f"wrote trained {spec.family.value} model to {args.out}")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
-    ds = load_dataset(args.data)
-    family = MODEL_NAMES[args.model]
-    spec = ModelSpec(family=family, seed=args.seed)
-    grid = default_grid(family) if args.tune else None
-    report = cross_validate(
-        ds,
-        spec,
-        k=args.folds,
-        seed=args.seed,
-        grid=grid,
-        stratified=args.stratified,
-        modalities=subset_modalities(ds, default_schema()),
-    )
+    section = EvaluateConfig(model=args.model, folds=args.folds, tune=args.tune, stratified=args.stratified)
+    report = evaluate_dataset(load_dataset(args.data), section, args.seed, default_schema())
     out = Path(args.out)
     save_report(out, report)
     write_roc_csv(out.with_suffix(".roc.csv"), report)
     write_accuracy_table_csv(out.with_suffix(".accuracy.csv"), {args.model: report})
     print(
-        f"{family.value}: mean accuracy {report.mean_accuracy:.3f} "
+        f"{report.family}: mean accuracy {report.mean_accuracy:.3f} "
         f"(baseline {report.baseline_accuracy:.3f}), AUC {report.auc:.3f}"
     )
     ref_acc = REFERENCE_RESULTS["mean_accuracy"]
@@ -193,26 +128,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 def _cmd_analyze_corr(args: argparse.Namespace) -> None:
     schema = _schema_from_arg(args.schema)
     timelines = [load_timeline(p) for p in args.infiles]
-    corr = feature_affect_correlations(
-        timelines, schema, alignment="same_day" if args.same_day else "next_day"
-    )
-    write_correlation_csv(args.out, corr, schema.feature_ids())
+    analyze_correlations(args.out, timelines, schema, LabelConfig(same_day=args.same_day).alignment)
     print(f"wrote feature-affect correlations to {args.out}")
 
 
 def _cmd_analyze_tvalues(args: argparse.Namespace) -> None:
+    alignment = LabelConfig(same_day=args.same_day).alignment
     model = load_model(args.model)
     timelines = [load_timeline(p) for p in args.infiles]
     baseline = args.baseline_months.split(",") if args.baseline_months else None
-    alignment = "same_day" if args.same_day else "next_day"
-    rows, warnings = tvalue_table(
-        [(t.participant_id, monthly_scores(model, t, alignment=alignment)) for t in timelines],
-        baseline,
-    )
+    _, warnings = analyze_tvalues(args.out, ((model, t) for t in timelines), baseline, alignment)
     for pid, warns in warnings.items():
         for w in warns:
             print(f"warning [{pid}] {w}", file=sys.stderr)
-    write_tvalues_csv(args.out, rows)
     print(f"wrote monthly |t| table to {args.out}")
 
 

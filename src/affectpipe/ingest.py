@@ -130,15 +130,21 @@ def _read_columns(path: Path, header: list[str]) -> tuple[np.ndarray, np.ndarray
         columns = tuple(fields[k::width] for k in range(width))
         return np.full(n, width), np.arange(2, n + 2), columns
     reader = csv.reader(io.StringIO(text, newline=""))
+    records, ends = [], []
     try:
         if next(reader, None) != header:
             raise InputFormatError(f"{path}: expected header {','.join(header)}")
-        records = list(reader)
+        # The line each record ends on; a quoted field may span lines.
+        ends.append(reader.line_num)
+        for record in reader:
+            records.append(record)
+            ends.append(reader.line_num)
     except csv.Error as exc:
         raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    # Blank lines are skipped; they count in the line numbers.
+    # Blank lines are skipped; they count in the line numbers.  A record
+    # starts on the line after the one before it ends.
     widths = np.fromiter(map(len, records), np.intp, len(records))
-    lines = np.flatnonzero(widths) + 2
+    lines = np.array(ends[:-1], dtype=np.intp)[widths > 0] + 1
     columns = tuple(zip(*(r if len(r) == width else [""] * width for r in records if r)))
     return widths[widths > 0], lines, columns or ((),) * width
 

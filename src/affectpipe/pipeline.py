@@ -28,6 +28,7 @@ from .analysis import (
 )
 from .core import (
     FORMAT_VERSION,
+    FeatureSchema,
     Modality,
     ParticipantTimeline,
     canonical_json,
@@ -42,8 +43,9 @@ from .core import (
     timeline_to_dict,
     to_json,
 )
-from .errors import ConfigError, MissingInputError, PipelineError, SchemaError
+from .errors import ConfigError, InsufficientDataError, MissingInputError, PipelineError, SchemaError
 from .evaluate import (
+    EvaluationReport,
     ablation_run,
     cross_validate,
     macro_average,
@@ -55,6 +57,8 @@ from .impute import fill_residual_with_participant_mean, impute_all
 from .ingest import parse_affect_file, parse_modality_file, build_timeline
 from .labels import (
     FALLBACKS,
+    Dataset,
+    LabelSet,
     LabelsDocument,
     build_dataset,
     build_labels_cohort,
@@ -62,7 +66,7 @@ from .labels import (
     dataset_to_dict,
     parse_target,
 )
-from .learners import MODEL_NAMES, ModelFamily, ModelSpec, _build, default_grid, train
+from .learners import MODEL_NAMES, ModelFamily, ModelSpec, TrainedModel, _build, default_grid, train
 from .synth import CohortConfig, cohort_config_from_dict, write_cohort
 
 STAGES = ("synth", "ingest", "impute", "label", "dataset", "evaluate", "analyze")
@@ -70,14 +74,28 @@ STAGES = ("synth", "ingest", "impute", "label", "dataset", "evaluate", "analyze"
 
 # The run config, one dataclass per section; the codec reads it (see
 # preflight), so every key, its type and its default are stated here once.
+# Each section checks its own values, so a bad value is the same ConfigError
+# whether it comes from a run config or from a subcommand's flags.
 @dataclass
 class EligibilityConfig:
     min_days: int = 200
+
+    def __post_init__(self) -> None:
+        if self.min_days < 0:
+            raise ConfigError(f"eligibility.min_days must be at least 0, got {self.min_days}")
+
+
+def _check_fallback(section: str, fallback: str) -> None:
+    if fallback not in FALLBACKS:
+        raise ConfigError(f"unknown {section}.fallback {fallback!r} (expected {'|'.join(FALLBACKS)})")
 
 
 @dataclass
 class ImputeConfig:
     fallback: str = "drop"
+
+    def __post_init__(self) -> None:
+        _check_fallback("impute", self.fallback)
 
 
 @dataclass
@@ -87,11 +105,24 @@ class LabelConfig:
     middle_band: float = 0.20
     same_day: bool = False
 
+    def __post_init__(self) -> None:
+        parse_target(self.target, self.pooled)
+        if not 0 <= self.middle_band < 1:
+            raise ConfigError(f"label.middle_band must be in [0, 1), got {self.middle_band}")
+
+    @property
+    def alignment(self) -> str:
+        return "same_day" if self.same_day else "next_day"
+
 
 @dataclass
 class DatasetConfig:
     fallback: str = "drop"
     modalities: tuple[str, ...] = tuple(m.value for m in Modality)
+
+    def __post_init__(self) -> None:
+        _check_fallback("dataset", self.fallback)
+        parse_modalities(self.modalities)
 
 
 @dataclass
@@ -104,6 +135,26 @@ class EvaluateConfig:
     ablation: bool = False
     subsets: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: {**{m.value: (m.value,) for m in Modality}, "all": DatasetConfig.modalities})
+
+    def __post_init__(self) -> None:
+        if self.model not in MODEL_NAMES:
+            raise ConfigError(f"unknown model {self.model!r} (expected {'|'.join(MODEL_NAMES)})")
+        try:
+            spec = self.spec(0)
+        except SchemaError as exc:
+            raise ConfigError(str(exc)) from exc
+        _build(spec.family, spec.resolved())
+        if self.folds < 2:
+            raise ConfigError(f"evaluate.folds must be at least 2, got {self.folds}")
+        for names in self.subsets.values():
+            parse_modalities(names)
+
+    def spec(self, seed: int) -> ModelSpec:
+        return ModelSpec(family=MODEL_NAMES[self.model], hyperparameters=self.hyperparameters, seed=seed)
+
+    def grid(self) -> list[dict] | None:
+        """The family's tuning grid when the section tunes."""
+        return default_grid(MODEL_NAMES[self.model]) if self.tune else None
 
 
 @dataclass
@@ -145,6 +196,96 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# The steps of each stage, which PipelineRun and the subcommands share.
+
+
+def ingest_participant(
+    participant_id: str,
+    modality_files: Mapping[Modality, Path | str],
+    affect_file: Path | str | None,
+    schema: FeatureSchema,
+) -> ParticipantTimeline:
+    """One participant's timeline from their modality CSVs and, when there
+    is one, their affect CSV."""
+    files = [parse_modality_file(path, schema, m, participant_id) for m, path in modality_files.items()]
+    reports = {} if affect_file is None else parse_affect_file(affect_file, default_polarity(), participant_id)
+    return build_timeline(files, list(reports.values()), schema)
+
+
+def impute_timeline(timeline: ParticipantTimeline, section: ImputeConfig) -> ParticipantTimeline:
+    """Window imputation, then the section's fallback for what is left."""
+    out = impute_all(timeline)
+    return fill_residual_with_participant_mean(out) if section.fallback == "participant-mean" else out
+
+
+def label_timelines(timelines: Sequence[ParticipantTimeline], section: LabelConfig) -> list[LabelSet]:
+    target = parse_target(section.target, section.pooled)
+    return build_labels_cohort(timelines, target, middle_band=section.middle_band, alignment=section.alignment)
+
+
+def build_datasets(
+    timelines: Iterable[ParticipantTimeline],
+    label_sets: Iterable[LabelSet],
+    schema: FeatureSchema,
+    section: DatasetConfig,
+) -> dict[str, Dataset]:
+    """One dataset per label set, from the timeline of its participant."""
+    modalities = parse_modalities(section.modalities)
+    by_id = {t.participant_id: t for t in timelines}
+    datasets = {}
+    for labels in label_sets:
+        pid = labels.participant_id
+        if pid not in by_id:
+            raise MissingInputError(f"no timeline supplied for participant {pid!r}")
+        datasets[pid] = build_dataset(by_id[pid], labels, schema, modalities, fallback=section.fallback)
+    return datasets
+
+
+def evaluate_dataset(ds: Dataset, section: EvaluateConfig, seed: int, schema: FeatureSchema) -> EvaluationReport:
+    spec, modalities = section.spec(seed), subset_modalities(ds, schema)
+    return cross_validate(
+        ds, spec, k=section.folds, seed=seed, grid=section.grid(), stratified=section.stratified, modalities=modalities
+    )
+
+
+def analyze_correlations(
+    path: Path | str, timelines: Sequence[ParticipantTimeline], schema: FeatureSchema, alignment: str
+) -> dict[tuple[str, str], float | None]:
+    """Feature-affect correlations, also written to ``path`` as a CSV."""
+    corr = feature_affect_correlations(timelines, schema, alignment=alignment)
+    write_correlation_csv(path, corr, schema.feature_ids())
+    return corr
+
+
+def analyze_tvalues(
+    path: Path | str,
+    scored: Iterable[tuple[TrainedModel, ParticipantTimeline]],
+    baseline_months: Sequence[str] | None,
+    alignment: str,
+) -> tuple[dict[str, dict[str, float]], dict[str, list[str]]]:
+    """Monthly |t| rows of each timeline's scores under its model, also
+    written to ``path`` as a CSV.
+
+    The rows always include a "pooled" row over every participant's scores.
+    Warnings are keyed like the rows and name each month left out.
+    """
+    rows: dict[str, dict[str, float]] = {}
+    warnings: dict[str, list[str]] = {}
+    all_scores = []
+    for model, timeline in scored:
+        pid = timeline.participant_id
+        scores = monthly_scores(model, timeline, alignment=alignment)
+        all_scores.append(scores)
+        rows[pid], warns = tvalues_from_scores(scores, baseline_months)
+        if warns:
+            warnings[pid] = list(warns)
+    rows["pooled"], warns = pooled_monthly_tvalues(all_scores, baseline_months)
+    if warns:
+        warnings["pooled"] = list(warns)
+    write_tvalues_csv(path, rows)
+    return rows, warnings
+
+
 class PipelineRun:
     """Executes the configured stages in order against one output directory."""
 
@@ -153,13 +294,11 @@ class PipelineRun:
         self.out_dir = out_dir
         self.seed = seed
         self.schema = default_schema()
-        self.polarity = default_polarity()
         # Both hashes cover the config as written, before defaults fill it in.
         effective = dict(raw)
         effective["seed"] = seed
         self.run_id = hashlib.sha256(canonical_json(effective).encode()).hexdigest()[:16]
         self.config_sha = hashlib.sha256(canonical_json(raw).encode()).hexdigest()
-        self.alignment = "same_day" if config.label.same_day else "next_day"
         self.timelines: list[ParticipantTimeline] = []
         self.eligible: list[ParticipantTimeline] = []
         self.labels = []
@@ -190,95 +329,56 @@ class PipelineRun:
             raise MissingInputError(f"no *_affect.csv files under {raw_dir}")
         self.timelines = []
         for pid in pids:
-            files = []
-            for modality in Modality:
-                path = raw_dir / f"{pid}_{modality.value}.csv"
-                if path.exists():
-                    files.append(parse_modality_file(path, self.schema, modality, pid))
-            reports = parse_affect_file(raw_dir / f"{pid}_affect.csv", self.polarity, pid)
-            timeline = build_timeline(files, list(reports.values()), self.schema)
+            paths = {m: raw_dir / f"{pid}_{m.value}.csv" for m in Modality}
+            found = {m: path for m, path in paths.items() if path.exists()}
+            timeline = ingest_participant(pid, found, raw_dir / f"{pid}_affect.csv", self.schema)
             self.timelines.append(timeline)
             self._write_json(f"timelines/{pid}.json", timeline_to_dict(timeline))
 
     def stage_impute(self) -> None:
         imputed = []
         for timeline in self.timelines:
-            out = impute_all(timeline)
-            if self.config.impute.fallback == "participant-mean":
-                out = fill_residual_with_participant_mean(out)
+            out = impute_timeline(timeline, self.config.impute)
             imputed.append(out)
-            self._write_json(
-                f"imputed/{out.participant_id}.json", timeline_to_dict(out)
-            )
+            self._write_json(f"imputed/{out.participant_id}.json", timeline_to_dict(out))
         self.timelines = imputed
 
     def stage_label(self) -> None:
-        section = self.config.label
         min_days = self.config.eligibility.min_days
         self.eligible = filter_eligible_participants(self.timelines, min_days)
         if not self.eligible:
-            raise PipelineError(
-                f"no participant exceeds {min_days} valid affect days"
-            )
-        self.labels = build_labels_cohort(
-            self.eligible,
-            parse_target(section.target, section.pooled),
-            middle_band=section.middle_band,
-            alignment=self.alignment,
-        )
+            raise InsufficientDataError(f"no participant exceeds {min_days} valid affect days")
+        self.labels = label_timelines(self.eligible, self.config.label)
         eligible_ids = tuple(t.participant_id for t in self.eligible)
         self._write_json("labels.json", to_json(LabelsDocument(tuple(self.labels), min_days, eligible_ids)))
 
     def stage_dataset(self) -> None:
-        section = self.config.dataset
-        modalities = parse_modalities(section.modalities)
-        self.datasets = {
-            timeline.participant_id: build_dataset(
-                timeline, labels, self.schema, modalities, fallback=section.fallback
-            )
-            for timeline, labels in zip(self.eligible, self.labels)
-        }
+        self.datasets = build_datasets(self.eligible, self.labels, self.schema, self.config.dataset)
         self._write_json("dataset.json", dataset_to_dict(concat_datasets(list(self.datasets.values()))))
 
     def stage_evaluate(self) -> None:
         section = self.config.evaluate
-        family = MODEL_NAMES[section.model]
-        spec = ModelSpec(family=family, hyperparameters=section.hyperparameters, seed=self.seed)
-        k = section.folds
-        grid = default_grid(family) if section.tune else None
-
-        reports = {}
-        for pid, ds in self.datasets.items():
-            reports[pid] = cross_validate(
-                ds,
-                spec,
-                k=k,
-                seed=self.seed,
-                grid=grid,
-                stratified=section.stratified,
-                modalities=subset_modalities(ds, self.schema),
-            )
+        spec = section.spec(self.seed)
+        reports = {
+            pid: evaluate_dataset(ds, section, self.seed, self.schema) for pid, ds in self.datasets.items()
+        }
         macro = macro_average(list(reports.values()))
-        macro_baseline = float(
-            np.mean([r.baseline_accuracy for r in reports.values()])
-        )
+        macro_baseline = float(np.mean([r.baseline_accuracy for r in reports.values()]))
 
         ablation = {}
         if section.ablation:
-            subsets_by_name = {
-                name: parse_modalities(names) for name, names in section.subsets.items()
-            }
+            subsets_by_name = {name: parse_modalities(names) for name, names in section.subsets.items()}
             for pid, ds in self.datasets.items():
                 subsets = paired_subsets(ds, self.schema, subsets_by_name)
                 ablation[pid] = ablation_run(
-                    subsets, spec, k=k, seed=self.seed, grid=grid, schema=self.schema
+                    subsets, spec, k=section.folds, seed=self.seed, grid=section.grid(), schema=self.schema
                 )
 
         doc = {
             "format_version": FORMAT_VERSION,
             "model": spec.family.value,
             "seed": self.seed,
-            "folds": k,
+            "folds": section.folds,
             "macro_mean_accuracy": macro,
             "macro_baseline_accuracy": macro_baseline,
             "per_participant": to_json(reports),
@@ -286,7 +386,7 @@ class PipelineRun:
         }
         self._write_json("report.json", doc)
 
-        table = {pid: r for pid, r in reports.items()}
+        table = dict(reports)
         for pid, by_subset in ablation.items():
             for name, r in by_subset.items():
                 table[f"{pid}.{name}"] = r
@@ -299,15 +399,11 @@ class PipelineRun:
 
     def stage_analyze(self) -> None:
         section = self.config.analyze
+        alignment = self.config.label.alignment
         doc: dict = {"format_version": FORMAT_VERSION}
 
         if section.correlations:
-            corr = feature_affect_correlations(
-                self.eligible, self.schema, alignment=self.alignment
-            )
-            write_correlation_csv(
-                self.out_dir / "correlations.csv", corr, self.schema.feature_ids()
-            )
+            corr = analyze_correlations(self.out_dir / "correlations.csv", self.eligible, self.schema, alignment)
             doc["correlations"] = {
                 f"{fid}:{target}": r for (fid, target), r in sorted(corr.items())
             }
@@ -315,42 +411,17 @@ class PipelineRun:
         if section.tvalues:
             # The scores come from a default 100-tree RF whatever evaluate.model is.
             spec = ModelSpec(family=ModelFamily.RF, seed=self.seed)
-            scored = []
-            for timeline in self.eligible:
-                ds = self.datasets[timeline.participant_id]
-                model = train(spec, ds.X, ds.y, feature_ids=ds.feature_ids)
-                scored.append(
-                    (timeline.participant_id, monthly_scores(model, timeline, alignment=self.alignment))
-                )
-            rows, warnings = tvalue_table(scored, section.baseline_months)
-            write_tvalues_csv(self.out_dir / "tvalues.csv", rows)
+
+            def scored():
+                for timeline in self.eligible:
+                    ds = self.datasets[timeline.participant_id]
+                    yield train(spec, ds.X, ds.y, feature_ids=ds.feature_ids), timeline
+
+            rows, warnings = analyze_tvalues(self.out_dir / "tvalues.csv", scored(), section.baseline_months, alignment)
             doc["tvalues"] = rows
             doc["tvalue_warnings"] = warnings
 
         self._write_json("analyze.json", doc)
-
-
-def tvalue_table(
-    scored: Iterable[tuple[str, Mapping[str, np.ndarray]]],
-    baseline_months: Sequence[str] | None,
-) -> tuple[dict[str, dict[str, float]], dict[str, list[str]]]:
-    """Monthly |t| rows from (participant_id, monthly scores) pairs.
-
-    The rows always include a "pooled" row over every participant's scores.
-    Warnings are keyed like the rows and name each month left out.
-    """
-    rows: dict[str, dict[str, float]] = {}
-    warnings: dict[str, list[str]] = {}
-    all_scores = []
-    for pid, scores in scored:
-        all_scores.append(scores)
-        rows[pid], warns = tvalues_from_scores(scores, baseline_months)
-        if warns:
-            warnings[pid] = list(warns)
-    rows["pooled"], warns = pooled_monthly_tvalues(all_scores, baseline_months)
-    if warns:
-        warnings["pooled"] = list(warns)
-    return rows, warnings
 
 
 def cohort_of(synth: dict, seed: int) -> CohortConfig:
@@ -373,27 +444,6 @@ def preflight(config: dict) -> RunConfig:
     for stage in run.stages:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
-    evaluate = run.evaluate
-    if evaluate.model not in MODEL_NAMES:
-        raise ConfigError(f"unknown model {evaluate.model!r} (expected {'|'.join(MODEL_NAMES)})")
-    try:
-        spec = ModelSpec(family=MODEL_NAMES[evaluate.model], hyperparameters=evaluate.hyperparameters)
-    except SchemaError as exc:
-        raise ConfigError(str(exc)) from exc
-    _build(spec.family, spec.resolved())
-    if evaluate.folds < 2:
-        raise ConfigError(f"evaluate.folds must be at least 2, got {evaluate.folds}")
-    parse_target(run.label.target, run.label.pooled)
-    if not 0 <= run.label.middle_band < 1:
-        raise ConfigError(f"label.middle_band must be in [0, 1), got {run.label.middle_band}")
-    if run.eligibility.min_days < 0:
-        raise ConfigError(f"eligibility.min_days must be at least 0, got {run.eligibility.min_days}")
-    parse_modalities(run.dataset.modalities)
-    for names in evaluate.subsets.values():
-        parse_modalities(names)
-    for section, fallback in (("impute", run.impute.fallback), ("dataset", run.dataset.fallback)):
-        if fallback not in FALLBACKS:
-            raise ConfigError(f"unknown {section}.fallback {fallback!r} (expected {'|'.join(FALLBACKS)})")
     # Ingest reads raw_dir when it is set, so a cohort synthesised next to
     # it would never be read.
     if (run.synth is None) == (run.raw_dir is None):

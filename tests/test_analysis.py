@@ -16,7 +16,6 @@ from affectpipe.analysis import (
     feature_affect_correlations,
     last_week_dates,
     monthly_scores,
-    monthly_tvalues,
     pearson_r,
     pooled_monthly_tvalues,
     tvalues_from_scores,
@@ -372,23 +371,6 @@ def test_tvalues_explicit_baseline_months():
     # the baseline month itself has nothing left to compare against
     assert "2020-01" not in tv
     assert any("2020-01" in w and "no baseline" in w for w in warnings)
-
-
-def test_monthly_tvalues_end_to_end():
-    tl = scored_timeline(n=121)  # january through april 2020
-    model, _ = fit_knn(tl)
-    result = monthly_tvalues(model, tl)
-    assert result.participant_id == "p01"
-    assert set(result.tvalues) == {"2020-01", "2020-02", "2020-03", "2020-04"}
-    assert result.warnings == ()
-    assert all(t >= 0.0 for t in result.tvalues.values())
-
-
-def test_monthly_tvalues_need_two_months():
-    tl = scored_timeline(n=31)  # january only
-    model, _ = fit_knn(tl)
-    with pytest.raises(InsufficientDataError):
-        monthly_tvalues(model, tl)
 
 
 def test_pooled_tvalues_concatenate_participants():

@@ -322,7 +322,10 @@ def reference_parse(path, schema, modality):
         header = next(reader, None)
         if header != MODALITY_HEADER:
             raise InputFormatError(f"{path}: expected header {','.join(MODALITY_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            # the file line the record starts on; a quoted field may span lines
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 4:
@@ -364,7 +367,9 @@ def reference_affect_parse(path, polarity):
         header = next(reader, None)
         if header != AFFECT_HEADER:
             raise InputFormatError(f"{path}: expected header {','.join(AFFECT_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 3:
@@ -507,6 +512,24 @@ def test_affect_column_parser_matches_the_row_reference(tmp_path_factory, data):
         return [(day, list(r.items.items())) for day, r in reports.items()]
 
     agree(lambda: [(day, list(i.items())) for day, i in reference_affect_parse(path, polarity).items()], parsed)
+
+
+def test_line_numbers_count_file_lines_past_a_quoted_line_break(tmp_path):
+    """A quoted field spanning lines 2-3 moves the later records down a line:
+    the error names the file's line 5, not the fourth record's number."""
+    polarity = default_polarity()
+    affect = write(tmp_path, "a.csv", 'date,item_id,rating\n2020-03-01,proud,"5\n"\n'
+                   "2020-03-01,alert,5\n2020-03-01,bogus,5\n")
+    ring = write(tmp_path, "r.csv", 'date,feature_id,value,duration_min\n2020-03-01,heart_rate,"6\n",5\n'
+                 "2020-03-01,heart_rate,7,5\n2020-03-01,bogus,7,5\n")
+    assert agree(
+        lambda: reference_affect_parse(affect, polarity),
+        lambda: parse_affect_file(affect, polarity, "p01"),
+    ) == (InputFormatError, f"{affect}:5: unknown affect item 'bogus'")
+    assert agree(
+        lambda: reference_parse(ring, TINY_SCHEMA, Modality.RING),
+        lambda: parse_modality_file(ring, TINY_SCHEMA, Modality.RING, "p01"),
+    ) == (SchemaError, f"{ring}:5: unknown feature id 'bogus'")
 
 
 def test_plain_fields_splits_only_plain_text():

@@ -18,7 +18,7 @@ import pytest
 
 from affectpipe.cli import main
 from affectpipe.core import dump_json, read_json
-from affectpipe.errors import ConfigError, MissingInputError, PipelineError
+from affectpipe.errors import ConfigError, InsufficientDataError, MissingInputError
 from affectpipe.pipeline import STAGES, RunConfig, file_digest, preflight, run_pipeline
 from affectpipe.synth import CohortConfig, save_cohort_config
 
@@ -325,10 +325,14 @@ def test_preflight_requires_existing_inputs(tmp_path):
         preflight({"raw_dir": str(tmp_path / "nodir")})
 
 
-def test_stage_errors_carry_the_stage_name(tmp_path):
+def test_stage_errors_carry_the_stage_name(tmp_path, capsys):
     config_path, _ = run_config(tmp_path, eligibility={"min_days": 10000})
-    with pytest.raises(PipelineError, match="stage label:"):
+    with pytest.raises(InsufficientDataError, match="stage label:"):
         run_pipeline(config_path, out_dir_override=tmp_path / "out")
+    # nobody eligible is insufficient data
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "cli")]) == 6
+    assert capsys.readouterr().err == "error: stage label: no participant exceeds 10000 valid affect days\n"
 
 
 def test_report_names_the_configured_modalities(tmp_path):
@@ -488,6 +492,57 @@ def test_cli_chain_end_to_end(cli_workspace, capsys):
     assert own[1:] == pooled[1:]
 
 
+def test_cli_chain_writes_what_the_run_writes(tmp_path):
+    """The subcommands run the run's stage steps: on one raw cohort, with the
+    same sections, they write the same timelines, labels, dataset and
+    correlations."""
+    from affectpipe.synth import write_cohort
+
+    raw, run, cli = tmp_path / "raw", tmp_path / "run", tmp_path / "cli"
+    cohort = CohortConfig(n_participants=2, n_days=70, n_eligible=1, shift=None, seed=5)
+    write_cohort(cohort, raw)
+    config_path = tmp_path / "run.json"
+    dump_json(config_path, {
+        "raw_dir": str(raw),
+        "stages": ["ingest", "impute", "label", "dataset", "analyze"],
+        "eligibility": {"min_days": 0},
+        "impute": {"fallback": "participant-mean"},
+        "label": {"target": "na", "pooled": True, "middle_band": 0.3, "same_day": True},
+        "dataset": {"fallback": "participant-mean", "modalities": ["ring", "phone"]},
+        "analyze": {"correlations": True, "tvalues": False},
+    })
+    assert main(["run", "--config", str(config_path), "--out-dir", str(run)]) == 0
+
+    cli.mkdir()
+    pids = ("p01", "p02")
+    for pid in pids:
+        files = [f"--{name}={raw / f'{pid}_{name}.csv'}" for name in ("ring", "watch", "phone", "affect")]
+        assert main(["ingest", "--participant", pid, *files, "--out", str(cli / f"{pid}.json")]) == 0
+        assert main(["impute", "--in", str(cli / f"{pid}.json"), "--fallback", "participant-mean",
+                     "--out", str(cli / f"{pid}_imputed.json")]) == 0
+    imputed = [str(cli / f"{pid}_imputed.json") for pid in pids]
+    assert main(["label", "--in", *imputed, "--target", "na", "--pooled", "--middle-band", "0.3", "--same-day",
+                 "--out", str(cli / "labels.json")]) == 0
+    assert main(["dataset", "--in", *imputed, "--labels", str(cli / "labels.json"), "--fallback", "participant-mean",
+                 "--modalities", "ring,phone", "--out", str(cli / "dataset.json")]) == 0
+    assert main(["analyze", "corr", "--in", *imputed, "--same-day", "--out", str(cli / "correlations.csv")]) == 0
+
+    def document(path, *run_only):
+        doc = read_json(path)
+        for key in ("run_id", *run_only):
+            del doc[key]
+        return doc
+
+    for pid in pids:
+        assert document(run / "timelines" / f"{pid}.json") == read_json(cli / f"{pid}.json")
+        assert document(run / "imputed" / f"{pid}.json") == read_json(cli / f"{pid}_imputed.json")
+    labels = document(run / "labels.json", "eligibility_min_days", "eligible_ids")
+    assert [p["participant_id"] for p in labels["participants"]] == list(pids)
+    assert labels == read_json(cli / "labels.json")
+    assert document(run / "dataset.json") == read_json(cli / "dataset.json")
+    assert (run / "correlations.csv").read_bytes() == (cli / "correlations.csv").read_bytes()
+
+
 def write_ramp_inputs(tmp_path):
     """Timeline whose day-4 heart_rate is missing, its pa labels, and a
     schema file for its four features."""
@@ -554,6 +609,26 @@ def test_cli_run_subcommand(tmp_path, capsys):
     assert (out / "manifest.json").is_file()
 
 
+def save_four_row_dataset(path, y):
+    """A one-feature dataset of four days labelled ``y``, saved to ``path``."""
+    from datetime import timedelta
+
+    import numpy as np
+
+    from affectpipe.labels import Dataset, TargetSpec, save_dataset
+    from conftest import D0
+
+    save_dataset(path, Dataset(
+        feature_ids=("f0",),
+        X=np.array([[0.0], [1.0], [2.0], [3.0]]),
+        y=np.array(y, dtype=np.int8),
+        dates=tuple(D0 + timedelta(days=i) for i in range(4)),
+        participant_ids=("p",) * 4,
+        target=TargetSpec(kind="pa"),
+    ))
+    return path
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 3: input file does not exist
     assert main(["impute", "--in", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 3
@@ -562,10 +637,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     from conftest import make_timeline
 
     tl = tmp_path / "tl.json"
-    rows = [{"sleep_deep": 30.0, "heart_rate": 60.0, "walk_steps": 10.0, "main_activity": 0.5}] * 3
-    save_timeline(tl, make_timeline("p01", rows))
+    rows = [{"sleep_deep": 30.0, "heart_rate": 60.0, "walk_steps": 10.0, "main_activity": 0.5}] * 14
+    save_timeline(tl, make_timeline("p01", rows, affect_by_index={i: (float(5 * i), 20.0) for i in range(14)}))
     assert main(["label", "--in", str(tl), "--target", "bogus", "--out", str(tmp_path / "l")]) == 2
     assert main(["label", "--in", str(tl), "--target", "item:bogus", "--out", str(tmp_path / "l")]) == 2
+    # 2: a value a run config refuses, with the message naming its key
+    ds = save_four_row_dataset(tmp_path / "ds.json", [1, 0, 1, 0])
+    label = ["label", "--in", str(tl), "--target", "pa", "--middle-band"]
+    for argv, message in (
+        ([*label, "1.5"], "label.middle_band must be in [0, 1), got 1.5"),
+        ([*label, "-0.5"], "label.middle_band must be in [0, 1), got -0.5"),
+        (["evaluate", "--data", str(ds), "--model", "knn", "--folds", "1"], "evaluate.folds must be at least 2, got 1"),
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     # 2: unknown modality, named before any input is read
     assert main(
         ["dataset", "--in", str(tl), "--labels", str(tmp_path / "nope.json"),
@@ -641,7 +727,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_non_finite_timeline_value_is_one_error_line(tmp_path, capsys, monkeypatch):
     import numpy as np
 
-    from affectpipe import cli
+    from affectpipe import pipeline
     from affectpipe.core import save_timeline
     from conftest import make_timeline
 
@@ -650,7 +736,7 @@ def test_non_finite_timeline_value_is_one_error_line(tmp_path, capsys, monkeypat
     save_timeline(tl, make_timeline("p01", rows))
     planted = make_timeline("p01", rows)
     planted.values[1, 0] = np.nan  # measured, after the timeline checked itself
-    monkeypatch.setattr(cli, "impute_all", lambda timeline: planted)
+    monkeypatch.setattr(pipeline, "impute_all", lambda timeline: planted)
     capsys.readouterr()
     assert main(["impute", "--in", str(tl), "--out", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
@@ -660,22 +746,7 @@ def test_non_finite_timeline_value_is_one_error_line(tmp_path, capsys, monkeypat
 
 def test_cli_insufficient_data_exit_code(tmp_path, capsys):
     # one positive row cannot be split into two folds even after reseeding
-    from datetime import timedelta
-
-    from affectpipe.labels import Dataset, TargetSpec, save_dataset
-    import numpy as np
-    from conftest import D0
-
-    ds = Dataset(
-        feature_ids=("f0",),
-        X=np.array([[0.0], [1.0], [2.0], [3.0]]),
-        y=np.array([1, 0, 0, 0], dtype=np.int8),
-        dates=tuple(D0 + timedelta(days=i) for i in range(4)),
-        participant_ids=("p",) * 4,
-        target=TargetSpec(kind="pa"),
-    )
-    path = tmp_path / "ds.json"
-    save_dataset(path, ds)
+    path = save_four_row_dataset(tmp_path / "ds.json", [1, 0, 0, 0])
     code = main(
         ["evaluate", "--data", str(path), "--model", "knn", "--folds", "2",
          "--out", str(tmp_path / "r.json")]
@@ -685,22 +756,7 @@ def test_cli_insufficient_data_exit_code(tmp_path, capsys):
 
 
 def test_cli_schema_error_exit_code(tmp_path):
-    from datetime import timedelta
-
-    from affectpipe.labels import Dataset, TargetSpec, save_dataset
-    import numpy as np
-    from conftest import D0
-
-    ds = Dataset(
-        feature_ids=("f0",),
-        X=np.array([[0.0], [1.0], [2.0], [3.0]]),
-        y=np.array([1, 0, 1, 0], dtype=np.int8),
-        dates=tuple(D0 + timedelta(days=i) for i in range(4)),
-        participant_ids=("p",) * 4,
-        target=TargetSpec(kind="pa"),
-    )
-    path = tmp_path / "ds.json"
-    save_dataset(path, ds)
+    path = save_four_row_dataset(tmp_path / "ds.json", [1, 0, 1, 0])
     payload = read_json(path)
     payload["rows"][0]["label"] = 2
     dump_json(path, payload)
