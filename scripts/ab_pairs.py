@@ -8,9 +8,19 @@ Each pair runs ``perfbench/run.py --workload W --seed S --seconds SECONDS
 BENCHMARK.json: the parent first on odd pairs, the change first on even
 ones.  Prints each pair's end-to-end metrics (parent/change), then per
 metric each side's median and quartiles and in how many pairs the change is
-better; ties count for neither side.  Exits 1 when a call fails or reports
-``correct`` false or ``failed`` above 0, and 2 without running anything when
-the two checkouts' benchmarks (BENCHMARK.json and perfbench/) differ.
+better (ties count for neither side), and a verdict line:
+
+- ``unresolved`` when either side's spread, q3 - q1 as a share of the
+  median, exceeds the metric's bound in BENCHMARK.json;
+- ``gain`` when the change is better in at least 9 of 10 pairs and its
+  median is better by more than the parent's q3 - q1;
+- ``regression`` when the change's median is worse than the parent's by
+  more than the bound, as a share of the parent's median;
+- ``no regression`` otherwise.
+
+Exits 1 when a call fails or reports ``correct`` false or ``failed`` above
+0, and 2 without running anything when the two checkouts' benchmarks
+(BENCHMARK.json and perfbench/) differ.
 """
 
 from __future__ import annotations
@@ -54,6 +64,39 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def spread(values: list[float]) -> float:
+    """q3 - q1 as a share of the median."""
+    q1, q2, q3 = quartiles(values)
+    if q2 == 0:
+        return 0.0 if q3 == q1 else float("inf")
+    return (q3 - q1) / abs(q2)
+
+
+def change_wins(metric: dict, parent: list[float], change: list[float]) -> int:
+    """The pairs in which the change is better; ties count for neither side."""
+    sign = 1 if metric["better"] == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """One metric's verdict over paired runs (see the module docstring)."""
+    name, bound, sign = metric["name"], metric["bound"], (1 if metric["better"] == "higher" else -1)
+    widest = max(spread(parent), spread(change))
+    if widest > bound:
+        return f"{name}: unresolved (spread {widest:.3g} above the bound {bound:g})"
+    wins = change_wins(metric, parent, change)
+    q1, median, q3 = quartiles(parent)
+    gap = sign * (statistics.median(change) - median)
+    if 10 * wins >= 9 * len(parent) and gap > q3 - q1:
+        return (f"{name}: gain (better in {wins} of {len(parent)}, "
+                f"median gap {gap:.6g} above the parent's q3 - q1 {q3 - q1:.6g})")
+    worse = -gap / abs(median) if median else (float("inf") if gap < 0 else 0.0)
+    if worse > bound:
+        return f"{name}: regression (median worse by {worse:.3g}, above the bound {bound:g})"
+    moved = f"worse by {worse:.3g}" if worse > 0 else f"better by {-worse:.3g}" if worse < 0 else "unchanged"
+    return f"{name}: no regression (median {moved}, within the bound {bound:g})"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -90,8 +133,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"pair {pair} ({order[0]} first): {shown}", flush=True)
     for m in metrics:
-        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"][name], values["change"][name]))
+        name = m["name"]
+        wins = change_wins(m, values["parent"][name], values["change"][name])
         summary = [
             f"{side} median {q2:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]"
             for side in sides
@@ -99,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         ]
         print(f"{name} ({m['unit']}, {m['better']} is better): {'; '.join(summary)}; "
               f"change better in {wins} of {args.pairs}")
+        print(verdict(m, values["parent"][name], values["change"][name]))
     return 1 if faulty else 0
 
 

@@ -6,52 +6,103 @@ the forest probability is the fraction of positive votes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import InputFormatError, SchemaError
 
-_NO_SPLIT = (np.inf, -1, 0.0)
+# Nodes of up to this many rows read their weighted Gini terms from a table;
+# larger ones compute the same terms in place.
+_TABLE_ROWS = 256
+# A side of `rows` rows, `positives` of them positive, has the index
+# rows * _WIDTH + positives.  Each row adds _WIDTH plus its 0/1 label, so a
+# running sum down a node's sorted rows gives the index of each left side,
+# and the node's total less a left side's index is the right side's.
+_WIDTH = _TABLE_ROWS + 1
+
+
+def _gini_terms(rows, positives):
+    """One side's weighted Gini term, rows * gini(positives / rows)."""
+    p = positives / rows
+    return rows * (1.0 - p * p - (1.0 - p) * (1.0 - p))
+
+
+@functools.cache
+def _gini_table() -> np.ndarray:
+    """`_gini_terms` of every side of up to `_TABLE_ROWS` rows, flat by the
+    side's index.
+
+    Built on the first fit, not at import, and shared by every fit.  An
+    entry is the same IEEE operations on the same operands as the terms a
+    node computes in place, so it holds the same bits.
+    """
+    table = np.zeros((_WIDTH, _WIDTH))
+    table[1:] = _gini_terms(np.arange(1.0, _WIDTH)[:, None], np.arange(_WIDTH))
+    table.flags.writeable = False
+    return table.ravel()
+
+
+def _weighted_gini(index: np.ndarray, n: int) -> np.ndarray:
+    """Weighted Gini of cutting after each of the first n - 1 sorted rows,
+    from the running side indices `index` (n x columns)."""
+    left = index[:-1]
+    right = index[-1] - left
+    if n <= _TABLE_ROWS:
+        table = _gini_table()
+        return (table.take(left) + table.take(right)) / n
+    n_left = np.arange(1.0, n)[:, None]
+    pos_left = left - np.arange(_WIDTH, n * _WIDTH, _WIDTH)[:, None]
+    pos_right = right - np.arange((n - 1) * _WIDTH, 0, -_WIDTH)[:, None]
+    return (_gini_terms(n_left, pos_left) + _gini_terms(n - n_left, pos_right)) / n
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, feature_idx: np.ndarray
-) -> tuple[float, int, float]:
-    """Lowest weighted-Gini (impurity, feature, threshold) over candidates.
+    X: np.ndarray, steps: np.ndarray, idx: np.ndarray, feature_idx: np.ndarray
+) -> tuple[float, int, float, np.ndarray, np.ndarray, int] | None:
+    """The lowest weighted-Gini split of rows `idx` over the candidate
+    columns: (impurity, feature, threshold, left rows, right rows, positives
+    on the left), or None when no candidate splits the rows.  `steps` holds
+    each row's _WIDTH plus its 0/1 label.
 
     All candidate columns are sorted and scored together, so the number of
     numpy calls does not grow with the number of candidates.  Thresholds sit
     at midpoints between consecutive distinct sorted values; a column's score
     is its first lowest one.  Ties between columns resolve to the first
     feature in `feature_idx` order: a later column must score lower by more
-    than 1e-12.
+    than 1e-12.  The rows of a side come in the split column's sorted order,
+    which cannot change their own splits: inside a run of equal values the
+    scores are masked, and at its end the positive count does not depend on
+    the order.
     """
-    n = y.shape[0]
-    m = feature_idx.shape[0]
-    columns = np.arange(m)
-    cols = X[:, feature_idx]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = cols[order, columns]
-    pos = np.cumsum(y[order], axis=0)
-    n_left = np.arange(1.0, n)[:, None]
-    n_right = n - n_left
-    pos_left = pos[:-1]
-    pos_right = pos[-1] - pos_left
-    p_l = pos_left / n_left
-    p_r = pos_right / n_right
-    gini_left = 1.0 - p_l * p_l - (1.0 - p_l) * (1.0 - p_l)
-    gini_right = 1.0 - p_r * p_r - (1.0 - p_r) * (1.0 - p_r)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
+    n = idx.shape[0]
+    order = X[idx[:, None], feature_idx].argsort(axis=0, kind="stable")
+    rows = idx[order]
+    xs = X[rows, feature_idx]
+    index = steps[rows].cumsum(axis=0)
+    weighted = _weighted_gini(index, n)
     # No threshold between equal values.
     weighted[xs[1:] == xs[:-1]] = np.inf
-    ks = np.argmin(weighted, axis=0)
-    best = _NO_SPLIT
-    for c, (k, score) in enumerate(zip(ks.tolist(), weighted[ks, columns].tolist())):
-        if score < best[0] - 1e-12:
-            thr = 0.5 * (xs[k, c] + xs[k + 1, c])
-            best = (score, int(feature_idx[c]), float(thr))
-    return best
+    ks = weighted.argmin(axis=0)
+    best_score, c, k = np.inf, -1, -1
+    for column, (row, score) in enumerate(zip(ks.tolist(), weighted.min(axis=0).tolist())):
+        if score < best_score - 1e-12:
+            best_score, c, k = score, column, row
+    if c < 0:
+        return None
+    feat = int(feature_idx[c])
+    upper = xs.item(k + 1, c)
+    thr = 0.5 * (xs.item(k, c) + upper)
+    if thr < upper:
+        return best_score, feat, thr, rows[: k + 1, c], rows[k + 1 :, c], index.item(k, c) - (k + 1) * _WIDTH
+    # A midpoint between adjacent floats can round onto the upper one, and
+    # the rows at or below it go left.
+    go_left = X[idx, feat] <= thr
+    left = idx[go_left]
+    if left.shape[0] == n:
+        return None
+    return best_score, feat, thr, left, idx[~go_left], int(steps[left].sum()) - left.shape[0] * _WIDTH
 
 
 @dataclass
@@ -69,14 +120,6 @@ class DecisionTree:
         if len({len(nodes) for nodes in lists}) > 1:
             raise SchemaError("tree node lists differ in length")
 
-    def _add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
     def fit(
         self,
         X: np.ndarray,
@@ -90,39 +133,42 @@ class DecisionTree:
         candidate columns from `rng` at every node that may split."""
         n_features = X.shape[1]
         all_features = np.arange(n_features)
-
-        # A node carries its positive count, so its value is exactly the mean
-        # of its 0/1 labels and purity needs no pass over them.
-        def grow(idx: np.ndarray, depth: int, n_pos: int) -> int:
-            node = self._add_node()
+        steps = y.astype(np.intp) + _WIDTH
+        feature, threshold, left, right, value = self.feature, self.threshold, self.left, self.right, self.value
+        # Depth first, left child first: node ids and rng draws come in the
+        # order of a recursive grower.  An entry holds a node's rows, depth and
+        # positive count, so its value is exactly the mean of its 0/1 labels
+        # and purity needs no pass over them.  A left child takes the id after
+        # its parent's, and a right child's entry holds its parent.
+        stack = [(np.arange(X.shape[0]), 0, int(np.count_nonzero(y)), -1)]
+        while stack:
+            idx, depth, n_pos, parent = stack.pop()
+            node = len(value)
+            if parent >= 0:
+                right[parent] = node
             n = idx.shape[0]
-            self.value[node] = n_pos / n
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(n_pos / n)
             if (
                 n < min_samples_split
                 or (max_depth is not None and depth >= max_depth)
                 or n_pos in (0, n)
             ):
-                return node
+                continue
             if max_features >= n_features:
                 candidates = all_features
             else:
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-            _, feat, thr = _best_split(X[idx], y[idx], candidates)
-            if feat < 0:
-                return node
-            go_left = X[idx, feat] <= thr
-            left = idx[go_left]
-            # A midpoint between adjacent floats can round onto the upper one.
-            if left.shape[0] in (0, n):
-                return node
-            pos_left = int(np.count_nonzero(y[left]))
-            self.feature[node] = feat
-            self.threshold[node] = thr
-            self.left[node] = grow(left, depth + 1, pos_left)
-            self.right[node] = grow(idx[~go_left], depth + 1, n_pos - pos_left)
-            return node
-
-        grow(np.arange(X.shape[0]), 0, int(np.count_nonzero(y)))
+            split = _best_split(X, steps, idx, candidates)
+            if split is None:
+                continue
+            _, feature[node], threshold[node], rows_left, rows_right, pos_left = split
+            left[node] = node + 1
+            stack.append((rows_right, depth + 1, n_pos - pos_left, node))
+            stack.append((rows_left, depth + 1, pos_left, -1))
         return self
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:

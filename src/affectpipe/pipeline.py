@@ -179,6 +179,23 @@ class RunConfig:
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
     analyze: AnalyzeConfig = field(default_factory=AnalyzeConfig)
 
+    def stages_to_run(self) -> tuple[str, ...]:
+        """The listed stages in run order; synth runs only with a synth section."""
+        return tuple(s for s in STAGES if s in self.stages and not (s == "synth" and self.synth is None))
+
+    def stage_needs(self) -> dict[str, tuple[str, ...]]:
+        """The stages whose output each stage reads.  Stages hand it on in
+        memory only, so a run must list them too."""
+        return {
+            "synth": (),
+            "ingest": () if self.synth is None else ("synth",),
+            "impute": ("ingest",),
+            "label": ("ingest",),
+            "dataset": ("label",),
+            "evaluate": ("dataset",),
+            "analyze": ("label", "dataset") if self.analyze.tvalues else ("label",),
+        }
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -450,6 +467,14 @@ def preflight(config: dict) -> RunConfig:
         raise ConfigError("config needs a synth section or raw_dir, and not both")
     if run.raw_dir is not None and not Path(run.raw_dir).exists():
         raise MissingInputError(f"raw_dir not found: {run.raw_dir}")
+    to_run = run.stages_to_run()
+    if not to_run:
+        raise ConfigError("config.stages: no stage to run")
+    needs = run.stage_needs()
+    for stage in to_run:
+        for need in needs[stage]:
+            if need not in to_run:
+                raise ConfigError(f"config.stages: {stage!r} needs {need!r} in the same run")
     if run.synth is not None:
         cohort_of(run.synth, run.seed)
     return run
@@ -468,15 +493,11 @@ def run_pipeline(
     run = PipelineRun(raw, config, out_dir, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    executed = []
-    for stage in STAGES:
-        if stage not in config.stages or stage == "synth" and config.synth is None:
-            continue
+    for stage in config.stages_to_run():
         try:
             getattr(run, f"stage_{stage}")()
         except PipelineError as exc:
             raise type(exc)(f"stage {stage}: {exc}") from exc
-        executed.append(stage)
 
     outputs = {
         str(p.relative_to(out_dir)): file_digest(p)
@@ -489,7 +510,7 @@ def run_pipeline(
         package_version=__version__,
         seed=seed,
         config_sha256=run.config_sha,
-        stages=tuple(executed),
+        stages=config.stages_to_run(),
         outputs=outputs,
     )
     dump_json(out_dir / "manifest.json", to_json(manifest))

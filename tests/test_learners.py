@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,15 @@ from affectpipe.learners import (
     save_model,
     train,
 )
-from affectpipe.learners.forest import DecisionTree, RandomForestModel, _best_split
+from affectpipe.learners.forest import (
+    _TABLE_ROWS,
+    _WIDTH,
+    DecisionTree,
+    RandomForestModel,
+    _best_split,
+    _gini_table,
+    _weighted_gini,
+)
 from affectpipe.learners.knn import KNNModel, MajorityBaselineModel
 from affectpipe.learners.mlp import forward_logits, init_params, loss_and_grads
 from affectpipe.learners.svm import LinearSVMModel
@@ -119,13 +129,42 @@ def test_best_split_matches_exhaustive_oracle():
         tied = np.round(normal[:, 1] + rng.normal(size=30))
         X = np.column_stack([normal, np.full(30, 2.0), tied])
         d = X.shape[1]
-        imp, feat, thr = _best_split(X, y, np.arange(d))
+        steps = y.astype(np.intp) + _WIDTH
+        imp, feat, thr, left, right, pos_left = _best_split(X, steps, np.arange(30), np.arange(d))
         oracle = min(
             (gini_oracle(X[:, j], y) + (j,) for j in range(d)),
             key=lambda t: (round(t[0], 12), t[2]),
         )
         assert imp == pytest.approx(oracle[0], abs=1e-9)
         assert (feat, thr) == (oracle[2], pytest.approx(oracle[1]))
+        # the sides are the rows on each side of the threshold, in sorted order
+        assert sorted(left.tolist()) == np.flatnonzero(X[:, feat] <= thr).tolist()
+        assert sorted(right.tolist()) == np.flatnonzero(X[:, feat] > thr).tolist()
+        assert np.all(np.diff(X[np.concatenate([left, right]), feat]) >= 0)
+        assert pos_left == int(y[left].sum())
+
+
+def test_gini_table_holds_the_arithmetic_bits():
+    table = _gini_table()
+    assert table.shape == (_WIDTH * _WIDTH,)
+    for rows in range(1, _TABLE_ROWS + 1):
+        positives = np.arange(rows + 1)
+        n_side = np.full(rows + 1, float(rows))
+        p = positives / n_side
+        want = n_side * (1.0 - p * p - (1.0 - p) * (1.0 - p))
+        assert table[rows * _WIDTH + positives].tobytes() == want.tobytes()
+    # and a node's scores read from it equal the arithmetic on its counts
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 17, 100, _TABLE_ROWS, _TABLE_ROWS + 1, 400):
+        labels = rng.integers(0, 2, size=(n, 4))
+        pos = np.cumsum(labels.astype(np.int8), axis=0)
+        n_left = np.arange(1.0, n)[:, None]
+        p_l = pos[:-1] / n_left
+        p_r = (pos[-1] - pos[:-1]) / (n - n_left)
+        gini_left = 1.0 - p_l * p_l - (1.0 - p_l) * (1.0 - p_l)
+        gini_right = 1.0 - p_r * p_r - (1.0 - p_r) * (1.0 - p_r)
+        want = (n_left * gini_left + (n - n_left) * gini_right) / n
+        assert _weighted_gini(np.cumsum(labels + _WIDTH, axis=0), n).tobytes() == want.tobytes()
 
 
 # The tree grower as it was before the split search covered all candidate
@@ -165,7 +204,9 @@ def reference_fit(X, y, rng, max_depth, max_features, min_samples_split):
     n_features = X.shape[1]
 
     def grow(idx, depth):
-        node = tree._add_node()
+        node = len(tree.feature)
+        for nodes, blank in zip((tree.feature, tree.threshold, tree.left, tree.right, tree.value), (-1, 0.0, -1, -1, 0.0)):
+            nodes.append(blank)
         sub_y = y[idx]
         tree.value[node] = float(sub_y.mean())
         if (
@@ -207,8 +248,9 @@ def reference_leaf_values(tree, X):
 def test_tree_fit_equals_the_per_feature_reference():
     data = np.random.default_rng(17)
     fits = 0
-    for trial in range(4):
-        n = (6, 23, 40, 90)[trial]
+    for trial in range(5):
+        # 300 rows: the root and its larger children score without the table
+        n = (6, 23, 40, 90, 300)[trial]
         lo = float(data.normal())
         X = np.column_stack([
             data.integers(0, 4, size=n).astype(float),  # tied integer values
@@ -235,7 +277,21 @@ def test_tree_fit_equals_the_per_feature_reference():
                     assert got.leaf_values(queries).tolist() == reference_leaf_values(want, queries).tolist()
                     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
                     fits += 1
-    assert fits == 4 * 5 * 3 * 3
+    assert fits == 5 * 5 * 3 * 3
+
+
+def test_a_fitted_forest_leaves_no_reference_cycles():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(160, 39))
+    y = (X[:, 0] + rng.normal(size=160) > 0).astype(np.int8)
+    gc.collect()
+    gc.disable()
+    try:
+        RandomForestModel(n_trees=20, max_depth=None, max_features="sqrt").fit(X, y, np.random.SeedSequence(0))
+        # nothing is left for the cycle collector, so each bootstrap is freed with its tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_depth_one_tree_picks_the_separating_midpoint():
@@ -249,10 +305,7 @@ def test_depth_one_tree_picks_the_separating_midpoint():
 
 def test_forest_probability_is_vote_fraction():
     def leaf_tree(p):
-        t = DecisionTree()
-        t._add_node()
-        t.value[0] = p
-        return t
+        return DecisionTree(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[p])
 
     forest = RandomForestModel(n_trees=4, max_depth=None, max_features="all")
     forest.trees = [leaf_tree(1.0), leaf_tree(0.9), leaf_tree(0.6), leaf_tree(0.1)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -60,6 +61,11 @@ BAD_CONFIGS = (
     ({"evaluate": {"model": "svm", "hyperparameters": {"C": 0}}}, r"C must be positive"),
     ({"evaluate": {"model": "svm", "hyperparameters": {"C": -1}}}, r"C must be positive"),
     ({"evaluate": {"model": "svm", "hyperparameters": {"epochs": 0}}}, r"epochs must be at least 1"),
+    # stage lists a run cannot serve: a KeyError traceback, and two exits 0
+    # with nan-filled or no artifacts
+    ({"stages": ["synth", "ingest", "impute", "label", "analyze"]}, r"config\.stages: 'analyze' needs 'dataset'"),
+    ({"stages": ["analyze"]}, r"config\.stages: 'analyze' needs 'label'"),
+    ({"stages": []}, r"config\.stages: no stage to run"),
 )
 
 
@@ -204,6 +210,44 @@ print(json.dumps(json.loads((here / "canned.json").read_text())[calls - 1]))
 """
 
 
+def test_ab_pairs_verdicts_follow_the_acceptance_rule():
+    spec = importlib.util.spec_from_file_location(
+        "ab_pairs", Path(__file__).resolve().parent.parent / "scripts" / "ab_pairs.py"
+    )
+    ab_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_pairs)
+    run_s = {"name": "run_s", "better": "lower", "bound": 0.25}
+    accuracy = {"name": "acc", "better": "higher", "bound": 0.15}
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.4, 9.6]
+    # 10 of 10 wins, median gap 2.0 against the parent's q3 - q1 of 0.35
+    assert ab_pairs.verdict(run_s, parent, [v - 2.0 for v in parent]).startswith(
+        "run_s: gain (better in 10 of 10, median gap 2 above the parent's q3 - q1 0.35)"
+    )
+    # 9 of 10 wins is still a gain, 8 of 10 is not
+    nine = [v - 2.0 for v in parent[:9]] + [parent[9] + 0.1]
+    assert ab_pairs.verdict(run_s, parent, nine).startswith("run_s: gain (better in 9 of 10")
+    eight = [v - 2.0 for v in parent[:8]] + [v + 0.1 for v in parent[8:]]
+    assert ab_pairs.verdict(run_s, parent, eight) == "run_s: no regression (median better by 0.195, within the bound 0.25)"
+    # every pair won, but by less than the parent's own spread
+    assert ab_pairs.verdict(run_s, parent, [v - 0.1 for v in parent]).startswith("run_s: no regression")
+    # worse by 30% of the parent's median is beyond the 0.25 bound
+    assert ab_pairs.verdict(run_s, parent, [v * 1.3 for v in parent]).startswith(
+        "run_s: regression (median worse by 0.3, above the bound 0.25)"
+    )
+    assert ab_pairs.verdict(run_s, parent, [v * 1.2 for v in parent]).startswith(
+        "run_s: no regression (median worse by 0.2,"
+    )
+    # a side whose q3 - q1 is over a quarter of its median cannot be told
+    wide = [6.0, 14.0, 8.0, 12.0, 10.0, 6.0, 14.0, 8.0, 12.0, 10.0]
+    assert ab_pairs.verdict(run_s, parent, wide) == "run_s: unresolved (spread 0.4 above the bound 0.25)"
+    # higher is better, and a constant metric
+    assert ab_pairs.verdict(accuracy, [0.7] * 10, [0.7] * 10) == (
+        "acc: no regression (median unchanged, within the bound 0.15)"
+    )
+    assert ab_pairs.verdict(accuracy, [0.7] * 10, [0.5] * 10).startswith("acc: regression")
+    assert ab_pairs.verdict(accuracy, [0.7] * 10, [0.8] * 10).startswith("acc: gain (better in 10 of 10")
+
+
 def test_ab_pairs_alternates_and_counts_wins(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "ab_pairs.py"
     spec = {
@@ -246,8 +290,10 @@ def test_ab_pairs_alternates_and_counts_wins(tmp_path):
         "pair 3 (parent first): run_s 11/7  macro_accuracy 0.4/0.6",
         "run_s (s, lower is better): parent median 10 [q1 9.5, q3 10.5]; "
         "change median 8 [q1 7.5, q3 8.5]; change better in 2 of 3",
+        "run_s: no regression (median better by 0.2, within the bound 0.25)",
         "macro_accuracy (fraction, higher is better): parent median 0.5 [q1 0.45, q3 0.5]; "
         "change median 0.5 [q1 0.5, q3 0.55]; change better in 1 of 3",
+        "macro_accuracy: no regression (median unchanged, within the bound 0.15)",
     ]
     calls = (tmp_path / "calls.log").read_text().splitlines()
     arguments = "--workload cohort_etl --seed 7 --seconds 20 --trace 0"
@@ -316,6 +362,37 @@ def test_preflight_rejects_unknown_stage_and_model():
             preflight({"synth": {}, **fragment})
     with pytest.raises(ConfigError, match="synth section or raw_dir"):
         preflight({})
+
+
+def test_preflight_refuses_every_stage_list_a_run_cannot_serve(tmp_path):
+    """All 128 subsets of the stages, checked by preflight alone: a list is
+    accepted when it runs something and every stage in it has the stages
+    it reads from."""
+
+    def serviceable(to_run, needs):
+        return bool(to_run) and all(needs.get(stage, set()) <= to_run for stage in to_run)
+
+    synth_needs = {"ingest": {"synth"}, "impute": {"ingest"}, "label": {"ingest"}, "dataset": {"label"},
+                   "evaluate": {"dataset"}, "analyze": {"label", "dataset"}}
+    variants = (
+        ({"synth": {}}, synth_needs, 13),
+        # a raw_dir run skips synth and ingests what is there
+        ({"raw_dir": str(tmp_path)}, {**synth_needs, "ingest": set()}, 2 * 12),
+        # without t-values, analyze reads only the labels
+        ({"synth": {}, "analyze": {"tvalues": False}}, {**synth_needs, "analyze": {"label"}}, 15),
+    )
+    for base, needs, n_accepted in variants:
+        accepted = 0
+        for mask in range(2 ** len(STAGES)):
+            stages = [s for i, s in enumerate(STAGES) if mask >> i & 1]
+            to_run = set(stages) - ({"synth"} if "raw_dir" in base else set())
+            if serviceable(to_run, needs):
+                assert preflight({**base, "stages": stages}).stages_to_run() == tuple(s for s in STAGES if s in to_run)
+                accepted += 1
+            else:
+                with pytest.raises(ConfigError, match=r"^config\.stages: [^\n]+$"):
+                    preflight({**base, "stages": stages})
+        assert accepted == n_accepted
 
 
 def test_preflight_requires_existing_inputs(tmp_path):
