@@ -21,6 +21,8 @@ _TABLE_ROWS = 256
 # running sum down a node's sorted rows gives the index of each left side,
 # and the node's total less a left side's index is the right side's.
 _WIDTH = _TABLE_ROWS + 1
+# A tree draws the candidate columns of this many nodes in one call.
+_DRAW_BLOCK = 64
 
 
 def _gini_terms(rows, positives):
@@ -71,22 +73,24 @@ def _best_split(
     at midpoints between consecutive distinct sorted values; a column's score
     is its first lowest one.  Ties between columns resolve to the first
     feature in `feature_idx` order: a later column must score lower by more
-    than 1e-12.  The rows of a side come in the split column's sorted order,
-    which cannot change their own splits: inside a run of equal values the
-    scores are masked, and at its end the positive count does not depend on
-    the order.
+    than 1e-12.  The sort need not be stable: inside a run of equal values
+    the scores are masked, and at its end the rows before the cut are the
+    same set in any order.  For the same reason the rows of a side, which
+    come in the split column's sorted order, split as they would in any
+    other.
     """
     n = idx.shape[0]
-    order = X[idx[:, None], feature_idx].argsort(axis=0, kind="stable")
-    rows = idx[order]
-    xs = X[rows, feature_idx]
-    index = steps[rows].cumsum(axis=0)
+    xs = X.take(idx, 0).take(feature_idx, 1)
+    order = xs.argsort(axis=0)
+    xs.sort(axis=0)
+    rows = idx.take(order)
+    index = steps.take(rows).cumsum(axis=0)
     weighted = _weighted_gini(index, n)
     # No threshold between equal values.
-    weighted[xs[1:] == xs[:-1]] = np.inf
+    np.putmask(weighted, xs[1:] == xs[:-1], np.inf)
     ks = weighted.argmin(axis=0)
     best_score, c, k = np.inf, -1, -1
-    for column, (row, score) in enumerate(zip(ks.tolist(), weighted.min(axis=0).tolist())):
+    for column, (row, score) in enumerate(zip(ks.tolist(), np.minimum.reduce(weighted).tolist())):
         if score < best_score - 1e-12:
             best_score, c, k = score, column, row
     if c < 0:
@@ -102,7 +106,55 @@ def _best_split(
     left = idx[go_left]
     if left.shape[0] == n:
         return None
-    return best_score, feat, thr, left, idx[~go_left], int(steps[left].sum()) - left.shape[0] * _WIDTH
+    return best_score, feat, thr, left, idx[~go_left], int(steps.take(left).sum()) - left.shape[0] * _WIDTH
+
+
+class _CandidateDraws:
+    """`np.sort(rng.choice(n, m, replace=False))` of successive calls, drawn
+    _DRAW_BLOCK calls at a time from the same random stream.
+
+    For a population of up to 10,000 (the schema has 39 columns), or a
+    sample of at most a fiftieth of it, `choice` runs Floyd's algorithm:
+    round t draws an integer below n - m + 1 + t and takes it, or the
+    round's top n - m + t when it is taken already.  It then shuffles the m
+    values with draws below m, m - 1, ..., 2, which the sort undoes.
+    `integers` over an array of bounds draws each value with the same
+    bounded-integer routine on the same 32-bit words, so one call over a
+    call's bounds repeated _DRAW_BLOCK times holds the integers of the next
+    _DRAW_BLOCK calls.  A larger population sampled more densely is drawn
+    one `choice` call per set.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, m: int) -> None:
+        self.rng, self.n, self.m = rng, n, m
+        self.blockwise = n <= 10_000 or m <= n // 50
+        bounds = np.concatenate((np.arange(n - m + 1, n + 1), np.arange(m, 1, -1)))
+        self.block_bounds = np.tile(bounds, (_DRAW_BLOCK, 1))
+        self.sets = None
+        self.used = _DRAW_BLOCK
+        self.state = None  # the generator's state before the current block
+
+    def take(self) -> np.ndarray:
+        if not self.blockwise:
+            return np.sort(self.rng.choice(self.n, size=self.m, replace=False))
+        if self.used == _DRAW_BLOCK:
+            self.state = self.rng.bit_generator.state
+            sets = self.rng.integers(0, self.block_bounds)[:, : self.m]
+            for t in range(1, self.m):
+                taken = (sets[:, :t] == sets[:, t, None]).any(axis=1)
+                np.putmask(sets[:, t], taken, self.n - self.m + t)
+            sets.sort(axis=1)
+            self.sets, self.used = sets, 0
+        self.used += 1
+        return self.sets[self.used - 1]
+
+    def finish(self) -> None:
+        """Leave the generator where the `choice` calls taken so far would
+        have: back before the last block, then the integers of its sets
+        that were taken."""
+        if self.state is not None and self.used < _DRAW_BLOCK:
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(0, self.block_bounds[: self.used])
 
 
 @dataclass
@@ -119,6 +171,14 @@ class DecisionTree:
         lists = (self.feature, self.threshold, self.left, self.right, self.value)
         if len({len(nodes) for nodes in lists}) > 1:
             raise SchemaError("tree node lists differ in length")
+        # A split's children follow it, so every walk down the tree ends.
+        count = len(self.feature)
+        for node, (feat, lo, hi) in enumerate(zip(self.feature, self.left, self.right)):
+            if not (node < lo < count and node < hi < count if feat >= 0 else feat == lo == hi == -1):
+                raise SchemaError(
+                    f"tree node {node}: feature {feat} with children {lo} and {hi}; a split's "
+                    f"children must follow it among {count} nodes, and a leaf has feature and children -1"
+                )
 
     def fit(
         self,
@@ -133,6 +193,7 @@ class DecisionTree:
         candidate columns from `rng` at every node that may split."""
         n_features = X.shape[1]
         all_features = np.arange(n_features)
+        draws = _CandidateDraws(rng, n_features, max_features) if max_features < n_features else None
         steps = y.astype(np.intp) + _WIDTH
         feature, threshold, left, right, value = self.feature, self.threshold, self.left, self.right, self.value
         # Depth first, left child first: node ids and rng draws come in the
@@ -158,10 +219,7 @@ class DecisionTree:
                 or n_pos in (0, n)
             ):
                 continue
-            if max_features >= n_features:
-                candidates = all_features
-            else:
-                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+            candidates = all_features if draws is None else draws.take()
             split = _best_split(X, steps, idx, candidates)
             if split is None:
                 continue
@@ -169,6 +227,8 @@ class DecisionTree:
             left[node] = node + 1
             stack.append((rows_right, depth + 1, n_pos - pos_left, node))
             stack.append((rows_left, depth + 1, pos_left, -1))
+        if draws is not None:
+            draws.finish()
         return self
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:

@@ -285,6 +285,12 @@ def _drop_feature(doc, fid):
     day["provenance"].pop(fid)
 
 
+def _set_root(doc, **values):
+    tree = doc["model"]["trees"][0]
+    for key, value in values.items():
+        tree[key][0] = value
+
+
 MALFORMED_CASES = [
     ("dataset", lambda d: d["rows"][0].pop("features"), 4),
     ("labels", lambda d: d["participants"][0].pop("target"), 4),
@@ -294,6 +300,9 @@ MALFORMED_CASES = [
     ("timeline", lambda d: _drop_feature(d, "sleep_deep"), 5),
     ("timeline", lambda d: d["days"][1]["provenance"].update(extra="measured"), 5),
     ("model_RF", lambda d: d.pop("seed"), 4),
+    # a split whose child points back loops forever when scored; -1 reads as the last node
+    ("model_RF", lambda d: _set_root(d, feature=0, left=0), 5),
+    ("model_RF", lambda d: _set_root(d, feature=0, right=-1), 5),
     ("cohort", lambda d: d.update(n_participant=3), 2),
 ]
 

@@ -22,11 +22,13 @@ from affectpipe.learners import (
     train,
 )
 from affectpipe.learners.forest import (
+    _DRAW_BLOCK,
     _TABLE_ROWS,
     _WIDTH,
     DecisionTree,
     RandomForestModel,
     _best_split,
+    _CandidateDraws,
     _gini_table,
     _weighted_gini,
 )
@@ -278,6 +280,82 @@ def test_tree_fit_equals_the_per_feature_reference():
                     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
                     fits += 1
     assert fits == 5 * 5 * 3 * 3
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_candidate_draws_equal_sequential_choice(buffered):
+    """Block draws give the sets and leave the generator state of one sorted
+    `choice` call per set, across and inside blocks, whether or not the
+    generator holds half of a 64-bit word when the draws begin."""
+    # the schema's shape, m = 1, m = n - 1, and populations above 10,000
+    # that `choice` samples with Floyd's algorithm and by a tail shuffle
+    shapes = [(39, 6), (5, 1), (5, 2), (5, 4), (2, 1), (39, 38), (13, 3), (6, 2), (20_000, 3), (20_000, 500)]
+    counts = [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 2]
+    for seed in range(3):
+        for n, m in shapes:
+            for count in counts:
+                rng_ref = np.random.default_rng(seed)
+                rng_new = np.random.default_rng(seed)
+                if buffered:
+                    for rng in (rng_ref, rng_new):
+                        rng.integers(0, 2**32, dtype=np.uint32)
+                        assert rng.bit_generator.state["has_uint32"] == 1
+                want = [np.sort(rng_ref.choice(n, size=m, replace=False)) for _ in range(count)]
+                draws = _CandidateDraws(rng_new, n, m)
+                got = [draws.take() for _ in range(count)]
+                draws.finish()
+                assert [g.tolist() for g in got] == [w.tolist() for w in want], (n, m, count)
+                assert rng_new.bit_generator.state == rng_ref.bit_generator.state, (n, m, count)
+
+
+def test_best_split_does_not_depend_on_the_row_order():
+    """The unstable sort may order tied rows any way: the split, its
+    positive count and the rows on each side stay the same."""
+    data = np.random.default_rng(23)
+    for n in (9, 60, 300):
+        lo = float(data.normal())
+        X = np.column_stack([
+            data.integers(0, 4, size=n).astype(float),  # tied integer values
+            np.where(data.random(n) < 0.5, lo, np.nextafter(lo, np.inf)),  # adjacent floats
+            data.integers(0, 2, size=n).astype(float),
+            np.round(data.normal(size=n), 1),
+        ])
+        y = (X[:, 0] + X[:, 3] + data.normal(size=n) > 1.0).astype(np.int8)
+        steps = y.astype(np.intp) + _WIDTH
+
+        def split_of(idx, feature_idx):
+            split = _best_split(X, steps, idx, feature_idx)
+            if split is None:
+                return None
+            impurity, feat, thr, left, right, pos_left = split
+            return impurity, feat, thr, sorted(left.tolist()), sorted(right.tolist()), pos_left
+
+        for feature_idx in (np.arange(4), np.array([1]), np.array([0, 2])):
+            want = split_of(np.arange(n), feature_idx)
+            for _ in range(20):
+                assert split_of(data.permutation(n), feature_idx) == want
+        assert want is not None
+
+
+def test_tree_nodes_must_point_forward():
+    """A split's children follow it and a leaf has none, so every walk down
+    a tree ends; a tree read from a file that breaks this is refused."""
+    tree = DecisionTree(feature=[1, -1, 0, -1, -1], threshold=[0.5, 0.0, 2.0, 0.0, 0.0],
+                        left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1], value=[0.5, 0.0, 0.75, 1.0, 0.5])
+    assert tree.leaf_values(np.array([[9.0, 0.0], [1.0, 1.0], [3.0, 1.0]])).tolist() == [0.0, 1.0, 0.5]
+    nodes = {"feature": [0, -1, -1], "threshold": [0.0] * 3, "left": [1, -1, -1],
+             "right": [2, -1, -1], "value": [0.5] * 3}
+    DecisionTree(**nodes)
+    for bad in (
+        {"left": [0, -1, -1]},  # back to itself: a walk never ends
+        {"feature": [0, 0, -1], "left": [1, 2, -1], "right": [2, 0, -1]},  # a deeper cycle
+        {"right": [-1, -1, -1]},  # -1 would read as the last node
+        {"left": [1, -1, -1], "right": [3, -1, -1]},  # past the last node
+        {"feature": [0, -1, -2]},
+        {"left": [1, 2, -1]},  # a leaf with a child
+    ):
+        with pytest.raises(SchemaError, match=r"^tree node \d: "):
+            DecisionTree(**{**nodes, **bad})
 
 
 def test_a_fitted_forest_leaves_no_reference_cycles():

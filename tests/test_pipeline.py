@@ -395,6 +395,36 @@ def test_preflight_refuses_every_stage_list_a_run_cannot_serve(tmp_path):
         assert accepted == n_accepted
 
 
+def test_every_stage_list_preflight_accepts_runs(tmp_path, capsys):
+    """Each of the 13 lists preflight accepts with a synth section runs to
+    exit 0 on a tiny cohort, and a refused list exits 2 before any output."""
+    overrides = {
+        "synth": dict(SYNTH_SECTION, n_days=70),
+        "evaluate": {"model": "rf", "hyperparameters": {"n_trees": 3}, "folds": 3},
+    }
+    config_path, cfg = run_config(tmp_path, **overrides)
+    accepted = 0
+    for mask in range(2 ** len(STAGES)):
+        stages = [s for i, s in enumerate(STAGES) if mask >> i & 1]
+        try:
+            preflight({**cfg, "stages": stages})
+        except ConfigError:
+            continue
+        dump_json(config_path, {**cfg, "stages": stages})
+        out = tmp_path / f"run_{mask}"
+        assert main(["run", "--config", str(config_path), "--out-dir", str(out)]) == 0, stages
+        assert (out / "manifest.json").exists()
+        accepted += 1
+    assert accepted == 13
+    for stages in (["synth", "ingest", "impute", "label", "analyze"], ["analyze"], []):
+        dump_json(config_path, {**cfg, "stages": stages})
+        out = tmp_path / "refused"
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config.stages: ")
+        assert not out.exists()
+
+
 def test_preflight_requires_existing_inputs(tmp_path):
     with pytest.raises(MissingInputError):
         preflight({"synth": {"config_path": str(tmp_path / "nope.json")}})
