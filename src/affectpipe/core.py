@@ -16,13 +16,14 @@ import contextlib
 import functools
 import json
 import math
+import os
 from collections import abc
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import Any, ClassVar, Iterable, Mapping, NoReturn, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -379,34 +380,76 @@ class RawJSON(str):
     __repr__ = str.__str__
 
 
+@dataclass(frozen=True)
+class RawJSONPieces:
+    """Canonical JSON text rendered piece by piece: each iteration calls
+    ``render`` afresh, so a payload can be written more than once and the
+    whole text never exists at once.  canonical_json joins the pieces of a
+    top-level value of this type; dump_json writes each as it comes."""
+
+    render: Callable[[], Iterable[str]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.render())
+
+
 def _canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _json_pieces(payload: dict) -> Iterator[str]:
+    """The canonical JSON text of ``payload`` in order, in pieces."""
+    if not any(isinstance(value, (RawJSON, RawJSONPieces)) for value in payload.values()):
+        yield _canonical(payload)
+        return
+    opening = "{"
+    for key, value in sorted(payload.items()):
+        yield opening + json.dumps(key) + ":"
+        opening = ","
+        if isinstance(value, RawJSONPieces):
+            yield from value
+        else:
+            yield value if isinstance(value, RawJSON) else _canonical(value)
+    yield "}"
+
+
 def canonical_json(payload: dict) -> str:
     """Canonical JSON text (sorted keys, fixed separators); NaN and Infinity
-    are refused.  A top-level value that is RawJSON is written as it stands."""
-    if not any(isinstance(value, RawJSON) for value in payload.values()):
-        return _canonical(payload)
-    # One join, so a long RawJSON value is copied once.
-    pieces = []
-    for key, value in sorted(payload.items()):
-        pieces += [",", json.dumps(key), ":", value if isinstance(value, RawJSON) else _canonical(value)]
-    pieces[0] = "{"
-    pieces.append("}")
-    return "".join(pieces)
+    are refused.  A top-level value that is RawJSON is written as it stands,
+    and one that is RawJSONPieces as its pieces joined."""
+    return "".join(_json_pieces(payload))
 
 
 def dump_json(path: Path | str, payload: dict) -> None:
-    """Write a canonical JSON document."""
+    """Write a canonical JSON document piece by piece (see canonical_json).
+
+    The pieces go to a temporary file beside the file ``path`` names (a
+    symlink's target), which replaces it only once the whole document is
+    written: a write that fails leaves no file, and an older file as it
+    was.  A device or pipe, such as /dev/stdout, is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with path.open("w", encoding="utf-8") as handle:
+            _write_pieces(handle, path, payload)
+        return
+    target = path.resolve()
+    partial = target.with_name(f".{target.name}.partial")
     try:
-        text = canonical_json(payload)
+        with partial.open("w", encoding="utf-8") as handle:
+            _write_pieces(handle, path, payload)
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _write_pieces(handle: TextIO, path: Path, payload: dict) -> None:
+    try:
+        for piece in _json_pieces(payload):
+            handle.write(piece)
     except ValueError as exc:
         raise PipelineError(f"{path}: {exc}") from exc
-    # Two writes: text + "\n" would copy the whole document once more.
-    with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
+    handle.write("\n")
 
 
 def check_output(path: Path | str, directory: bool = False) -> None:

@@ -8,11 +8,12 @@ magnitude (ties go to PA) and maps its sign to Happy/Sad.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .core import (
     FeatureSchema,
     Modality,
     ParticipantTimeline,
+    RawJSONPieces,
     column_means,
     default_polarity,
     dump_json,
@@ -29,7 +31,7 @@ from .core import (
     read_json,
     to_json,
 )
-from .errors import ConfigError, InputFormatError, InsufficientDataError, NoDataError, SchemaError
+from .errors import ConfigError, InputFormatError, InsufficientDataError, NoDataError, PipelineError, SchemaError
 
 TARGET_KINDS = ("single_item", "pa", "na", "compiled_mood")
 # The target names a run config and the CLI accept (see parse_target).
@@ -472,10 +474,36 @@ class _DatasetDocument:
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
-    rows = zip(ds.participant_ids, ds.dates, ds.y.tolist(), ds.X)
-    return to_json(
-        _DatasetDocument(ds.feature_ids, ds.target, tuple(_DatasetRow(*r) for r in rows), ds.alignment)
-    )
+    """The dataset document, its ``rows`` rendered as canonical JSON text
+    one row at a time while it is written (see RawJSONPieces).
+
+    A row is one % template: its date, its features as %r of Python floats,
+    its label and its participant id as JSON.  A non-finite feature value
+    raises PipelineError here, before any text is rendered.
+    """
+    finite = np.isfinite(ds.X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise PipelineError(
+            f"dataset {ds.participant_ids[row]}: {ds.dates[row]} {ds.feature_ids[col]!r}: "
+            f"{ds.X[row, col]} is not a finite number"
+        )
+    features = ",".join(["%r"] * len(ds.feature_ids))
+    row_template = '{"date":"%s","features":[' + features + '],"label":%d,"participant_id":%s}'
+
+    def rows() -> Iterator[str]:
+        yield "["
+        pid, pid_text, opening = None, "", ""
+        for values, day, label, participant in zip(ds.X, ds.dates, ds.y.tolist(), ds.participant_ids):
+            if participant != pid:
+                pid, pid_text = participant, json.dumps(participant)
+            yield opening + row_template % (day.isoformat(), *values.tolist(), label, pid_text)
+            opening = ","
+        yield "]"
+
+    doc = to_json(_DatasetDocument(ds.feature_ids, ds.target, (), ds.alignment))
+    doc["rows"] = RawJSONPieces(rows)
+    return doc
 
 
 def dataset_from_dict(payload: dict) -> Dataset:

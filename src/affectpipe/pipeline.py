@@ -210,7 +210,12 @@ class RunManifest:
 
 
 def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """sha256 of a file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # The steps of each stage, which PipelineRun and the subcommands share.

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from affectpipe.core import (
     ParticipantTimeline,
     PROVENANCES,
     Provenance,
+    RawJSON,
+    RawJSONPieces,
     canonical_json,
     default_polarity,
     default_schema,
@@ -264,6 +268,46 @@ def test_dump_json_is_key_order_invariant(tmp_path) -> None:
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().endswith(b"\n")
     assert read_json(a) == {"x": 1, "y": {"a": 3, "b": 2}}
+
+
+def test_a_failed_write_leaves_no_file(tmp_path) -> None:
+    def pieces():
+        yield "["
+        raise ValueError("Out of range float values are not JSON compliant")
+
+    path = tmp_path / "doc.json"
+    for _ in range(2):
+        with pytest.raises(PipelineError, match="doc.json: Out of range float"):
+            dump_json(path, {"rows": RawJSONPieces(pieces), "x": 1})
+        assert list(tmp_path.iterdir()) == []
+    dump_json(path, {"x": 1})
+    before = path.read_bytes()
+    with pytest.raises(PipelineError):
+        dump_json(path, {"rows": RawJSONPieces(pieces)})
+    with pytest.raises(PipelineError):
+        dump_json(path, {"x": float("nan")})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_dump_json_writes_pieces_as_canonical_json_joins_them(tmp_path) -> None:
+    payload = {"b": RawJSONPieces(lambda: ["[", "1", ",", "2", "]"]), "a": RawJSON('{"k":true}'), "c": [3]}
+    text = canonical_json(payload)
+    assert text == '{"a":{"k":true},"b":[1,2],"c":[3]}'
+    for name in ("first.json", "second.json"):
+        dump_json(tmp_path / name, payload)
+        assert (tmp_path / name).read_text(encoding="utf-8") == text + "\n"
+
+
+def test_dump_json_replaces_a_link_target_and_writes_a_device_in_place(tmp_path) -> None:
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    dump_json(link, {"x": 1})
+    assert link.is_symlink() and target.read_text() == '{"x":1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+    dump_json(os.devnull, {"x": 1})
+    assert Path(os.devnull).is_char_device()
 
 
 def test_schema_round_trip(schema):

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_MISSING, Modality, from_json, to_json
-from affectpipe.errors import InsufficientDataError, NoDataError, SchemaError
+from affectpipe.core import CODE_MISSING, Modality, canonical_json, default_polarity, default_schema, dump_json, from_json, to_json
+from affectpipe.errors import InsufficientDataError, NoDataError, PipelineError, SchemaError
 from affectpipe.labels import (
+    ALIGNMENTS,
     EXCLUDE_MIDDLE_BAND,
     EXCLUDE_MISSING_AFFECT,
+    Dataset,
     Label,
     LabelSet,
     TargetSpec,
@@ -28,6 +34,7 @@ from affectpipe.labels import (
     dataset_to_dict,
     median_split_labels,
     percentile_thresholds,
+    save_dataset,
 )
 
 from conftest import D0, TINY_SCHEMA, make_report, make_timeline, series_timeline
@@ -408,13 +415,100 @@ def test_dataset_round_trip():
     tl = ramp_timeline()
     ls = build_labels(tl, TargetSpec(kind="pa"))
     ds = build_dataset(tl, ls, TINY_SCHEMA)
-    back = dataset_from_dict(dataset_to_dict(ds))
+    back = dataset_from_dict(json.loads(canonical_json(dataset_to_dict(ds))))
     assert back.feature_ids == ds.feature_ids
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
     assert back.dates == ds.dates
     assert back.participant_ids == ds.participant_ids
     assert back.target == ds.target
+
+
+def reference_dataset_document(ds):
+    """The dict the dataset renderer replaced, for json.dumps to write."""
+    target = {"kind": ds.target.kind, "item_id": ds.target.item_id, "scope": ds.target.scope}
+    rows = [
+        {"participant_id": pid, "date": day.isoformat(), "label": label, "features": values}
+        for pid, day, label, values in zip(ds.participant_ids, ds.dates, ds.y.tolist(), ds.X.tolist())
+    ]
+    return {
+        "format_version": 1,
+        "feature_ids": list(ds.feature_ids),
+        "target": target,
+        "rows": rows,
+        "alignment": ds.alignment,
+    }
+
+
+# Quotes, backslashes, control and non-ASCII characters.
+NAMES = st.text(st.sampled_from('ab"\\\n\x00\u00e9\u4e2d\U0001f600%'), max_size=6)
+TARGETS = st.sampled_from(["pa", "na", "compiled_mood"]).map(TargetSpec) | st.builds(
+    TargetSpec, st.just("single_item"), st.sampled_from(default_polarity().all_items()), st.sampled_from(["pooled"])
+)
+
+
+@st.composite
+def datasets(draw):
+    fids = tuple(draw(st.lists(NAMES, unique=True, max_size=4)))
+    n = draw(st.integers(0, 6))
+    numbers = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, 0.1])
+    X = np.array(draw(st.lists(numbers, min_size=n * len(fids), max_size=n * len(fids))), dtype=float)
+    return Dataset(
+        feature_ids=fids,
+        X=X.reshape(n, len(fids)),
+        y=np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)), dtype=np.int8),
+        dates=tuple(draw(st.lists(st.dates(), min_size=n, max_size=n))),
+        participant_ids=tuple(draw(st.lists(NAMES, min_size=n, max_size=n))),
+        target=draw(TARGETS),
+        alignment=draw(st.sampled_from(ALIGNMENTS)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=datasets(), run_id=st.none() | NAMES)
+def test_dataset_text_equals_the_dict_written_by_json(ds, run_id):
+    expected, payload = reference_dataset_document(ds), dataset_to_dict(ds)
+    if run_id is not None:
+        expected["run_id"] = payload["run_id"] = run_id
+    written = json.dumps(expected, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert canonical_json(payload) == written
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "first.json", Path(tmp) / "second.json"]
+        for path in paths:
+            dump_json(path, payload)
+            assert path.read_bytes() == (written + "\n").encode("utf-8")
+
+
+def test_dataset_text_refuses_a_planted_non_finite_value(tmp_path):
+    tl = ramp_timeline("p01")
+    ds = build_dataset(tl, build_labels(tl, TargetSpec(kind="pa")), TINY_SCHEMA)
+    for bad in (np.nan, -np.inf):
+        ds.X[3, 1] = bad
+        with pytest.raises(PipelineError) as caught:
+            save_dataset(tmp_path / "ds.json", ds)
+        assert str(caught.value) == f"dataset p01: {ds.dates[3]} 'heart_rate': {bad} is not a finite number"
+        assert not (tmp_path / "ds.json").exists()
+
+
+def test_writing_a_dataset_holds_one_row_at_a_time(tmp_path):
+    n, fids = 5000, default_schema().feature_ids()
+    ds = Dataset(
+        feature_ids=fids,
+        X=np.random.default_rng(0).normal(100.0, 30.0, size=(n, len(fids))),
+        y=np.arange(n, dtype=np.int8) % 2,
+        dates=tuple(D0 + timedelta(days=i % 400) for i in range(n)),
+        participant_ids=tuple(f"p{i // 400:02d}" for i in range(n)),
+        target=TargetSpec(kind="pa"),
+    )
+    tracemalloc.start()
+    try:
+        save_dataset(tmp_path / "ds.json", ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text is about 3.9 MB; the whole document as dicts or text is 8-19 MB
+    assert (tmp_path / "ds.json").stat().st_size > 3_500_000
+    assert peak < 1_000_000
 
 
 def test_dataset_label_codes_are_binary():

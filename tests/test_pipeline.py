@@ -132,6 +132,19 @@ def test_manifest_digests_match_disk(finished_run):
     assert set(manifest.outputs) == on_disk
 
 
+def test_manifest_digests_equal_sha256_of_whole_files(tmp_path):
+    config_path, _ = run_config(tmp_path, stages=["synth", "ingest"])
+    out = tmp_path / "out"
+    out.mkdir()
+    # A file the run finds in its directory is listed too; this one spans
+    # two full 1 MiB read blocks and part of a third.
+    (out / "large.bin").write_bytes(os.urandom((5 << 20) // 2))
+    outputs = run_pipeline(config_path, out_dir_override=out).outputs
+    assert "large.bin" in outputs and "timelines/p01.json" in outputs
+    for rel, digest in outputs.items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+
 def test_run_id_is_config_hash_and_embedded_everywhere(finished_run):
     cfg, out, manifest = finished_run
     effective = dict(cfg)
@@ -308,6 +321,21 @@ def test_ab_pairs_alternates_and_counts_wins(tmp_path):
     # different benchmarks are not compared
     (tmp_path / "change" / "perfbench" / "run.py").write_text(FAKE_RUN + "\n")
     assert ab(1) == (2, [])
+
+
+def test_stage_peaks_prints_each_stage_that_ran(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "stage_peaks.py"
+    config_path, _ = run_config(tmp_path, stages=["synth", "ingest", "impute", "label", "dataset"])
+    done = subprocess.run([sys.executable, str(script), str(config_path), "--seed", "3"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert lines[0] == ["stage", "wall_s", "peak_rss_mb"]
+    assert [line[0] for line in lines[1:]] == ["start", "synth", "ingest", "impute", "label", "dataset",
+                                               "manifest", "total"]
+    peaks = [float(line[2]) for line in lines[1:]]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 # ---------------------------------------------------------------------------
