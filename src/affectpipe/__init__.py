@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .core import (
     AffectReport,
+    DailyAffect,
     DailyFeatureVector,
     FeatureSchema,
     FeatureSpec,
@@ -31,6 +32,7 @@ from .errors import (
 __all__ = [
     "__version__",
     "AffectReport",
+    "DailyAffect",
     "DailyFeatureVector",
     "FeatureSchema",
     "FeatureSpec",

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AffectReport, FeatureSchema, ParticipantTimeline, ordinals
+from .core import FeatureSchema, ParticipantTimeline, ordinals
 from .errors import InsufficientDataError
 from .learners import TrainedModel
 
@@ -65,25 +65,25 @@ def feature_affect_correlations(
     """
     lag = 1 if alignment == "next_day" else 0
     fids = schema.feature_ids()
-    xs, ys = [np.empty((0, len(fids)))], [np.empty((0, len(targets)))]
+    # Every timeline's rows go straight into one X and one Y, in order.
+    n = sum(len(timeline.dates) for timeline in timelines)
+    X, Y = np.empty((n, len(fids))), np.empty((n, len(targets)))
+    start = 0
     for timeline in timelines:
+        stop = start + len(timeline.dates)
         rows = timeline.rows_at(ordinals(timeline.dates) + lag)
-        reports = [timeline.affect[r] if r >= 0 else None for r in rows]
-        composites = [[_composite(report, t) for t in targets] for report in reports]
-        xs.append(timeline.columns(fids))
-        ys.append(np.array(composites, dtype=float).reshape(len(rows), len(targets)))
-    X, Y = np.concatenate(xs), np.concatenate(ys)
+        X[start:stop] = timeline.columns(fids)
+        composites = {"pa": timeline.affect.pa, "na": timeline.affect.na}
+        for k, target in enumerate(targets):
+            column = composites.get(target)
+            Y[start:stop, k] = np.nan if column is None else np.where(rows >= 0, column[rows], np.nan)
+        start = stop
     out: dict[tuple[str, str], float | None] = {}
     for j, fid in enumerate(fids):
         for k, t in enumerate(targets):
             pair = ~np.isnan(X[:, j]) & ~np.isnan(Y[:, k])
             out[(fid, t)] = pearson_r(X[pair, j], Y[pair, k]) if pair.sum() >= MIN_CORR_PAIRS else None
     return out
-
-
-def _composite(report: AffectReport | None, target: str) -> float | None:
-    """A report's PA or NA composite; None for no report or no composite."""
-    return None if report is None else {"pa": report.pa, "na": report.na}.get(target)
 
 
 def last_week_dates(year: int, month: int) -> list[date]:

@@ -4,10 +4,12 @@ participant timelines, plus the JSON codec.
 A participant timeline holds a days x features matrix: one row per calendar
 day (dates strictly increasing), one column per feature id.  ``values`` is a
 float matrix with NaN where a value is missing; ``provenance`` is an int8
-matrix of codes into ``PROVENANCES`` (measured, imputed or missing).  Each
-row also carries the day's affect report, when the participant answered the
-end-of-day survey: twenty 0-100 emotion ratings and their positive/negative
-composites.  ``timeline.days`` shows the same data day by day, as dicts.
+matrix of codes into ``PROVENANCES`` (measured, imputed or missing).  Its
+``affect`` holds the end-of-day survey as arrays aligned with the same dates
+(see DailyAffect): a days x items matrix of 0-100 ratings with NaN where an
+item was not answered, a flag for each day that has a report, and the
+positive/negative composites (PA, NA), NaN where a day has none.
+``timeline.days`` shows the features day by day, as dicts.
 """
 
 from __future__ import annotations
@@ -140,10 +142,6 @@ class AffectReport:
             if not 0.0 <= rating <= 100.0:
                 raise InputFormatError(f"{self.day}: rating for {item_id!r} out of [0, 100]: {rating}")
 
-    @property
-    def complete(self) -> bool:
-        return self.pa is not None and self.na is not None
-
     @classmethod
     def from_items(cls, day: date, items: dict[str, float], polarity: ItemPolarity) -> AffectReport:
         if not polarity.known.issuperset(items):
@@ -183,25 +181,78 @@ class DailyFeatureVector:
 class TimelineDay:
     day: date
     features: DailyFeatureVector
-    affect: AffectReport | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class DailyAffect:
+    """A timeline's end-of-day surveys, one row per date of the timeline.
+
+    ``ratings`` has one column per item id (``item_ids``, sorted), NaN where
+    the item was not answered; ``reported`` is true on the days with a
+    report; ``pa`` and ``na`` are the composites, NaN where a day has none.
+    A day without a report holds no rating and no composite.
+    """
+
+    item_ids: tuple[str, ...]
+    ratings: np.ndarray
+    reported: np.ndarray
+    pa: np.ndarray
+    na: np.ndarray
+
+    @classmethod
+    def from_reports(cls, n_days: int, rows: Sequence[int] | np.ndarray, reports: Sequence[Any]) -> DailyAffect:
+        """The arrays of ``n_days`` days with one report on each of ``rows``;
+        a report is anything with ``items`` (ratings by item id), ``pa`` and
+        ``na`` (None for no composite).  The composites are copied, not
+        recomputed."""
+        item_ids = tuple(sorted(set().union(*(report.items for report in reports))))
+        ratings = np.full((n_days, len(item_ids)), np.nan)
+        reported = np.zeros(n_days, dtype=bool)
+        pa, na = np.full(n_days, np.nan), np.full(n_days, np.nan)
+        if reports:
+            # A float array reads None, what dict.get gives for an item not
+            # answered or a missing composite, as NaN.
+            ratings[rows] = np.array([list(map(r.items.get, item_ids)) for r in reports], dtype=float)
+            reported[rows] = True
+            pa[rows] = np.array([r.pa for r in reports], dtype=float)
+            na[rows] = np.array([r.na for r in reports], dtype=float)
+        return cls(item_ids, ratings, reported, pa, na)
+
+    @property
+    def complete(self) -> np.ndarray:
+        """The days with both composites, so with all twenty items answered."""
+        return ~np.isnan(self.pa) & ~np.isnan(self.na)
+
+    def column(self, item_id: str) -> np.ndarray:
+        """The ratings of one item; all NaN for an item no report has."""
+        if item_id not in self.item_ids:
+            return np.full(len(self.reported), np.nan)
+        return self.ratings[:, self.item_ids.index(item_id)]
 
 
 @dataclass(frozen=True, eq=False)
 class ParticipantTimeline:
-    """One participant's days as a days x features matrix (see the module
-    docstring); ``affect`` holds one report or None per date."""
+    """One participant's days as a days x features matrix and their affect
+    as arrays on the same days (see the module docstring)."""
 
     participant_id: str
     feature_ids: tuple[str, ...]
     dates: tuple[date, ...]
     values: np.ndarray
     provenance: np.ndarray
-    affect: tuple[AffectReport | None, ...]
+    affect: DailyAffect
 
     def __post_init__(self) -> None:
         pid, shape = self.participant_id, (len(self.dates), len(self.feature_ids))
-        if self.values.shape != shape or self.provenance.shape != shape or len(self.affect) != shape[0]:
+        if self.values.shape != shape or self.provenance.shape != shape:
             raise SchemaError(f"{pid}: arrays do not match {shape[0]} dates x {shape[1]} features")
+        affect = self.affect
+        if affect.ratings.shape != (shape[0], len(affect.item_ids)) or affect.reported.dtype != bool or any(
+            column.shape != shape[:1] for column in (affect.reported, affect.pa, affect.na)
+        ):
+            raise SchemaError(f"{pid}: affect arrays do not match {shape[0]} dates x {len(affect.item_ids)} items")
+        if list(affect.item_ids) != sorted(set(affect.item_ids)):
+            raise SchemaError(f"{pid}: affect item ids are not sorted and distinct")
         later = np.flatnonzero(np.diff(ordinals(self.dates)) <= 0)
         if later.size:
             raise SchemaError(f"{pid}: dates not strictly increasing at {self.dates[later[0] + 1]}")
@@ -210,9 +261,10 @@ class ParticipantTimeline:
             raise SchemaError(
                 f"{self.dates[rows[0]]}: {self.feature_ids[cols[0]]!r} value/provenance disagree on missingness"
             )
-        for day, report in zip(self.dates, self.affect):
-            if report is not None and report.day != day:
-                raise SchemaError(f"affect report dated {report.day} attached to {day}")
+        held = ~np.isnan(affect.ratings).all(axis=1) | ~np.isnan(affect.pa) | ~np.isnan(affect.na)
+        stray = np.flatnonzero(held & ~affect.reported)
+        if stray.size:
+            raise SchemaError(f"{pid}: {self.dates[stray[0]]}: affect values on a day without a report")
 
     def rows_at(self, days: np.ndarray) -> np.ndarray:
         """The row of each day number (see ordinals), -1 where the timeline
@@ -232,13 +284,13 @@ class ParticipantTimeline:
 
     @property
     def days(self) -> tuple[TimelineDay, ...]:
-        """The timeline day by day, built from the arrays on each access."""
+        """The features day by day, built from the arrays on each access."""
         fids = self.feature_ids
         values = np.where(self.provenance == CODE_MISSING, None, self.values).tolist()
         provenance = np.array(PROVENANCES, dtype=object)[self.provenance].tolist()
         return tuple(
-            TimelineDay(day, DailyFeatureVector(day, dict(zip(fids, v)), dict(zip(fids, p))), report)
-            for day, v, p, report in zip(self.dates, values, provenance, self.affect)
+            TimelineDay(day, DailyFeatureVector(day, dict(zip(fids, v)), dict(zip(fids, p))))
+            for day, v, p in zip(self.dates, values, provenance)
         )
 
 
@@ -253,7 +305,7 @@ def column_means(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 def valid_affect_day_count(timeline: ParticipantTimeline) -> int:
     """Number of days with a complete (all twenty items answered) affect report."""
-    return sum(1 for a in timeline.affect if a is not None and a.complete)
+    return int(np.count_nonzero(timeline.affect.complete))
 
 
 def filter_eligible_participants(
@@ -686,14 +738,6 @@ class _TimelineDocument:
 _NULL = RawJSON("null")
 
 
-def _json_number(value: Any) -> Any:
-    """What %r must get to write ``value`` as JSON: a finite float as itself,
-    null for None, and any other value as json.dumps writes it."""
-    if type(value) is float and math.isfinite(value):
-        return value
-    return _NULL if value is None else RawJSON(_canonical(value))
-
-
 def _members(keys: Iterable[str]) -> list[str]:
     """Each key as JSON text followed by a colon."""
     return [json.dumps(key) + ":" for key in keys]
@@ -704,71 +748,121 @@ def _template(members: list[str]) -> str:
     return ",".join(member.replace("%", "%%") + "%r" for member in members)
 
 
+def _pattern_bytes(matrix: np.ndarray) -> Callable[[int], bytes]:
+    """The bytes of row i of ``matrix``, by i."""
+    width, data = matrix.shape[1] * matrix.itemsize, np.ascontiguousarray(matrix).tobytes()
+    return lambda i: data[i * width:(i + 1) * width]
+
+
 def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
-    """The timeline document, its ``days`` rendered as canonical JSON text.
+    """The timeline document, its ``days`` rendered as canonical JSON text
+    one day at a time while it is written (see RawJSONPieces).
 
     A day is one % template over Python floats, with features and provenance
     in sorted key order; provenance text is built once per distinct day
-    pattern and affect text from one template per item-key set.  A
-    non-finite value outside a missing cell raises PipelineError.
+    pattern and affect text from one template per answered-item pattern.  A
+    non-finite value outside a missing cell, rating or composite raises
+    PipelineError here, before any text is rendered.
     """
-    pid, values, codes = timeline.participant_id, timeline.values, timeline.provenance
+    pid, dates, values, codes, affect = (
+        timeline.participant_id, timeline.dates, timeline.values, timeline.provenance, timeline.affect
+    )
     missing = codes == CODE_MISSING
     bad = np.argwhere(~(missing | np.isfinite(values)))
     if bad.size:
         row, col = bad[0]
         raise PipelineError(
-            f"timeline {pid}: {timeline.dates[row]} {timeline.feature_ids[col]!r}: "
-            f"{values[row, col]} is not a finite number"
+            f"timeline {pid}: {dates[row]} {timeline.feature_ids[col]!r}: {values[row, col]} is not a finite number"
         )
+    # NaN marks what a day does not have, so only an infinity is refused.
+    numbers = np.column_stack([affect.ratings, affect.pa, affect.na])
+    bad = np.argwhere(np.isinf(numbers))
+    if bad.size:
+        row, col = bad[0]
+        name = (*affect.item_ids, "pa", "na")[col]
+        raise PipelineError(f"timeline {pid}: {dates[row]} affect: {name!r}: {numbers[row, col]} is not a finite number")
     # A repeated feature id keeps its last column, as a dict would.
     column = {fid: j for j, fid in enumerate(timeline.feature_ids)}
     fids = sorted(column)
     order = [column[fid] for fid in fids]
     members = _members(fids)
     day_template = '{"affect":%s,"date":"%s","features":{' + _template(members) + '},"provenance":%s}'
-    rows = values[:, order].tolist()
-    for i, j in zip(*np.nonzero(missing[:, order])):
-        rows[i][j] = _NULL
     names = np.array([_canonical(p.value) for p in PROVENANCES], dtype=object)
-    patterns = np.ascontiguousarray(codes[:, order])
-    width = patterns.shape[1] * patterns.itemsize
-    pattern_bytes = patterns.tobytes()
-    provenance_texts: dict[bytes, str] = {}
-    affect_templates: dict[frozenset[str], tuple[list[str], str]] = {}
-    days = []
-    for i, (day, row, report) in enumerate(zip(timeline.dates, rows, timeline.affect)):
-        pattern = pattern_bytes[i * width:(i + 1) * width]
-        provenance = provenance_texts.get(pattern)
-        if provenance is None:
-            provenance = "{" + ",".join(map(str.__add__, members, names[patterns[i]])) + "}"
-            provenance_texts[pattern] = provenance
-        affect = "null"
-        if report is not None:
-            item_set = frozenset(report.items)
-            if item_set not in affect_templates:
-                items = sorted(item_set)
-                template = '{"items":{' + _template(_members(items)) + '},"na":%r,"pa":%r}'
-                affect_templates[item_set] = items, template
-            items, template = affect_templates[item_set]
-            numbers = [*map(report.items.__getitem__, items), report.na, report.pa]
-            try:
-                affect = template % tuple(map(_json_number, numbers))
-            except ValueError as exc:
-                raise PipelineError(f"timeline {pid}: {day} affect: {exc}") from exc
-        days.append(day_template % (affect, day.isoformat(), *row, provenance))
-    # Brackets on the end days, so the long text is built once.
-    if days:
-        days[0] = "[" + days[0]
-        days[-1] += "]"
-    return {
-        "format_version": FORMAT_VERSION,
-        "participant_id": pid,
-        "days": RawJSON(",".join(days) if days else "[]"),
-    }
+
+    def days() -> Iterator[str]:
+        ordered, patterns = values[:, order], codes[:, order]
+        pattern_of = _pattern_bytes(patterns)
+        # The missing cells of day i are cells[bounds[i]:bounds[i + 1]].
+        missing_rows, cells = np.nonzero(missing[:, order])
+        bounds = np.searchsorted(missing_rows, np.arange(len(dates) + 1)).tolist()
+        cells = cells.tolist()
+        answered = ~np.isnan(affect.ratings)
+        answered_of = _pattern_bytes(answered)
+        composites = [[_NULL if v != v else v for v in c.tolist()] for c in (affect.na, affect.pa)]
+        provenance_texts: dict[bytes, str] = {}
+        affect_templates: dict[bytes, tuple[list[int], str]] = {}
+        yield "["
+        for i, (day, reported, na, pa) in enumerate(zip(dates, affect.reported.tolist(), *composites)):
+            row = ordered[i].tolist()
+            for j in cells[bounds[i]:bounds[i + 1]]:
+                row[j] = _NULL
+            pattern = pattern_of(i)
+            provenance = provenance_texts.get(pattern)
+            if provenance is None:
+                provenance = "{" + ",".join(map(str.__add__, members, names[patterns[i]])) + "}"
+                provenance_texts[pattern] = provenance
+            text = "null"
+            if reported:
+                key = answered_of(i)
+                if key not in affect_templates:
+                    items = np.flatnonzero(answered[i]).tolist()
+                    item_members = _members(affect.item_ids[j] for j in items)
+                    affect_templates[key] = items, '{"items":{' + _template(item_members) + '},"na":%r,"pa":%r}'
+                items, template = affect_templates[key]
+                ratings = affect.ratings[i].tolist()
+                text = template % (*map(ratings.__getitem__, items), na, pa)
+            yield ("," if i else "") + day_template % (text, day.isoformat(), *row, provenance)
+        yield "]"
+
+    return {"format_version": FORMAT_VERSION, "participant_id": pid, "days": RawJSONPieces(days)}
+
+
+def _check_affect(pid: str, dates: Sequence[date], affect: DailyAffect, polarity: ItemPolarity) -> None:
+    """Refuse affect an affect CSV could not give: an unknown item, a rating
+    or composite outside [0, 100], or a composite whose ten items were not
+    all answered.  InputFormatError names the earliest such day, and on it
+    the first check that fails."""
+    # One column per item, then PA and NA (columns n and n + 1).
+    n = len(affect.item_ids)
+    names = (*affect.item_ids, "pa", "na")
+    numbers = np.column_stack([affect.ratings, affect.pa, affect.na])
+    given = ~np.isnan(numbers)
+    known = np.array([name in polarity.known for name in affect.item_ids] + [True, True])
+    sides = (polarity.positive, polarity.negative)
+    orphan = np.zeros_like(given)
+    for k, side in enumerate(sides):
+        whole = np.all([~np.isnan(affect.column(item)) for item in side], axis=0)
+        orphan[:, n + k] = given[:, n + k] & ~whole
+
+    def unanswered(i: int, j: int) -> str:
+        """The first item of composite j's side not answered on day i."""
+        return next(item for item in sides[j - n] if np.isnan(affect.column(item)[i]))
+
+    messages = (
+        lambda i, j: f"unknown affect item {names[j]!r}",
+        lambda i, j: f"{names[j]!r} out of [0, 100]: {float(numbers[i, j])!r}",
+        lambda i, j: f"{names[j]!r} given without every item of its side ({unanswered(i, j)!r} missing)",
+    )
+    failed = np.stack([given & ~known, given & ~((numbers >= 0.0) & (numbers <= 100.0)), orphan], axis=1)
+    bad = np.argwhere(failed)
+    if bad.size:
+        i, check, j = bad[0]
+        raise InputFormatError(f"timeline {pid}: {dates[i]} affect: {messages[check](i, j)}")
 
 
 def timeline_from_dict(payload: dict) -> ParticipantTimeline:
+    """The timeline a document holds, its affect checked as the affect CSV
+    parser checks it (see _check_affect)."""
     doc = from_json(_TimelineDocument, payload, "timeline")
     fids = tuple(doc.days[0].features) if doc.days else ()
     for entry in doc.days:
@@ -776,13 +870,17 @@ def timeline_from_dict(payload: dict) -> ParticipantTimeline:
             raise SchemaError(f"timeline {entry.date}: feature or provenance keys differ from the first day's")
     codes = {p: code for code, p in enumerate(PROVENANCES)}
     shape = (len(doc.days), len(fids))
+    dates = tuple(entry.date for entry in doc.days)
+    reported = [i for i, entry in enumerate(doc.days) if entry.affect is not None]
+    affect = DailyAffect.from_reports(len(dates), reported, [doc.days[i].affect for i in reported])
+    _check_affect(doc.participant_id, dates, affect, default_polarity())
     return ParticipantTimeline(
         doc.participant_id,
         fids,
-        tuple(entry.date for entry in doc.days),
+        dates,
         np.array([[e.features[f] for f in fids] for e in doc.days], dtype=float).reshape(shape),
         np.array([[codes[e.provenance[f]] for f in fids] for e in doc.days], dtype=np.int8).reshape(shape),
-        tuple(e.affect and AffectReport(e.date, e.affect.items, e.affect.pa, e.affect.na) for e in doc.days),
+        affect,
     )
 
 

@@ -21,6 +21,7 @@ from .core import (
     CODE_MEASURED,
     CODE_MISSING,
     AffectReport,
+    DailyAffect,
     FeatureSchema,
     ItemPolarity,
     Modality,
@@ -304,9 +305,8 @@ def build_timeline(
     column = {fid: j for j, fid in enumerate(feature_ids)}
     # The distinct days by sorting: np.unique would import numpy.ma (about
     # 1 MB) long before any later stage needs it.
-    days = np.sort(
-        np.concatenate([np.array(list(affect_by_day), dtype="datetime64[D]")] + [f.rows["day"] for f in files])
-    )
+    report_days = np.array(list(affect_by_day), dtype="datetime64[D]")
+    days = np.sort(np.concatenate([report_days] + [f.rows["day"] for f in files]))
     first = np.ones(days.size, dtype=bool)
     first[1:] = days[1:] != days[:-1]
     days = days[first]
@@ -338,7 +338,7 @@ def build_timeline(
         dates=dates,
         values=np.divide(weighted, duration, out=np.full(shape, np.nan), where=measured),
         provenance=np.where(measured, CODE_MEASURED, CODE_MISSING).astype(np.int8),
-        affect=tuple(affect_by_day.get(day) for day in dates),
+        affect=DailyAffect.from_reports(len(dates), np.searchsorted(days, report_days), reports),
     )
 
 

@@ -188,6 +188,11 @@ def compiled_mood_labels(
     return entries, excluded
 
 
+def _on_days(timeline: ParticipantTimeline, mask: np.ndarray) -> list[date]:
+    """The dates of the rows marked true."""
+    return [timeline.dates[i] for i in np.flatnonzero(mask)]
+
+
 def target_values(
     timeline: ParticipantTimeline, target: TargetSpec
 ) -> tuple[dict[date, float], dict[date, str]]:
@@ -196,40 +201,25 @@ def target_values(
     Days without any affect report are skipped entirely; partial reports that
     cannot supply the target value are excluded with reason missing_affect.
     """
-    values: dict[date, float] = {}
-    excluded: dict[date, str] = {}
-    for day, report in zip(timeline.dates, timeline.affect):
-        if report is None:
-            continue
-        if target.kind == "pa":
-            value = report.pa
-        elif target.kind == "na":
-            value = report.na
-        else:
-            value = report.items.get(target.item_id)  # type: ignore[arg-type]
-        if value is None:
-            excluded[day] = EXCLUDE_MISSING_AFFECT
-        else:
-            values[day] = float(value)
-    return values, excluded
+    affect = timeline.affect
+    if target.kind in ("pa", "na"):
+        column = affect.pa if target.kind == "pa" else affect.na
+    else:
+        column = affect.column(target.item_id)  # type: ignore[arg-type]
+    has = ~np.isnan(column)
+    values = dict(zip(_on_days(timeline, has), column[has].tolist()))
+    return values, dict.fromkeys(_on_days(timeline, affect.reported & ~has), EXCLUDE_MISSING_AFFECT)
 
 
 def composite_values(
     timeline: ParticipantTimeline,
 ) -> tuple[dict[date, float], dict[date, float], dict[date, str]]:
     """(pa, na) maps over days where both composites exist."""
-    pa: dict[date, float] = {}
-    na: dict[date, float] = {}
-    excluded: dict[date, str] = {}
-    for day, report in zip(timeline.dates, timeline.affect):
-        if report is None:
-            continue
-        if report.pa is None or report.na is None:
-            excluded[day] = EXCLUDE_MISSING_AFFECT
-        else:
-            pa[day] = report.pa
-            na[day] = report.na
-    return pa, na, excluded
+    affect = timeline.affect
+    both = affect.complete
+    days = _on_days(timeline, both)
+    excluded = dict.fromkeys(_on_days(timeline, affect.reported & ~both), EXCLUDE_MISSING_AFFECT)
+    return dict(zip(days, affect.pa[both].tolist())), dict(zip(days, affect.na[both].tolist())), excluded
 
 
 def build_labels(

@@ -358,12 +358,11 @@ class PipelineRun:
             self._write_json(f"timelines/{pid}.json", timeline_to_dict(timeline))
 
     def stage_impute(self) -> None:
-        imputed = []
-        for timeline in self.timelines:
-            out = impute_timeline(timeline, self.config.impute)
-            imputed.append(out)
+        # Each imputed timeline takes its ingested one's place at once, so
+        # the two are never both held for the whole cohort.
+        for i, timeline in enumerate(self.timelines):
+            self.timelines[i] = out = impute_timeline(timeline, self.config.impute)
             self._write_json(f"imputed/{out.participant_id}.json", timeline_to_dict(out))
-        self.timelines = imputed
 
     def stage_label(self) -> None:
         min_days = self.config.eligibility.min_days

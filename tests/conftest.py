@@ -7,11 +7,14 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from affectpipe.core import (
+    CODE_IMPUTED,
     CODE_MEASURED,
     CODE_MISSING,
     AffectReport,
+    DailyAffect,
     FeatureSchema,
     FeatureSpec,
     Modality,
@@ -42,12 +45,39 @@ def timeline_document(timeline):
     return json.loads(canonical_json(timeline_to_dict(timeline)))
 
 
-def make_report(day, pa=50.0, na=20.0, polarity=None):
-    """Complete 20-item report whose composites equal pa/na exactly."""
+def survey_items(pa=50.0, na=20.0, polarity=None):
+    """The twenty ratings of a survey whose composites equal pa/na exactly:
+    each item rated as its side's composite."""
     polarity = polarity or default_polarity()
     items = {item: float(pa) for item in polarity.positive}
     items.update({item: float(na) for item in polarity.negative})
-    return AffectReport.from_items(day, items, polarity)
+    return items
+
+
+def make_report(day, pa=50.0, na=20.0, polarity=None):
+    """Complete 20-item report whose composites equal pa/na exactly."""
+    polarity = polarity or default_polarity()
+    return AffectReport.from_items(day, survey_items(pa, na, polarity), polarity)
+
+
+def make_affect(n_days, affect_by_index=None):
+    """Affect arrays of n_days days.  ``affect_by_index`` maps a day's index
+    to (pa, na), a complete survey (see survey_items), or to (pa, na, items):
+    those ratings with those composites, None for no composite."""
+    surveys = {
+        i: spec if len(spec) == 3 else (*spec, survey_items(*spec))
+        for i, spec in (affect_by_index or {}).items()
+    }
+    item_ids = tuple(sorted({item for _, _, items in surveys.values() for item in items}))
+    ratings = np.full((n_days, len(item_ids)), np.nan)
+    reported = np.zeros(n_days, dtype=bool)
+    pa, na = np.full(n_days, np.nan), np.full(n_days, np.nan)
+    for i, (p, n, items) in surveys.items():
+        ratings[i] = [items.get(item, np.nan) for item in item_ids]
+        reported[i] = True
+        pa[i] = np.nan if p is None else p
+        na[i] = np.nan if n is None else n
+    return DailyAffect(item_ids, ratings, reported, pa, na)
 
 
 def make_timeline(
@@ -62,24 +92,73 @@ def make_timeline(
     a feature left out or None is missing, every other value measured.
 
     ``dates`` overrides the consecutive-day default so calendar gaps can be
-    constructed.  ``affect_by_index`` maps list index -> AffectReport factory
-    args (pa, na) or a prebuilt report.
+    constructed.  ``affect_by_index`` maps list index -> a survey as
+    make_affect takes it.
     """
-    affect_by_index = affect_by_index or {}
     fids = schema.feature_ids()
     if dates is None:
         dates = [start + timedelta(days=i) for i in range(len(values_by_day))]
     values = np.array([[row.get(fid) for fid in fids] for row in values_by_day], dtype=float)
     values = values.reshape(len(values_by_day), len(fids))
-    affect = [affect_by_index.get(i) for i in range(len(dates))]
     return ParticipantTimeline(
         pid,
         fids,
         tuple(dates),
         values,
         np.where(np.isnan(values), CODE_MISSING, CODE_MEASURED).astype(np.int8),
-        tuple(make_report(d, *a) if isinstance(a, tuple) else a for d, a in zip(dates, affect)),
+        make_affect(len(dates), affect_by_index),
     )
+
+
+# Keys that JSON escapes, that a % template must escape, that sort in
+# another order than they are listed, and that are not ASCII.
+KEYS = st.text(st.sampled_from(["a", "b", "Z", "_", " ", '"', "\\", "%", "é", "中", "\x01", "\u2028"]), max_size=4)
+NUMBERS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1, 100.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+RATINGS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 50.0, 100.0]) | st.floats(0.0, 100.0)
+
+
+REPORT_KINDS = ("absent", "some items", "all items", "any items")
+
+
+@st.composite
+def report_timelines(draw, fids=None, kinds=REPORT_KINDS, min_days=0, max_days=5):
+    """A timeline and the per-day reports its affect arrays were built from
+    (None for a day without one).  Each day draws one of ``kinds``: no
+    report, a survey of some of the default items or of all of them, with
+    composites as the parser computes them, or any items and any
+    composites."""
+    fids = tuple(draw(st.lists(KEYS, max_size=5))) if fids is None else fids
+    gaps = draw(st.lists(st.integers(1, 3), min_size=min_days, max_size=max_days))
+    dates = tuple(D0 + timedelta(days=sum(gaps[:k])) for k in range(len(gaps)))
+    shape = (len(dates), len(fids))
+    n = shape[0] * shape[1]
+    codes = np.array(
+        draw(st.lists(st.sampled_from([CODE_MEASURED, CODE_IMPUTED, CODE_MISSING]), min_size=n, max_size=n)),
+        dtype=np.int8,
+    ).reshape(shape)
+    numbers = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+    values = np.where(codes == CODE_MISSING, np.nan, np.array(numbers, dtype=float).reshape(shape))
+    polarity = default_polarity()
+    reports = []
+    for day in dates:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "absent":
+            reports.append(None)
+        elif kind == "any items":
+            items = draw(st.dictionaries(KEYS, RATINGS, max_size=4))
+            pa, na = draw(st.none() | NUMBERS), draw(st.none() | NUMBERS)
+            reports.append(AffectReport(day, items, pa, na))
+        else:
+            answered = polarity.all_items() if kind == "all items" else draw(
+                st.lists(st.sampled_from(polarity.all_items()), unique=True, min_size=1)
+            )
+            ratings = draw(st.lists(RATINGS, min_size=len(answered), max_size=len(answered)))
+            reports.append(AffectReport.from_items(day, dict(zip(answered, ratings)), polarity))
+    surveys = {i: (r.pa, r.na, r.items) for i, r in enumerate(reports) if r is not None}
+    timeline = ParticipantTimeline(draw(KEYS), fids, dates, values, codes, make_affect(len(dates), surveys))
+    return timeline, tuple(reports)
 
 
 def series_timeline(pid, series, fid="sleep_deep", schema=TINY_SCHEMA, **kw):

@@ -23,11 +23,12 @@ from affectpipe.analysis import (
     write_correlation_csv,
     write_tvalues_csv,
 )
+from affectpipe.core import ordinals
 from affectpipe.errors import InsufficientDataError
 from affectpipe.labels import TargetSpec, build_dataset, build_labels
 from affectpipe.learners import ModelFamily, ModelSpec, train
 
-from conftest import D0, TINY_SCHEMA, make_timeline
+from conftest import D0, TINY_SCHEMA, make_timeline, report_timelines
 
 # ---------------------------------------------------------------------------
 # pearson_r
@@ -208,6 +209,43 @@ def test_correlations_alignment_changes_pairing():
     oracle = np.corrcoef(series[:-1], series[1:])[0, 1]
     assert lagged[("sleep_deep", "pa")] == pytest.approx(oracle, abs=1e-9)
     assert abs(lagged[("sleep_deep", "pa")]) < 0.99
+
+
+def reference_correlations(drawn, schema, targets, alignment):
+    """feature_affect_correlations from per-day reports: each timeline's
+    columns and composites in lists, concatenated."""
+    lag = 1 if alignment == "next_day" else 0
+    fids = schema.feature_ids()
+    xs, ys = [np.empty((0, len(fids)))], [np.empty((0, len(targets)))]
+    for timeline, reports in drawn:
+        rows = timeline.rows_at(ordinals(timeline.dates) + lag)
+        aligned = [reports[r] if r >= 0 else None for r in rows]
+        composites = [
+            [None if report is None else {"pa": report.pa, "na": report.na}.get(t) for t in targets]
+            for report in aligned
+        ]
+        xs.append(timeline.columns(fids))
+        ys.append(np.array(composites, dtype=float).reshape(len(rows), len(targets)))
+    X, Y = np.concatenate(xs), np.concatenate(ys)
+    out = {}
+    for j, fid in enumerate(fids):
+        for k, t in enumerate(targets):
+            pair = ~np.isnan(X[:, j]) & ~np.isnan(Y[:, k])
+            out[(fid, t)] = pearson_r(X[pair, j], Y[pair, k]) if pair.sum() >= MIN_CORR_PAIRS else None
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    drawn=st.lists(report_timelines(fids=TINY_SCHEMA.feature_ids(), max_days=12), max_size=4),
+    targets=st.sampled_from([("pa", "na"), ("na",), ("pa", "mood")]),
+    alignment=st.sampled_from(["next_day", "same_day"]),
+)
+def test_correlations_equal_the_per_report_reference(drawn, targets, alignment):
+    # Drawn values reach 1e308, where the products in pearson_r overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = feature_affect_correlations([t for t, _ in drawn], TINY_SCHEMA, targets, alignment)
+        assert found == reference_correlations(drawn, TINY_SCHEMA, targets, alignment)
 
 
 def test_correlations_pool_across_participants():

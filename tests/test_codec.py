@@ -314,6 +314,25 @@ def test_malformed_documents_exit_with_one_error_line(workspace, kind, edit, cod
     assert_one_error_line(found, err)
 
 
+# Affect a timeline document may not hold because the affect CSV parser
+# refuses it, and the end of the one error line each exits 4 with.
+REFUSED_AFFECT = [
+    (lambda a: a["items"].update(bogus=50.0), "unknown affect item 'bogus'"),
+    (lambda a: a["items"].update(interested=101.0), "'interested' out of [0, 100]: 101.0"),
+    (lambda a: a.update(pa=1e300), "'pa' out of [0, 100]: 1e+300"),
+    (lambda a: a.update(pa=-5.0), "'pa' out of [0, 100]: -5.0"),
+    # a positive item gone, its composite still there
+    (lambda a: a["items"].pop("active"), "'pa' given without every item of its side ('active' missing)"),
+    (lambda a: a["items"].pop("afraid"), "'na' given without every item of its side ('afraid' missing)"),
+]
+
+
+@pytest.mark.parametrize("edit, message", REFUSED_AFFECT)
+def test_timeline_affect_the_csv_parser_refuses_exits_4(workspace, edit, message):
+    doc = _edit(workspace[1]["timeline"][0], lambda d: edit(_first_affect(d)))
+    assert run_document(workspace, "timeline", doc) == (4, f"error: timeline p01: 2020-01-01 affect: {message}\n")
+
+
 def test_document_keys_are_refused_outside_documents(workspace):
     """format_version and run_id belong to stored documents: a run config
     refuses them with exit 2, a document below its top level with exit 4."""

@@ -17,6 +17,7 @@ from affectpipe.core import (
     CODE_MEASURED,
     CODE_MISSING,
     AffectReport,
+    DailyAffect,
     FeatureSchema,
     FeatureSpec,
     ItemPolarity,
@@ -41,7 +42,7 @@ from affectpipe.core import (
 )
 from affectpipe.errors import PipelineError, SchemaError
 
-from conftest import D0, make_report, make_timeline, timeline_document
+from conftest import D0, KEYS, make_affect, make_timeline, report_timelines, timeline_document
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_composites_are_side_means(polarity):
     report = AffectReport.from_items(D0, items, polarity)
     assert report.pa == 52.5
     assert report.na == 32.5
-    assert report.complete
+    assert report.pa is not None and report.na is not None
 
 
 def test_partial_side_gives_none_composite(polarity):
@@ -127,7 +128,7 @@ def test_partial_side_gives_none_composite(polarity):
     report = AffectReport.from_items(D0, items, polarity)
     assert report.pa is None
     assert report.na == 20.0
-    assert not report.complete
+    assert None in (report.pa, report.na)
 
 
 def test_rating_out_of_range_rejected(polarity):
@@ -159,7 +160,8 @@ def test_composites_equal_means_property(pos, neg):
 # day vectors and timelines
 
 
-def timeline_of(values, provenance, dates=(D0,), affect=(None,), feature_ids=("a", "b")):
+def timeline_of(values, provenance, dates=(D0,), affect=None, feature_ids=("a", "b")):
+    affect = make_affect(len(dates)) if affect is None else affect
     return ParticipantTimeline(
         "p", feature_ids, dates, np.array(values, dtype=float), np.array(provenance, dtype=np.int8), affect
     )
@@ -188,24 +190,36 @@ def test_vector_key_sets_must_match():
 def test_timeline_shapes_must_match_dates_and_features():
     with pytest.raises(SchemaError, match="1 dates x 2 features"):
         timeline_of([[1.0]], [[CODE_MEASURED]])
-    with pytest.raises(SchemaError, match="1 dates x 2 features"):
-        timeline_of([[1.0, 2.0]], [[CODE_MEASURED, CODE_MEASURED]], affect=())
+    with pytest.raises(SchemaError, match="affect arrays do not match 1 dates x 0 items"):
+        timeline_of([[1.0, 2.0]], [[CODE_MEASURED, CODE_MEASURED]], affect=make_affect(0))
+    with pytest.raises(SchemaError, match="affect arrays do not match 1 dates x 20 items"):
+        timeline_of([[1.0, 2.0]], [[CODE_MEASURED, CODE_MEASURED]], affect=make_affect(2, {1: (50.0, 20.0)}))
+    unsorted = DailyAffect(
+        ("b", "a"), np.full((1, 2), np.nan), np.zeros(1, dtype=bool), np.full(1, np.nan), np.full(1, np.nan)
+    )
+    with pytest.raises(SchemaError, match="affect item ids are not sorted"):
+        timeline_of([[1.0, 2.0]], [[0, 0]], affect=unsorted)
 
 
 def test_timeline_day_date_mismatch():
-    with pytest.raises(SchemaError, match="attached"):
-        timeline_of([[1.0, 2.0]], [[0, 0]], affect=(make_report(D0 + timedelta(days=1)),))
+    """Affect belongs to the day of its row: a day without a report holds
+    no rating and no composite."""
+    affect = make_affect(2, {1: (50.0, 20.0)})
+    timeline_of([[1.0, 2.0]] * 2, [[0, 0]] * 2, dates=(D0, D0 + timedelta(days=1)), affect=affect)
+    affect.reported[1], affect.reported[0] = False, True
+    with pytest.raises(SchemaError, match="2020-01-02: affect values on a day without a report"):
+        timeline_of([[1.0, 2.0]] * 2, [[0, 0]] * 2, dates=(D0, D0 + timedelta(days=1)), affect=affect)
 
 
 def test_timeline_dates_strictly_increasing():
     with pytest.raises(SchemaError, match="increasing at 2020-01-01"):
-        timeline_of([[1.0, 2.0]] * 2, [[0, 0]] * 2, dates=(D0, D0), affect=(None, None))
+        timeline_of([[1.0, 2.0]] * 2, [[0, 0]] * 2, dates=(D0, D0), affect=make_affect(2))
 
 
 def test_days_view_yields_dicts_and_provenance_members():
     tl = make_timeline("p", [{"sleep_deep": 3.0}], affect_by_index={0: (45.0, 25.0)})
     (day,) = tl.days
-    assert day.day == D0 and day.affect is tl.affect[0]
+    assert day.day == D0 and tl.affect.reported[0] and (tl.affect.pa[0], tl.affect.na[0]) == (45.0, 25.0)
     assert day.features.values == {"sleep_deep": 3.0, "heart_rate": None, "walk_steps": None,
                                    "main_activity": None}
     assert day.features.provenance["sleep_deep"] is Provenance.MEASURED
@@ -213,9 +227,7 @@ def test_days_view_yields_dicts_and_provenance_members():
 
 
 def test_valid_day_count_ignores_partial_reports(tiny_schema, polarity):
-    partial = AffectReport.from_items(
-        D0 + timedelta(days=1), {polarity.positive[0]: 50.0}, polarity
-    )
+    partial = (None, None, {polarity.positive[0]: 50.0})
     tl = make_timeline(
         "p",
         [{}, {}, {}],
@@ -325,8 +337,9 @@ def test_timeline_round_trip(tiny_schema):
     assert timeline_document(back) == payload
 
 
-def reference_document(timeline):
-    """The dict the timeline renderer replaced, for json.dumps to write."""
+def reference_document(timeline, reports):
+    """The dict the timeline renderer replaced, for json.dumps to write, its
+    affect from the per-day reports the arrays were built from."""
     fids = timeline.feature_ids
     values = np.where(timeline.provenance == CODE_MISSING, None, timeline.values).tolist()
     names = np.array([p.value for p in PROVENANCES], dtype=object)[timeline.provenance].tolist()
@@ -337,54 +350,16 @@ def reference_document(timeline):
             "provenance": dict(zip(fids, p)),
             "affect": report and {"items": report.items, "pa": report.pa, "na": report.na},
         }
-        for day, v, p, report in zip(timeline.dates, values, names, timeline.affect)
+        for day, v, p, report in zip(timeline.dates, values, names, reports)
     ]
     return {"format_version": 1, "participant_id": timeline.participant_id, "days": days}
 
 
-# Keys that JSON escapes, that a % template must escape, that sort in
-# another order than they are listed, and that are not ASCII.
-KEYS = st.text(st.sampled_from(["a", "b", "Z", "_", " ", '"', "\\", "%", "é", "中", "\x01", "\u2028"]), max_size=4)
-NUMBERS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1, 100.0]) | st.floats(
-    allow_nan=False, allow_infinity=False
-)
-RATINGS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 50.0, 100.0]) | st.floats(0.0, 100.0)
-
-
-@st.composite
-def timelines(draw):
-    fids = tuple(draw(st.lists(KEYS, max_size=5)))
-    gaps = draw(st.lists(st.integers(1, 3), max_size=5))
-    dates = tuple(D0 + timedelta(days=sum(gaps[:k])) for k in range(len(gaps)))
-    shape = (len(dates), len(fids))
-    n = shape[0] * shape[1]
-    codes = np.array(
-        draw(st.lists(st.sampled_from([CODE_MEASURED, CODE_IMPUTED, CODE_MISSING]), min_size=n, max_size=n)),
-        dtype=np.int8,
-    ).reshape(shape)
-    numbers = draw(st.lists(NUMBERS, min_size=n, max_size=n))
-    values = np.where(codes == CODE_MISSING, np.nan, np.array(numbers, dtype=float).reshape(shape))
-    polarity = default_polarity()
-    reports = []
-    for day in dates:
-        kind = draw(st.sampled_from(["absent", "any items", "survey"]))
-        if kind == "absent":
-            reports.append(None)
-        elif kind == "any items":
-            items = draw(st.dictionaries(KEYS, RATINGS, max_size=4))
-            pa, na = draw(st.none() | NUMBERS), draw(st.none() | NUMBERS)
-            reports.append(AffectReport(day, items, pa, na))
-        else:
-            answered = draw(st.lists(st.sampled_from(polarity.all_items()), unique=True, min_size=1))
-            ratings = draw(st.lists(RATINGS, min_size=len(answered), max_size=len(answered)))
-            reports.append(AffectReport.from_items(day, dict(zip(answered, ratings)), polarity))
-    return ParticipantTimeline(draw(KEYS), fids, dates, values, codes, tuple(reports))
-
-
 @settings(max_examples=200, deadline=None)
-@given(timeline=timelines(), run_id=st.none() | KEYS)
-def test_timeline_text_equals_the_dict_written_by_json(timeline, run_id):
-    expected, payload = reference_document(timeline), timeline_to_dict(timeline)
+@given(drawn=report_timelines(), run_id=st.none() | KEYS)
+def test_timeline_text_equals_the_dict_written_by_json(drawn, run_id):
+    timeline, reports = drawn
+    expected, payload = reference_document(timeline, reports), timeline_to_dict(timeline)
     if run_id is not None:
         expected["run_id"] = payload["run_id"] = run_id
     written = json.dumps(expected, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -399,7 +374,47 @@ def test_timeline_text_refuses_a_planted_non_finite_value(tmp_path):
     with pytest.raises(PipelineError, match="timeline p01: 2020-01-02 'sleep_deep': nan is not a finite number"):
         save_timeline(tmp_path / "tl.json", tl)
     tl = make_timeline("p01", [{"sleep_deep": 30.0}], affect_by_index={0: (50.0, 20.0)})
-    tl.affect[0].items["proud"] = float("nan")
-    with pytest.raises(PipelineError, match="timeline p01: 2020-01-01 affect: Out of range float"):
+    proud = tl.affect.item_ids.index("proud")
+    tl.affect.ratings[0, proud] = np.nan  # NaN marks an item not answered
+    assert "proud" not in timeline_document(tl)["days"][0]["affect"]["items"]
+    tl.affect.ratings[0, proud] = np.inf
+    with pytest.raises(PipelineError, match="timeline p01: 2020-01-01 affect: 'proud': inf is not a finite number"):
         save_timeline(tmp_path / "tl.json", tl)
+    tl.affect.ratings[0, proud] = 50.0
+    tl.affect.pa[0] = -np.inf
+    # refused when the document is made, before any text is rendered
+    with pytest.raises(PipelineError, match="timeline p01: 2020-01-01 affect: 'pa': -inf is not a finite number"):
+        timeline_to_dict(tl)
     assert not (tmp_path / "tl.json").exists()
+
+
+def assert_same_affect(a, b):
+    """Equal affect arrays, an item column that one side lacks reading as
+    all NaN (never answered)."""
+    np.testing.assert_array_equal(a.reported, b.reported)
+    np.testing.assert_array_equal(a.pa, b.pa)
+    np.testing.assert_array_equal(a.na, b.na)
+    for item in set(a.item_ids) | set(b.item_ids):
+        np.testing.assert_array_equal(a.column(item), b.column(item))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=report_timelines(kinds=("absent", "some items", "all items")))
+def test_timeline_document_round_trips_the_arrays(drawn):
+    timeline, reports = drawn
+    back = timeline_from_dict(timeline_document(timeline))
+    assert (back.participant_id, back.dates) == (timeline.participant_id, timeline.dates)
+    # a repeated feature id keeps its last column
+    column = {fid: j for j, fid in enumerate(timeline.feature_ids)}
+    np.testing.assert_array_equal(back.values, timeline.values[:, [column[f] for f in back.feature_ids]])
+    np.testing.assert_array_equal(back.provenance, timeline.provenance[:, [column[f] for f in back.feature_ids]])
+    assert_same_affect(back.affect, timeline.affect)
+    assert back.affect.item_ids == tuple(sorted({item for r in reports if r for item in r.items}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=report_timelines())
+def test_valid_day_count_equals_the_per_report_count(drawn):
+    timeline, reports = drawn
+    expected = sum(1 for r in reports if r is not None and r.pa is not None and r.na is not None)
+    assert valid_affect_day_count(timeline) == expected

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_IMPUTED, CODE_MISSING, Provenance, timeline_to_dict
+from affectpipe.core import CODE_IMPUTED, CODE_MISSING, Provenance, canonical_json, timeline_to_dict
 from affectpipe.impute import (
     WINDOW_OFFSETS,
     fill_residual_with_participant_mean,
@@ -99,7 +99,7 @@ def test_each_column_imputes_from_its_own_donors():
 def test_impute_all_is_idempotent():
     tl = impute_all(series_timeline("p", [10.0, None, None, None, None, None, 40.0]))
     again = impute_all(tl)
-    assert timeline_to_dict(again) == timeline_to_dict(tl)
+    assert canonical_json(timeline_to_dict(again)) == canonical_json(timeline_to_dict(tl))
 
 
 @settings(max_examples=40)

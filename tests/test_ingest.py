@@ -32,7 +32,7 @@ from affectpipe.ingest import (
     write_modality_csv,
 )
 
-from conftest import TINY_SCHEMA, make_report
+from conftest import TINY_SCHEMA, make_report, report_timelines
 
 D1 = date(2020, 3, 1)
 
@@ -250,8 +250,7 @@ def test_build_timeline_materializes_all_dates():
     assert tl.dates == (date(2020, 3, 1), date(2020, 3, 2), date(2020, 3, 3))
     # the affect-only day carries a fully missing feature vector
     assert (tl.provenance[1] == CODE_MISSING).all() and np.isnan(tl.values[1]).all()
-    mid = tl.days[1]
-    assert mid.affect is not None and mid.affect.pa == 55.0
+    assert tl.affect.reported.tolist() == [False, True, False] and tl.affect.pa[1] == 55.0
     # ring day: measured heart_rate, everything else missing
     first = tl.days[0]
     assert first.features.values["heart_rate"] == 60.0
@@ -300,6 +299,18 @@ def test_csv_round_trips(tmp_path, polarity):
     write_affect_csv(apath, reports)
     parsed = parse_affect_file(apath, polarity, "p")
     assert parsed[D1] == reports[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=report_timelines(fids=()))
+def test_build_timeline_affect_equals_the_per_cell_arrays(drawn):
+    """One pass over the reports gives the arrays a per-cell fill gives."""
+    expected, reports = drawn
+    found = build_timeline([ring_file([])], [r for r in reports if r is not None], TINY_SCHEMA).affect
+    rows = [expected.dates.index(r.day) for r in reports if r is not None]
+    assert found.item_ids == expected.affect.item_ids
+    for name in ("ratings", "reported", "pa", "na"):
+        np.testing.assert_array_equal(getattr(found, name), getattr(expected.affect, name)[rows])
 
 
 def test_build_timeline_refuses_an_empty_generator():

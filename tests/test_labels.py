@@ -29,15 +29,18 @@ from affectpipe.labels import (
     build_labels,
     build_labels_cohort,
     compiled_mood_labels,
+    composite_values,
     concat_datasets,
     dataset_from_dict,
     dataset_to_dict,
     median_split_labels,
+    parse_target,
     percentile_thresholds,
     save_dataset,
+    target_values,
 )
 
-from conftest import D0, TINY_SCHEMA, make_report, make_timeline, series_timeline
+from conftest import D0, TINY_SCHEMA, make_affect, make_timeline, report_timelines, series_timeline, survey_items
 
 
 def days(n, start=D0):
@@ -240,9 +243,8 @@ def test_build_labels_missing_affect_days():
     polarity_affect = affect_series(range(10, 110, 10))
     tl = make_timeline("p", [{}] * 12, affect_by_index=polarity_affect)
     # day 10 has no report at all, day 11 gets a partial one
-    partial = make_report(D0 + timedelta(days=11), 50.0, 20.0)
-    partial = type(partial)(day=partial.day, items=partial.items, pa=None, na=20.0)
-    tl = replace(tl, affect=tl.affect[:11] + (partial,))
+    partial = (None, 20.0, survey_items(50.0, 20.0))
+    tl = replace(tl, affect=make_affect(12, {**polarity_affect, 11: partial}))
     ls = build_labels(tl, TargetSpec(kind="pa"))
     assert ls.excluded[D0 + timedelta(days=11)] == EXCLUDE_MISSING_AFFECT
     assert D0 + timedelta(days=10) not in ls.entries
@@ -255,6 +257,63 @@ def test_build_labels_single_item_target():
     # every positive item was written with the pa value, so the split matches pa
     ref = build_labels(tl, TargetSpec(kind="pa"))
     assert ls.entries == ref.entries
+
+
+def reference_target_values(timeline, reports, target):
+    """target_values read from per-day reports."""
+    values, excluded = {}, {}
+    for day, report in zip(timeline.dates, reports):
+        if report is None:
+            continue
+        if target.kind == "pa":
+            value = report.pa
+        elif target.kind == "na":
+            value = report.na
+        else:
+            value = report.items.get(target.item_id)
+        if value is None:
+            excluded[day] = EXCLUDE_MISSING_AFFECT
+        else:
+            values[day] = float(value)
+    return values, excluded
+
+
+def reference_composite_values(timeline, reports):
+    """composite_values read from per-day reports."""
+    pa, na, excluded = {}, {}, {}
+    for day, report in zip(timeline.dates, reports):
+        if report is None:
+            continue
+        if report.pa is None or report.na is None:
+            excluded[day] = EXCLUDE_MISSING_AFFECT
+        else:
+            pa[day], na[day] = report.pa, report.na
+    return pa, na, excluded
+
+
+# Complete surveys often enough that most timelines can be labeled.
+LABEL_KINDS = ("absent", "some items", "all items", "all items", "all items", "any items")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=report_timelines(kinds=LABEL_KINDS, min_days=10, max_days=24),
+    item=st.sampled_from(default_polarity().all_items()),
+)
+def test_label_values_equal_the_per_report_reference(drawn, item):
+    timeline, reports = drawn
+    for name in ("pa", "na", f"item:{item}"):
+        target = parse_target(name, pooled=False)
+        found, expected = target_values(timeline, target), reference_target_values(timeline, reports, target)
+        assert [list(d.items()) for d in found] == [list(d.items()) for d in expected]
+        if len(expected[0]) < 10:
+            with pytest.raises(InsufficientDataError):
+                build_labels(timeline, target)
+            continue
+        labels, (entries, excluded) = build_labels(timeline, target), median_split_labels(expected[0])
+        assert labels.entries == entries and labels.excluded == {**excluded, **expected[1]}
+    found, expected = composite_values(timeline), reference_composite_values(timeline, reports)
+    assert [list(d.items()) for d in found] == [list(d.items()) for d in expected]
 
 
 def test_target_spec_validation():

@@ -325,17 +325,19 @@ def test_ab_pairs_alternates_and_counts_wins(tmp_path):
 
 def test_stage_peaks_prints_each_stage_that_ran(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "stage_peaks.py"
-    config_path, _ = run_config(tmp_path, stages=["synth", "ingest", "impute", "label", "dataset"])
-    done = subprocess.run([sys.executable, str(script), str(config_path), "--seed", "3"],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lines = [line.split() for line in done.stdout.splitlines()]
-    assert lines[0] == ["stage", "wall_s", "peak_rss_mb"]
-    assert [line[0] for line in lines[1:]] == ["start", "synth", "ingest", "impute", "label", "dataset",
-                                               "manifest", "total"]
-    peaks = [float(line[2]) for line in lines[1:]]
-    assert peaks == sorted(peaks) and peaks[0] > 0
-    assert list(tmp_path.iterdir()) == [config_path]
+    tiny = {"synth": dict(SYNTH_SECTION, n_days=70), "eligibility": {"min_days": 40},
+            "evaluate": {"model": "rf", "hyperparameters": {"n_trees": 3}, "folds": 3}}
+    for stages in (["synth", "ingest", "impute", "label", "dataset"], list(STAGES)):
+        config_path, _ = run_config(tmp_path, stages=stages, **tiny)
+        done = subprocess.run([sys.executable, str(script), str(config_path), "--seed", "3"],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = [line.split() for line in done.stdout.splitlines()]
+        assert lines[0] == ["stage", "wall_s", "peak_rss_mb"]
+        assert [line[0] for line in lines[1:]] == ["start", *stages, "manifest", "total"]
+        peaks = [float(line[2]) for line in lines[1:]]
+        assert peaks == sorted(peaks) and peaks[0] > 0
+        assert list(tmp_path.iterdir()) == [config_path]
 
 
 # ---------------------------------------------------------------------------

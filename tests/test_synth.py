@@ -9,7 +9,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from affectpipe.core import Modality, default_polarity, default_schema, read_json, timeline_to_dict, to_json
+from affectpipe.core import Modality, canonical_json, default_polarity, default_schema, read_json, timeline_to_dict, to_json
 from affectpipe.errors import ConfigError
 from affectpipe.evaluate import cross_validate
 from affectpipe.ingest import build_timeline, parse_affect_file, parse_modality_file
@@ -151,7 +151,7 @@ def test_generate_is_repeatable_in_memory():
     cfg = small_config()
     tl_a, truth_a = generate(cfg)
     tl_b, truth_b = generate(cfg)
-    assert [timeline_to_dict(t) for t in tl_a] == [timeline_to_dict(t) for t in tl_b]
+    assert [canonical_json(timeline_to_dict(t)) for t in tl_a] == [canonical_json(timeline_to_dict(t)) for t in tl_b]
     assert truth_a == truth_b
 
 
@@ -244,8 +244,8 @@ def test_composite_moments_match_config():
         seed=202,
     )
     timelines, _ = generate(cfg)
-    pa = [d.affect.pa for d in timelines[0].days if d.affect is not None]
-    na = [d.affect.na for d in timelines[0].days if d.affect is not None]
+    affect = timelines[0].affect
+    pa, na = affect.pa[affect.reported].tolist(), affect.na[affect.reported].tolist()
     assert len(pa) == cfg.n_days - 1
     assert np.mean(pa) == pytest.approx(45.27, abs=1.0)
     assert np.std(pa) == pytest.approx(20.22, abs=1.5)
@@ -304,7 +304,7 @@ def test_write_cohort_round_trips_through_ingestion(tmp_path):
         ]
         reports = parse_affect_file(tmp_path / f"{pid}_affect.csv", polarity, pid)
         rebuilt = build_timeline(files, reports.values(), cfg.schema)
-        assert timeline_to_dict(rebuilt) == timeline_to_dict(expected[i])
+        assert canonical_json(timeline_to_dict(rebuilt)) == canonical_json(timeline_to_dict(expected[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,8 @@ def test_planted_shift_is_localized():
     window = [d.day for d in tl_a.days if (d.day.year, d.day.month) == (2020, 2)]
     affect_lo, affect_hi = window[0] + timedelta(days=1), window[-1] + timedelta(days=1)
     changed_pa = 0
-    for da, db in zip(tl_a.days, tl_b.days):
+    a, b = tl_a.affect, tl_b.affect
+    for i, (da, db) in enumerate(zip(tl_a.days, tl_b.days)):
         in_window = (da.day.year, da.day.month) == (2020, 2)
         # sleep_deep carries the bump: observed scale is 180 + 45 z, so a
         # +2 latent offset moves the daily value by exactly 90 minutes
@@ -379,14 +380,14 @@ def test_planted_shift_is_localized():
             assert va == vb
         for fid in ("heart_rate_variability", "walk_steps", "main_activity"):
             assert da.features.values[fid] == db.features.values[fid]
-        if da.affect is None:
-            assert db.affect is None
+        if not a.reported[i]:
+            assert not b.reported[i]
             continue
         if affect_lo <= da.day <= affect_hi:
-            assert db.affect.pa >= da.affect.pa
-            assert db.affect.na <= da.affect.na
-            changed_pa += db.affect.pa > da.affect.pa
+            assert b.pa[i] >= a.pa[i]
+            assert b.na[i] <= a.na[i]
+            changed_pa += b.pa[i] > a.pa[i]
         else:
-            assert db.affect.pa == da.affect.pa
-            assert db.affect.na == da.affect.na
+            assert b.pa[i] == a.pa[i]
+            assert b.na[i] == a.na[i]
     assert changed_pa >= 20  # nearly every february label moved
