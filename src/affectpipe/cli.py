@@ -174,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impute", help="window-impute missing feature values")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fallback", choices=FALLBACKS, default="drop")
+    p.add_argument("--fallback", choices=FALLBACKS, default=ImputeConfig.fallback)
     p.set_defaults(fn=_cmd_impute)
 
     p = sub.add_parser("label", help="build binary affect labels")
     p.add_argument("--in", dest="infiles", nargs="+", required=True)
     p.add_argument("--target", required=True, help=TARGET_NAMES)
     p.add_argument("--out", required=True)
-    p.add_argument("--middle-band", type=float, default=0.20)
+    p.add_argument("--middle-band", type=float, default=LabelConfig.middle_band)
     p.add_argument("--pooled", action="store_true")
     p.add_argument("--same-day", action="store_true")
     p.set_defaults(fn=_cmd_label)
@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infiles", nargs="+", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--schema", default=None)
-    p.add_argument("--modalities", default="ring,watch,phone")
-    p.add_argument("--fallback", choices=FALLBACKS, default="drop")
+    p.add_argument("--modalities", default=",".join(DatasetConfig.modalities))
+    p.add_argument("--fallback", choices=FALLBACKS, default=DatasetConfig.fallback)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dataset)
 
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="k-fold cross-validate a model family")
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=sorted(MODEL_NAMES), required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=EvaluateConfig.folds)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tune", action="store_true")
     p.add_argument("--stratified", action="store_true")

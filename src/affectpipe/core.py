@@ -126,36 +126,11 @@ class ItemPolarity:
 
 @dataclass(frozen=True)
 class AffectReport:
-    """One day's emotion ratings plus PA/NA composites.
-
-    ``items`` may be partial; a composite is None unless all ten items on its
-    side were answered.  Reports missing any item never become labels.
-    """
+    """One day's emotion ratings by item id; ``items`` may be partial.  The
+    timeline's affect arrays compute the composites (DailyAffect.from_reports)."""
 
     day: date
     items: dict[str, float]
-    pa: float | None
-    na: float | None
-
-    def __post_init__(self) -> None:
-        for item_id, rating in self.items.items():
-            if not 0.0 <= rating <= 100.0:
-                raise InputFormatError(f"{self.day}: rating for {item_id!r} out of [0, 100]: {rating}")
-
-    @classmethod
-    def from_items(cls, day: date, items: dict[str, float], polarity: ItemPolarity) -> AffectReport:
-        if not polarity.known.issuperset(items):
-            unknown = next(item_id for item_id in items if item_id not in polarity.known)
-            raise InputFormatError(f"{day}: unknown affect item {unknown!r}")
-        pa = _side_mean(items, polarity.positive)
-        na = _side_mean(items, polarity.negative)
-        return cls(day=day, items=dict(items), pa=pa, na=na)
-
-
-def _side_mean(items: dict[str, float], side: tuple[str, ...]) -> float | None:
-    if not all(map(items.__contains__, side)):
-        return None
-    return sum(map(items.__getitem__, side)) / len(side)
 
 
 def ordinals(dates: Sequence[date]) -> np.ndarray:
@@ -189,8 +164,9 @@ class DailyAffect:
 
     ``ratings`` has one column per item id (``item_ids``, sorted), NaN where
     the item was not answered; ``reported`` is true on the days with a
-    report; ``pa`` and ``na`` are the composites, NaN where a day has none.
-    A day without a report holds no rating and no composite.
+    report; ``pa`` and ``na`` are the composites (see from_reports), NaN
+    where a day has none.  A day without a report holds no rating and no
+    composite.
     """
 
     item_ids: tuple[str, ...]
@@ -200,23 +176,30 @@ class DailyAffect:
     na: np.ndarray
 
     @classmethod
-    def from_reports(cls, n_days: int, rows: Sequence[int] | np.ndarray, reports: Sequence[Any]) -> DailyAffect:
-        """The arrays of ``n_days`` days with one report on each of ``rows``;
-        a report is anything with ``items`` (ratings by item id), ``pa`` and
-        ``na`` (None for no composite).  The composites are copied, not
-        recomputed."""
+    def from_reports(
+        cls, n_days: int, rows: Sequence[int] | np.ndarray, reports: Sequence[AffectReport], polarity: ItemPolarity
+    ) -> DailyAffect:
+        """The arrays of ``n_days`` days with one report on each of ``rows``.
+
+        A composite is its side's ratings added one by one in polarity
+        order, starting from 0.0, and divided by the side's size.  NaN
+        carries through, so a day that left an item of a side unanswered
+        has no composite on that side.
+        """
         item_ids = tuple(sorted(set().union(*(report.items for report in reports))))
         ratings = np.full((n_days, len(item_ids)), np.nan)
         reported = np.zeros(n_days, dtype=bool)
-        pa, na = np.full(n_days, np.nan), np.full(n_days, np.nan)
         if reports:
             # A float array reads None, what dict.get gives for an item not
-            # answered or a missing composite, as NaN.
+            # answered, as NaN.
             ratings[rows] = np.array([list(map(r.items.get, item_ids)) for r in reports], dtype=float)
             reported[rows] = True
-            pa[rows] = np.array([r.pa for r in reports], dtype=float)
-            na[rows] = np.array([r.na for r in reports], dtype=float)
-        return cls(item_ids, ratings, reported, pa, na)
+        affect = cls(item_ids, ratings, reported, np.zeros(n_days), np.zeros(n_days))
+        for total, side in ((affect.pa, polarity.positive), (affect.na, polarity.negative)):
+            for item in side:
+                total += affect.column(item)
+            total /= len(side)
+        return affect
 
     @property
     def complete(self) -> np.ndarray:
@@ -827,33 +810,44 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
     return {"format_version": FORMAT_VERSION, "participant_id": pid, "days": RawJSONPieces(days)}
 
 
-def _check_affect(pid: str, dates: Sequence[date], affect: DailyAffect, polarity: ItemPolarity) -> None:
+def _check_affect(
+    pid: str, dates: Sequence[date], affect: DailyAffect, stored: np.ndarray, polarity: ItemPolarity
+) -> None:
     """Refuse affect an affect CSV could not give: an unknown item, a rating
-    or composite outside [0, 100], or a composite whose ten items were not
-    all answered.  InputFormatError names the earliest such day, and on it
-    the first check that fails."""
+    or stored composite outside [0, 100], a stored composite whose ten items
+    were not all answered, or one that differs from the composite ``affect``
+    computed.  ``stored`` holds the document's PA and NA, NaN for null.
+    InputFormatError names the earliest such day, and on it the first check
+    that fails."""
     # One column per item, then PA and NA (columns n and n + 1).
     n = len(affect.item_ids)
     names = (*affect.item_ids, "pa", "na")
-    numbers = np.column_stack([affect.ratings, affect.pa, affect.na])
+    numbers = np.column_stack([affect.ratings, stored])
     given = ~np.isnan(numbers)
     known = np.array([name in polarity.known for name in affect.item_ids] + [True, True])
     sides = (polarity.positive, polarity.negative)
-    orphan = np.zeros_like(given)
-    for k, side in enumerate(sides):
-        whole = np.all([~np.isnan(affect.column(item)) for item in side], axis=0)
-        orphan[:, n + k] = given[:, n + k] & ~whole
+    # The derived composite is NaN where its side has an unanswered item;
+    # a stored null (NaN) agrees only with NaN.
+    derived = np.column_stack([affect.pa, affect.na])
+    orphan, differs = np.zeros_like(given), np.zeros_like(given)
+    orphan[:, n:] = given[:, n:] & np.isnan(derived)
+    differs[:, n:] = (stored != derived) & ~(np.isnan(stored) & np.isnan(derived))
 
     def unanswered(i: int, j: int) -> str:
         """The first item of composite j's side not answered on day i."""
         return next(item for item in sides[j - n] if np.isnan(affect.column(item)[i]))
 
+    def text(value: float) -> str:
+        return "null" if value != value else repr(float(value))
+
     messages = (
         lambda i, j: f"unknown affect item {names[j]!r}",
         lambda i, j: f"{names[j]!r} out of [0, 100]: {float(numbers[i, j])!r}",
         lambda i, j: f"{names[j]!r} given without every item of its side ({unanswered(i, j)!r} missing)",
+        lambda i, j: f"{names[j]!r} is {text(stored[i, j - n])}, not the mean of its side's items "
+        f"({text(derived[i, j - n])})",
     )
-    failed = np.stack([given & ~known, given & ~((numbers >= 0.0) & (numbers <= 100.0)), orphan], axis=1)
+    failed = np.stack([given & ~known, given & ~((numbers >= 0.0) & (numbers <= 100.0)), orphan, differs], axis=1)
     bad = np.argwhere(failed)
     if bad.size:
         i, check, j = bad[0]
@@ -861,8 +855,9 @@ def _check_affect(pid: str, dates: Sequence[date], affect: DailyAffect, polarity
 
 
 def timeline_from_dict(payload: dict) -> ParticipantTimeline:
-    """The timeline a document holds, its affect checked as the affect CSV
-    parser checks it (see _check_affect)."""
+    """The timeline a document holds, its composites computed from its
+    ratings and its affect checked as the affect CSV parser checks it (see
+    _check_affect)."""
     doc = from_json(_TimelineDocument, payload, "timeline")
     fids = tuple(doc.days[0].features) if doc.days else ()
     for entry in doc.days:
@@ -872,8 +867,13 @@ def timeline_from_dict(payload: dict) -> ParticipantTimeline:
     shape = (len(doc.days), len(fids))
     dates = tuple(entry.date for entry in doc.days)
     reported = [i for i, entry in enumerate(doc.days) if entry.affect is not None]
-    affect = DailyAffect.from_reports(len(dates), reported, [doc.days[i].affect for i in reported])
-    _check_affect(doc.participant_id, dates, affect, default_polarity())
+    entries = [doc.days[i].affect for i in reported]
+    polarity = default_polarity()
+    reports = [AffectReport(dates[i], entry.items) for i, entry in zip(reported, entries)]
+    stored = np.full((len(dates), 2), np.nan)
+    stored[reported] = np.array([(entry.pa, entry.na) for entry in entries], dtype=float).reshape(-1, 2)
+    affect = DailyAffect.from_reports(len(dates), reported, reports, polarity)
+    _check_affect(doc.participant_id, dates, affect, stored, polarity)
     return ParticipantTimeline(
         doc.participant_id,
         fids,

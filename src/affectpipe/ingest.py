@@ -271,7 +271,7 @@ def parse_affect_file(
     items = np.array(distinct_items, dtype=object)[item_codes[order]].tolist()
     rated = ratings[order].tolist()
     return {
-        day: AffectReport.from_items(day, dict(zip(items[a:b], rated[a:b])), polarity)
+        day: AffectReport(day, dict(zip(items[a:b], rated[a:b])))
         for day, a, b in zip(rank, bounds, bounds[1:])
     }
 
@@ -280,8 +280,10 @@ def build_timeline(
     files: Sequence[RawSampleFile],
     affect_reports: Iterable[AffectReport],
     schema: FeatureSchema,
+    polarity: ItemPolarity,
 ) -> ParticipantTimeline:
-    """Merge modality files and affect reports into one participant timeline.
+    """Merge modality files and affect reports into one participant timeline,
+    the reports' composites computed under ``polarity``.
 
     Every date seen in any input gets a row; a feature's daily value is the
     duration-weighted mean of its samples that day, and features without
@@ -338,7 +340,7 @@ def build_timeline(
         dates=dates,
         values=np.divide(weighted, duration, out=np.full(shape, np.nan), where=measured),
         provenance=np.where(measured, CODE_MEASURED, CODE_MISSING).astype(np.int8),
-        affect=DailyAffect.from_reports(len(dates), np.searchsorted(days, report_days), reports),
+        affect=DailyAffect.from_reports(len(dates), np.searchsorted(days, report_days), reports, polarity),
     )
 
 

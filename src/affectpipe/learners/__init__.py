@@ -46,14 +46,7 @@ MODEL_NAMES: dict[str, ModelFamily] = {
     "baseline": ModelFamily.MAJORITY,
 }
 
-_ALLOWED_HYPERS: dict[ModelFamily, frozenset[str]] = {
-    ModelFamily.RF: frozenset({"n_trees", "max_depth", "max_features"}),
-    ModelFamily.SVM: frozenset({"C", "epochs"}),
-    ModelFamily.MLP: frozenset({"n_hidden", "learning_rate", "epochs"}),
-    ModelFamily.KNN: frozenset({"k"}),
-    ModelFamily.MAJORITY: frozenset(),
-}
-
+# Each family's hyperparameters, and the only ones a spec may set.
 DEFAULTS: dict[ModelFamily, dict] = {
     ModelFamily.RF: {"n_trees": 100, "max_depth": None, "max_features": "sqrt"},
     ModelFamily.SVM: {"C": 1.0, "epochs": 200},
@@ -95,7 +88,7 @@ class ModelSpec:
         family = self.family
         if not isinstance(family, ModelFamily):
             raise SchemaError(f"unknown model family {family!r}")
-        unknown = set(self.hyperparameters) - _ALLOWED_HYPERS[family]
+        unknown = set(self.hyperparameters) - DEFAULTS[family].keys()
         if unknown:
             raise SchemaError(
                 f"invalid hyperparameters for {family.value}: {sorted(unknown)}"

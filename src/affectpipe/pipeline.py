@@ -230,8 +230,9 @@ def ingest_participant(
     """One participant's timeline from their modality CSVs and, when there
     is one, their affect CSV."""
     files = [parse_modality_file(path, schema, m, participant_id) for m, path in modality_files.items()]
-    reports = {} if affect_file is None else parse_affect_file(affect_file, default_polarity(), participant_id)
-    return build_timeline(files, list(reports.values()), schema)
+    polarity = default_polarity()
+    reports = {} if affect_file is None else parse_affect_file(affect_file, polarity, participant_id)
+    return build_timeline(files, list(reports.values()), schema, polarity)
 
 
 def impute_timeline(timeline: ParticipantTimeline, section: ImputeConfig) -> ParticipantTimeline:

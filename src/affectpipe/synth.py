@@ -381,9 +381,7 @@ def _sample_participant(
     composites = np.stack([pa[reported], na[reported]], axis=-1)
     ratings = np.clip(composites[:, :, None] + eta, 0.0, 100.0).tolist()
     reports = [
-        AffectReport.from_items(
-            dates[t + 1], dict(zip(item_ids, pos + neg)), config.polarity
-        )
+        AffectReport(dates[t + 1], dict(zip(item_ids, pos + neg)))
         for t, (pos, neg) in zip(reported.tolist(), ratings)
     ]
 
@@ -447,7 +445,7 @@ def generate(
     for i in range(config.n_participants):
         files, reports, truth = _sample_participant(config, i)
         timelines.append(
-            build_timeline(list(files.values()), reports, config.schema)
+            build_timeline(list(files.values()), reports, config.schema, config.polarity)
         )
         truths.append(truth)
     return timelines, _ground_truth_with(config, truths)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
@@ -46,8 +47,9 @@ def timeline_document(timeline):
 
 
 def survey_items(pa=50.0, na=20.0, polarity=None):
-    """The twenty ratings of a survey whose composites equal pa/na exactly:
-    each item rated as its side's composite."""
+    """The twenty ratings of a survey whose composites are pa/na: each item
+    rated as its side's composite.  Exactly so when ten of them add without
+    rounding, as whole numbers and sixteenths below 100 do."""
     polarity = polarity or default_polarity()
     items = {item: float(pa) for item in polarity.positive}
     items.update({item: float(na) for item in polarity.negative})
@@ -55,9 +57,39 @@ def survey_items(pa=50.0, na=20.0, polarity=None):
 
 
 def make_report(day, pa=50.0, na=20.0, polarity=None):
-    """Complete 20-item report whose composites equal pa/na exactly."""
+    """Complete 20-item report whose composites are pa/na (see survey_items)."""
+    return AffectReport(day, survey_items(pa, na, polarity))
+
+
+@dataclass(frozen=True)
+class Survey:
+    """A day's report as the per-report reference code reads it: its
+    ratings by item id and its composites, None for none."""
+
+    day: date
+    items: dict
+    pa: float | None
+    na: float | None
+
+
+def side_mean(items, side):
+    """The composite rule, kept here apart from the code it checks: None
+    unless every item of the side is answered, else the side's ratings
+    added one by one in polarity order from 0.0 and divided by the side's
+    size.  A loop, not sum(), which adds floats with compensation from
+    Python 3.12 on."""
+    if not all(item in items for item in side):
+        return None
+    total = 0.0
+    for item in side:
+        total += items[item]
+    return total / len(side)
+
+
+def survey(day, items, polarity=None):
+    """The Survey of these ratings, its composites by side_mean."""
     polarity = polarity or default_polarity()
-    return AffectReport.from_items(day, survey_items(pa, na, polarity), polarity)
+    return Survey(day, dict(items), side_mean(items, polarity.positive), side_mean(items, polarity.negative))
 
 
 def make_affect(n_days, affect_by_index=None):
@@ -124,11 +156,10 @@ REPORT_KINDS = ("absent", "some items", "all items", "any items")
 
 @st.composite
 def report_timelines(draw, fids=None, kinds=REPORT_KINDS, min_days=0, max_days=5):
-    """A timeline and the per-day reports its affect arrays were built from
+    """A timeline and the per-day Surveys its affect arrays were built from
     (None for a day without one).  Each day draws one of ``kinds``: no
     report, a survey of some of the default items or of all of them, with
-    composites as the parser computes them, or any items and any
-    composites."""
+    composites by side_mean, or any items and any composites."""
     fids = tuple(draw(st.lists(KEYS, max_size=5))) if fids is None else fids
     gaps = draw(st.lists(st.integers(1, 3), min_size=min_days, max_size=max_days))
     dates = tuple(D0 + timedelta(days=sum(gaps[:k])) for k in range(len(gaps)))
@@ -149,13 +180,13 @@ def report_timelines(draw, fids=None, kinds=REPORT_KINDS, min_days=0, max_days=5
         elif kind == "any items":
             items = draw(st.dictionaries(KEYS, RATINGS, max_size=4))
             pa, na = draw(st.none() | NUMBERS), draw(st.none() | NUMBERS)
-            reports.append(AffectReport(day, items, pa, na))
+            reports.append(Survey(day, items, pa, na))
         else:
             answered = polarity.all_items() if kind == "all items" else draw(
                 st.lists(st.sampled_from(polarity.all_items()), unique=True, min_size=1)
             )
             ratings = draw(st.lists(RATINGS, min_size=len(answered), max_size=len(answered)))
-            reports.append(AffectReport.from_items(day, dict(zip(answered, ratings)), polarity))
+            reports.append(survey(day, dict(zip(answered, ratings)), polarity))
     surveys = {i: (r.pa, r.na, r.items) for i, r in enumerate(reports) if r is not None}
     timeline = ParticipantTimeline(draw(KEYS), fids, dates, values, codes, make_affect(len(dates), surveys))
     return timeline, tuple(reports)

@@ -324,6 +324,12 @@ REFUSED_AFFECT = [
     # a positive item gone, its composite still there
     (lambda a: a["items"].pop("active"), "'pa' given without every item of its side ('active' missing)"),
     (lambda a: a["items"].pop("afraid"), "'na' given without every item of its side ('afraid' missing)"),
+    # a stored composite other than the one its items give: the first day
+    # rates every positive item 0.0 and every negative one 20.0
+    (lambda a: a.update(pa=80.0), "'pa' is 80.0, not the mean of its side's items (0.0)"),
+    (lambda a: a.update(pa=None), "'pa' is null, not the mean of its side's items (0.0)"),
+    (lambda a: a.pop("na"), "'na' is null, not the mean of its side's items (20.0)"),
+    (lambda a: a.update(na=20.000000000000004), "'na' is 20.000000000000004, not the mean of its side's items (20.0)"),
 ]
 
 

@@ -40,9 +40,9 @@ from affectpipe.core import (
     to_json,
     valid_affect_day_count,
 )
-from affectpipe.errors import PipelineError, SchemaError
+from affectpipe.errors import InputFormatError, PipelineError, SchemaError
 
-from conftest import D0, KEYS, make_affect, make_timeline, report_timelines, timeline_document
+from conftest import D0, KEYS, RATINGS, make_affect, make_timeline, report_timelines, side_mean, timeline_document
 
 
 # ---------------------------------------------------------------------------
@@ -112,33 +112,43 @@ def test_polarity_rejects_wrong_count():
         ItemPolarity(tuple(f"p{i}" for i in range(9)), tuple(f"n{i}" for i in range(10)))
 
 
+def composites_of(items, polarity):
+    """The PA and NA a timeline computes for one day rated ``items``."""
+    affect = DailyAffect.from_reports(1, [0], [AffectReport(D0, items)], polarity)
+    return affect.pa[0], affect.na[0]
+
+
 def test_composites_are_side_means(polarity):
     # positives 30,35,...,75 mean 52.5; negatives 10,...,55 mean 32.5
     items = {item: 30.0 + 5 * i for i, item in enumerate(polarity.positive)}
     items.update({item: 10.0 + 5 * i for i, item in enumerate(polarity.negative)})
-    report = AffectReport.from_items(D0, items, polarity)
-    assert report.pa == 52.5
-    assert report.na == 32.5
-    assert report.pa is not None and report.na is not None
+    pa, na = composites_of(items, polarity)
+    assert pa == 52.5
+    assert na == 32.5
 
 
 def test_partial_side_gives_none_composite(polarity):
     items = {item: 50.0 for item in polarity.positive[1:]}  # one positive missing
     items.update({item: 20.0 for item in polarity.negative})
-    report = AffectReport.from_items(D0, items, polarity)
-    assert report.pa is None
-    assert report.na == 20.0
-    assert None in (report.pa, report.na)
+    pa, na = composites_of(items, polarity)
+    assert np.isnan(pa)
+    assert na == 20.0
+
+
+def one_day_document(items):
+    """A timeline document of one day without features, rated ``items``."""
+    day = {"date": D0.isoformat(), "features": {}, "provenance": {}, "affect": {"items": items}}
+    return {"participant_id": "p", "days": [day]}
 
 
 def test_rating_out_of_range_rejected(polarity):
-    with pytest.raises(Exception, match="out of"):
-        AffectReport.from_items(D0, {polarity.positive[0]: 101.0}, polarity)
+    with pytest.raises(InputFormatError, match="out of"):
+        timeline_from_dict(one_day_document({polarity.positive[0]: 101.0}))
 
 
 def test_unknown_item_rejected(polarity):
-    with pytest.raises(Exception, match="unknown affect item"):
-        AffectReport.from_items(D0, {"serene": 50.0}, polarity)
+    with pytest.raises(InputFormatError, match="unknown affect item"):
+        timeline_from_dict(one_day_document({"serene": 50.0}))
 
 
 @settings(max_examples=50)
@@ -150,10 +160,34 @@ def test_composites_equal_means_property(pos, neg):
     polarity = default_polarity()
     items = dict(zip(polarity.positive, pos))
     items.update(zip(polarity.negative, neg))
-    report = AffectReport.from_items(D0, items, polarity)
-    assert report.pa == pytest.approx(sum(pos) / 10, abs=1e-9)
-    assert report.na == pytest.approx(sum(neg) / 10, abs=1e-9)
-    assert 0.0 <= report.pa <= 100.0 and 0.0 <= report.na <= 100.0
+    pa, na = composites_of(items, polarity)
+    assert pa == pytest.approx(sum(pos) / 10, abs=1e-9)
+    assert na == pytest.approx(sum(neg) / 10, abs=1e-9)
+    assert 0.0 <= pa <= 100.0 and 0.0 <= na <= 100.0
+
+
+def bits(value):
+    """The float's bytes; None for no composite, as None or NaN."""
+    return None if value is None or value != value else np.float64(value).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    surveys=st.lists(
+        st.dictionaries(st.sampled_from(default_polarity().all_items()), RATINGS, min_size=17),
+        min_size=1, max_size=6,
+    )
+)
+def test_composites_equal_the_side_sum_in_polarity_order(surveys):
+    """Each composite is the ratings of its side added in polarity order
+    and divided by 10, bit for bit; a side with an unanswered item has
+    none."""
+    polarity = default_polarity()
+    reports = [AffectReport(D0 + timedelta(days=k), items) for k, items in enumerate(surveys)]
+    affect = DailyAffect.from_reports(len(reports), range(len(reports)), reports, polarity)
+    for k, items in enumerate(surveys):
+        assert bits(affect.pa[k]) == bits(side_mean(items, polarity.positive))
+        assert bits(affect.na[k]) == bits(side_mean(items, polarity.negative))
 
 
 # ---------------------------------------------------------------------------

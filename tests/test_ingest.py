@@ -32,7 +32,7 @@ from affectpipe.ingest import (
     write_modality_csv,
 )
 
-from conftest import TINY_SCHEMA, make_report, report_timelines
+from conftest import TINY_SCHEMA, make_report, report_timelines, side_mean
 
 D1 = date(2020, 3, 1)
 
@@ -143,16 +143,18 @@ def test_parse_affect_builds_reports(tmp_path, polarity):
     path = write(tmp_path, "affect.csv", "\n".join(lines) + "\n")
     reports = parse_affect_file(path, polarity, "p01")
     assert list(reports) == [D1]
-    assert reports[D1].pa == 60.0
-    assert reports[D1].na == 20.0
+    affect = build_timeline([], reports.values(), TINY_SCHEMA, polarity).affect
+    assert affect.pa[0] == 60.0
+    assert affect.na[0] == 20.0
 
 
 def test_parse_affect_partial_day_kept_incomplete(tmp_path, polarity):
     lines = ["date,item_id,rating"] + [f"2020-03-01,{i},50" for i in polarity.positive]
     path = write(tmp_path, "affect.csv", "\n".join(lines) + "\n")
-    report = parse_affect_file(path, polarity, "p01")[D1]
-    assert report.pa == 50.0
-    assert report.na is None
+    reports = parse_affect_file(path, polarity, "p01")
+    affect = build_timeline([], reports.values(), TINY_SCHEMA, polarity).affect
+    assert affect.pa[0] == 50.0
+    assert np.isnan(affect.na[0])
 
 
 def test_parse_affect_rejects_out_of_range(tmp_path, polarity):
@@ -197,7 +199,7 @@ def test_parse_affect_rejects_unknown_item(tmp_path, polarity):
 
 def daily_value(rows):
     """The value build_timeline aggregates for the day of one feature's samples."""
-    tl = build_timeline([ring_file(rows)], [], TINY_SCHEMA)
+    tl = build_timeline([ring_file(rows)], [], TINY_SCHEMA, default_polarity())
     return tl.values[0, tl.feature_ids.index(rows[0][1])]
 
 
@@ -246,7 +248,7 @@ def test_build_timeline_materializes_all_dates():
         [(date(2020, 3, 1), "heart_rate", 60.0, 60.0), (date(2020, 3, 3), "heart_rate", 62.0, 60.0)]
     )
     affect = [make_report(date(2020, 3, 2), 55.0, 15.0)]
-    tl = build_timeline([ring], affect, TINY_SCHEMA)
+    tl = build_timeline([ring], affect, TINY_SCHEMA, default_polarity())
     assert tl.dates == (date(2020, 3, 1), date(2020, 3, 2), date(2020, 3, 3))
     # the affect-only day carries a fully missing feature vector
     assert (tl.provenance[1] == CODE_MISSING).all() and np.isnan(tl.values[1]).all()
@@ -260,32 +262,32 @@ def test_build_timeline_materializes_all_dates():
 
 def test_build_timeline_aggregates_within_day():
     ring = ring_file([(D1, "heart_rate", 10.0, 120.0), (D1, "heart_rate", 20.0, 360.0)])
-    tl = build_timeline([ring], [], TINY_SCHEMA)
+    tl = build_timeline([ring], [], TINY_SCHEMA, default_polarity())
     assert tl.days[0].features.values["heart_rate"] == 17.5
 
 
 def test_build_timeline_rejects_cross_file_duplicates():
     row = (D1, "heart_rate", 60.0, 60.0)
     with pytest.raises(InputFormatError, match="duplicate"):
-        build_timeline([ring_file([row]), ring_file([row])], [], TINY_SCHEMA)
+        build_timeline([ring_file([row]), ring_file([row])], [], TINY_SCHEMA, default_polarity())
 
 
 def test_build_timeline_rejects_multiple_participants():
     a = ring_file([(D1, "heart_rate", 60.0, 60.0)], pid="a")
     b = ring_file([(D1, "sleep_deep", 30.0, 60.0)], pid="b")
     with pytest.raises(SchemaError, match="multiple participants"):
-        build_timeline([a, b], [], TINY_SCHEMA)
+        build_timeline([a, b], [], TINY_SCHEMA, default_polarity())
 
 
 def test_build_timeline_rejects_duplicate_affect():
     reports = [make_report(D1), make_report(D1)]
     with pytest.raises(InputFormatError, match="duplicate affect"):
-        build_timeline([], reports, TINY_SCHEMA)
+        build_timeline([], reports, TINY_SCHEMA, default_polarity())
 
 
 def test_build_timeline_requires_some_input():
     with pytest.raises(InputFormatError):
-        build_timeline([], [], TINY_SCHEMA)
+        build_timeline([], [], TINY_SCHEMA, default_polarity())
 
 
 def test_csv_round_trips(tmp_path, polarity):
@@ -306,18 +308,24 @@ def test_csv_round_trips(tmp_path, polarity):
 def test_build_timeline_affect_equals_the_per_cell_arrays(drawn):
     """One pass over the reports gives the arrays a per-cell fill gives."""
     expected, reports = drawn
-    found = build_timeline([ring_file([])], [r for r in reports if r is not None], TINY_SCHEMA).affect
-    rows = [expected.dates.index(r.day) for r in reports if r is not None]
-    assert found.item_ids == expected.affect.item_ids
-    for name in ("ratings", "reported", "pa", "na"):
-        np.testing.assert_array_equal(getattr(found, name), getattr(expected.affect, name)[rows])
+    polarity = default_polarity()
+    surveys = [r for r in reports if r is not None]
+    found = build_timeline([ring_file([])], [AffectReport(r.day, r.items) for r in surveys], TINY_SCHEMA, polarity)
+    rows = [expected.dates.index(r.day) for r in surveys]
+    assert found.affect.item_ids == expected.affect.item_ids
+    for name in ("ratings", "reported"):
+        np.testing.assert_array_equal(getattr(found.affect, name), getattr(expected.affect, name)[rows])
+    # the composites by the rule, also for a day drawn with any composites
+    for side, name in ((polarity.positive, "pa"), (polarity.negative, "na")):
+        means = [side_mean(r.items, side) for r in surveys]
+        np.testing.assert_array_equal(getattr(found.affect, name), np.array(means, dtype=float))
 
 
 def test_build_timeline_refuses_an_empty_generator():
     with pytest.raises(InputFormatError, match="nothing to build"):
-        build_timeline([], iter([]), TINY_SCHEMA)
+        build_timeline([], iter([]), TINY_SCHEMA, default_polarity())
     # an empty file is input, and gives a timeline without days
-    assert build_timeline([ring_file([])], iter([]), TINY_SCHEMA).dates == ()
+    assert build_timeline([ring_file([])], iter([]), TINY_SCHEMA, default_polarity()).dates == ()
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +610,7 @@ def test_modality_csv_is_what_csv_writer_writes(tmp_path_factory, fids, numbers)
     )
 )
 def test_affect_csv_is_what_csv_writer_writes(tmp_path_factory, items):
-    reports = [AffectReport(D1, items, None, None), AffectReport(date(2020, 3, 2), items, None, None)]
+    reports = [AffectReport(D1, items), AffectReport(date(2020, 3, 2), items)]
     path = tmp_path_factory.mktemp("writer") / "affect.csv"
     write_affect_csv(path, reports)
     expected = io.StringIO(newline="")

@@ -9,12 +9,22 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from affectpipe.core import Modality, canonical_json, default_polarity, default_schema, read_json, timeline_to_dict, to_json
+from affectpipe.core import (
+    Modality,
+    canonical_json,
+    default_polarity,
+    default_schema,
+    read_json,
+    timeline_from_dict,
+    timeline_to_dict,
+    to_json,
+)
 from affectpipe.errors import ConfigError
 from affectpipe.evaluate import cross_validate
 from affectpipe.ingest import build_timeline, parse_affect_file, parse_modality_file
 from affectpipe.labels import TargetSpec, build_dataset, build_labels
 from affectpipe.learners import ModelFamily, ModelSpec
+from affectpipe.pipeline import ingest_participant
 from affectpipe.synth import (
     DEFAULT_NA_WEIGHTS,
     DEFAULT_PA_WEIGHTS,
@@ -33,6 +43,8 @@ from affectpipe.synth import (
     variance_shares,
     write_cohort,
 )
+
+from conftest import side_mean, timeline_document
 
 NO_MISSING = MissingnessSpec(
     day_prob={"ring": 0.0, "watch": 0.0, "phone": 0.0}, block_prob=0.0
@@ -303,8 +315,31 @@ def test_write_cohort_round_trips_through_ingestion(tmp_path):
             for m in Modality
         ]
         reports = parse_affect_file(tmp_path / f"{pid}_affect.csv", polarity, pid)
-        rebuilt = build_timeline(files, reports.values(), cfg.schema)
+        rebuilt = build_timeline(files, reports.values(), cfg.schema, polarity)
         assert canonical_json(timeline_to_dict(rebuilt)) == canonical_json(timeline_to_dict(expected[i]))
+
+
+def test_one_survey_gets_the_same_composites_on_every_path(tmp_path):
+    """A generated survey's composites are the same in memory (generate),
+    through its affect CSV and through its timeline document, and are its
+    sides' ratings added in polarity order over 10."""
+    cfg = small_config()
+    write_cohort(cfg, tmp_path)
+    generated, _ = generate(cfg)
+    polarity = cfg.polarity
+    complete = 0
+    for pid, timeline in zip(cfg.participant_ids(), generated):
+        affect = timeline.affect
+        from_csv = ingest_participant(pid, {}, tmp_path / f"{pid}_affect.csv", cfg.schema).affect
+        from_document = timeline_from_dict(timeline_document(timeline)).affect
+        reports = sorted(parse_affect_file(tmp_path / f"{pid}_affect.csv", polarity, pid).values(), key=lambda r: r.day)
+        for name, side in (("pa", polarity.positive), ("na", polarity.negative)):
+            expected = np.array([side_mean(r.items, side) for r in reports], dtype=float)
+            np.testing.assert_array_equal(getattr(affect, name)[affect.reported], expected)
+            np.testing.assert_array_equal(getattr(from_csv, name), expected)
+            np.testing.assert_array_equal(getattr(from_document, name), getattr(affect, name))
+        complete += int(affect.complete.sum())
+    assert complete > 10
 
 
 # ---------------------------------------------------------------------------
