@@ -9,12 +9,10 @@ from .core import (
     DailyFeatureVector,
     FeatureSchema,
     FeatureSpec,
-    ItemPolarity,
     Modality,
     ParticipantTimeline,
     Provenance,
     TimelineDay,
-    default_polarity,
     default_schema,
     filter_eligible_participants,
     valid_affect_day_count,
@@ -36,12 +34,10 @@ __all__ = [
     "DailyFeatureVector",
     "FeatureSchema",
     "FeatureSpec",
-    "ItemPolarity",
     "Modality",
     "ParticipantTimeline",
     "Provenance",
     "TimelineDay",
-    "default_polarity",
     "default_schema",
     "filter_eligible_participants",
     "valid_affect_day_count",

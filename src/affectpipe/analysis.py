@@ -16,6 +16,8 @@ from .learners import TrainedModel
 
 MIN_CORR_PAIRS = 3
 MIN_GROUP_SCORES = 3
+# The composites correlated with each feature, in column order.
+TARGETS = ("pa", "na")
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float | None:
@@ -55,11 +57,10 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> float:
 def feature_affect_correlations(
     timelines: Sequence[ParticipantTimeline],
     schema: FeatureSchema,
-    targets: Sequence[str] = ("pa", "na"),
     alignment: str = "next_day",
 ) -> dict[tuple[str, str], float | None]:
-    """Pooled Pearson r between each feature at day t and each composite at
-    the aligned day, skipping missing values on either side.
+    """Pooled Pearson r between each feature at day t and PA and NA at the
+    aligned day, skipping missing values on either side.
 
     Sparse (< 3 pairs) or constant columns record None: undefined, not 0.
     """
@@ -67,20 +68,18 @@ def feature_affect_correlations(
     fids = schema.feature_ids()
     # Every timeline's rows go straight into one X and one Y, in order.
     n = sum(len(timeline.dates) for timeline in timelines)
-    X, Y = np.empty((n, len(fids))), np.empty((n, len(targets)))
+    X, Y = np.empty((n, len(fids))), np.empty((n, len(TARGETS)))
     start = 0
     for timeline in timelines:
         stop = start + len(timeline.dates)
         rows = timeline.rows_at(ordinals(timeline.dates) + lag)
         X[start:stop] = timeline.columns(fids)
-        composites = {"pa": timeline.affect.pa, "na": timeline.affect.na}
-        for k, target in enumerate(targets):
-            column = composites.get(target)
-            Y[start:stop, k] = np.nan if column is None else np.where(rows >= 0, column[rows], np.nan)
+        for k, column in enumerate((timeline.affect.pa, timeline.affect.na)):
+            Y[start:stop, k] = np.where(rows >= 0, column[rows], np.nan)
         start = stop
     out: dict[tuple[str, str], float | None] = {}
     for j, fid in enumerate(fids):
-        for k, t in enumerate(targets):
+        for k, t in enumerate(TARGETS):
             pair = ~np.isnan(X[:, j]) & ~np.isnan(Y[:, k])
             out[(fid, t)] = pearson_r(X[pair, j], Y[pair, k]) if pair.sum() >= MIN_CORR_PAIRS else None
     return out
@@ -95,21 +94,19 @@ def last_week_dates(year: int, month: int) -> list[date]:
 def monthly_scores(
     model: TrainedModel,
     timeline: ParticipantTimeline,
-    feature_ids: Sequence[str] | None = None,
     alignment: str = "next_day",
 ) -> dict[str, np.ndarray]:
     """Predicted probabilities for the last 7 calendar days of each month.
 
     The score attributed to day d is the model output for d's aligned feature
     row (the previous day under next_day).  Days whose feature row is absent
-    or incomplete contribute nothing.
+    or incomplete contribute nothing.  The rows hold the model's own
+    feature ids.
     """
-    if feature_ids is None:
-        feature_ids = model.feature_ids
-    if feature_ids is None:
+    if model.feature_ids is None:
         raise InsufficientDataError("model does not record its feature ids")
     lag = 1 if alignment == "next_day" else 0
-    columns = timeline.columns(feature_ids)
+    columns = timeline.columns(model.feature_ids)
     months = sorted({(d.year, d.month) for d in timeline.dates})
     out: dict[str, np.ndarray] = {}
     for year, month in months:
@@ -170,14 +167,13 @@ def write_correlation_csv(
     path: Path | str,
     correlations: Mapping[tuple[str, str], float | None],
     feature_ids: Sequence[str],
-    targets: Sequence[str] = ("pa", "na"),
 ) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["feature_id", *targets])
+        writer.writerow(["feature_id", *TARGETS])
         for fid in feature_ids:
             row: list[str] = [fid]
-            for t in targets:
+            for t in TARGETS:
                 r = correlations.get((fid, t))
                 row.append("nan" if r is None else repr(r))
             writer.writerow(row)

@@ -104,33 +104,22 @@ class FeatureSchema:
 
 
 @dataclass(frozen=True)
-class ItemPolarity:
-    """The ten positively and ten negatively valenced survey item ids;
-    ``known`` is the set of all twenty."""
-
-    positive: tuple[str, ...]
-    negative: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.positive) != 10 or len(set(self.positive)) != 10:
-            raise SchemaError("polarity requires exactly 10 unique positive item ids")
-        if len(self.negative) != 10 or len(set(self.negative)) != 10:
-            raise SchemaError("polarity requires exactly 10 unique negative item ids")
-        if set(self.positive) & set(self.negative):
-            raise SchemaError("positive and negative item sets overlap")
-        object.__setattr__(self, "known", frozenset(self.all_items()))
-
-    def all_items(self) -> tuple[str, ...]:
-        return self.positive + self.negative
-
-
-@dataclass(frozen=True)
 class AffectReport:
     """One day's emotion ratings by item id; ``items`` may be partial.  The
     timeline's affect arrays compute the composites (DailyAffect.from_reports)."""
 
     day: date
     items: dict[str, float]
+
+
+def iso_date(text: str) -> date:
+    """The date a YYYY-MM-DD text names; ValueError for any other text, on
+    every Python (from 3.11 on, date.fromisoformat also reads 20200103 and
+    2020-W01-5)."""
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return day
 
 
 def ordinals(dates: Sequence[date]) -> np.ndarray:
@@ -176,15 +165,13 @@ class DailyAffect:
     na: np.ndarray
 
     @classmethod
-    def from_reports(
-        cls, n_days: int, rows: Sequence[int] | np.ndarray, reports: Sequence[AffectReport], polarity: ItemPolarity
-    ) -> DailyAffect:
+    def from_reports(cls, n_days: int, rows: Sequence[int] | np.ndarray, reports: Sequence[AffectReport]) -> DailyAffect:
         """The arrays of ``n_days`` days with one report on each of ``rows``.
 
-        A composite is its side's ratings added one by one in polarity
-        order, starting from 0.0, and divided by the side's size.  NaN
-        carries through, so a day that left an item of a side unanswered
-        has no composite on that side.
+        A composite is its side's ratings added one by one in the order of
+        POSITIVE_ITEMS or NEGATIVE_ITEMS, starting from 0.0, and divided by
+        the side's size.  NaN carries through, so a day that left an item of
+        a side unanswered has no composite on that side.
         """
         item_ids = tuple(sorted(set().union(*(report.items for report in reports))))
         ratings = np.full((n_days, len(item_ids)), np.nan)
@@ -195,7 +182,7 @@ class DailyAffect:
             ratings[rows] = np.array([list(map(r.items.get, item_ids)) for r in reports], dtype=float)
             reported[rows] = True
         affect = cls(item_ids, ratings, reported, np.zeros(n_days), np.zeros(n_days))
-        for total, side in ((affect.pa, polarity.positive), (affect.na, polarity.negative)):
+        for total, side in ((affect.pa, POSITIVE_ITEMS), (affect.na, NEGATIVE_ITEMS)):
             for item in side:
                 total += affect.column(item)
             total /= len(side)
@@ -301,7 +288,7 @@ def filter_eligible_participants(
 
 
 # ---------------------------------------------------------------------------
-# Default schema and polarity
+# Default schema and survey items
 # ---------------------------------------------------------------------------
 
 _RING_FEATURES = [
@@ -374,34 +361,33 @@ def default_schema() -> FeatureSchema:
     return FeatureSchema(tuple(entries))
 
 
-def default_polarity() -> ItemPolarity:
-    """Default 10+10 survey item split (PANAS-style wording)."""
-    return ItemPolarity(
-        positive=(
-            "interested",
-            "excited",
-            "strong",
-            "enthusiastic",
-            "proud",
-            "alert",
-            "inspired",
-            "determined",
-            "attentive",
-            "active",
-        ),
-        negative=(
-            "distressed",
-            "upset",
-            "guilty",
-            "scared",
-            "hostile",
-            "irritable",
-            "ashamed",
-            "nervous",
-            "jittery",
-            "afraid",
-        ),
-    )
+# The daily survey is the twenty PANAS items (Watson, Clark & Tellegen, 1988),
+# each side in the order its composite adds it.
+POSITIVE_ITEMS = (
+    "interested",
+    "excited",
+    "strong",
+    "enthusiastic",
+    "proud",
+    "alert",
+    "inspired",
+    "determined",
+    "attentive",
+    "active",
+)
+NEGATIVE_ITEMS = (
+    "distressed",
+    "upset",
+    "guilty",
+    "scared",
+    "hostile",
+    "irritable",
+    "ashamed",
+    "nervous",
+    "jittery",
+    "afraid",
+)
+SURVEY_ITEMS = POSITIVE_ITEMS + NEGATIVE_ITEMS
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +566,7 @@ def _scalar_reader(tp: Any) -> Any:
             return value
         return read
     if tp is date:
-        return date.fromisoformat
+        return iso_date
     if isinstance(tp, type) and issubclass(tp, Enum):
         return tp
     if tp is Any or tp is object:
@@ -810,9 +796,7 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
     return {"format_version": FORMAT_VERSION, "participant_id": pid, "days": RawJSONPieces(days)}
 
 
-def _check_affect(
-    pid: str, dates: Sequence[date], affect: DailyAffect, stored: np.ndarray, polarity: ItemPolarity
-) -> None:
+def _check_affect(pid: str, dates: Sequence[date], affect: DailyAffect, stored: np.ndarray) -> None:
     """Refuse affect an affect CSV could not give: an unknown item, a rating
     or stored composite outside [0, 100], a stored composite whose ten items
     were not all answered, or one that differs from the composite ``affect``
@@ -824,8 +808,8 @@ def _check_affect(
     names = (*affect.item_ids, "pa", "na")
     numbers = np.column_stack([affect.ratings, stored])
     given = ~np.isnan(numbers)
-    known = np.array([name in polarity.known for name in affect.item_ids] + [True, True])
-    sides = (polarity.positive, polarity.negative)
+    known = np.array([name in SURVEY_ITEMS for name in affect.item_ids] + [True, True])
+    sides = (POSITIVE_ITEMS, NEGATIVE_ITEMS)
     # The derived composite is NaN where its side has an unanswered item;
     # a stored null (NaN) agrees only with NaN.
     derived = np.column_stack([affect.pa, affect.na])
@@ -868,12 +852,11 @@ def timeline_from_dict(payload: dict) -> ParticipantTimeline:
     dates = tuple(entry.date for entry in doc.days)
     reported = [i for i, entry in enumerate(doc.days) if entry.affect is not None]
     entries = [doc.days[i].affect for i in reported]
-    polarity = default_polarity()
     reports = [AffectReport(dates[i], entry.items) for i, entry in zip(reported, entries)]
     stored = np.full((len(dates), 2), np.nan)
     stored[reported] = np.array([(entry.pa, entry.na) for entry in entries], dtype=float).reshape(-1, 2)
-    affect = DailyAffect.from_reports(len(dates), reported, reports, polarity)
-    _check_affect(doc.participant_id, dates, affect, stored, polarity)
+    affect = DailyAffect.from_reports(len(dates), reported, reports)
+    _check_affect(doc.participant_id, dates, affect, stored)
     return ParticipantTimeline(
         doc.participant_id,
         fids,

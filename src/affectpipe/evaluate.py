@@ -243,23 +243,18 @@ def ablation_run(
 ) -> dict[str, EvaluationReport]:
     """Cross-validate each subset's dataset on identical row partitions.
 
-    Datasets may come from `paired_subsets` or from independent builds; in
-    the latter case rows are first restricted to the common (participant,
-    date) keys so fold assignments stay comparable.
+    The datasets must hold the same rows, as the projections `paired_subsets`
+    gives do; SchemaError names the first that does not, before any fit.
     """
     if not datasets:
         raise SchemaError("no datasets given")
-    keys = [ds.row_keys() for ds in datasets.values()]
-    common = set(keys[0])
-    for other in keys[1:]:
-        common &= set(other)
-    if not common:
-        raise InsufficientDataError("modality subsets share no rows")
+    first_name, first = next(iter(datasets.items()))
+    for name, ds in datasets.items():
+        if (ds.participant_ids, ds.dates) != (first.participant_ids, first.dates):
+            raise SchemaError(f"subset {name!r} holds other rows than {first_name!r}")
     reports: dict[str, EvaluationReport] = {}
     hashes = set()
     for name, ds in datasets.items():
-        if set(ds.row_keys()) != common:
-            ds = ds.restrict_dates(common)
         reports[name] = cross_validate(
             ds, spec, k=k, seed=seed, grid=grid, modalities=subset_modalities(ds, schema)
         )

@@ -20,12 +20,13 @@ import numpy as np
 from .core import (
     CODE_MEASURED,
     CODE_MISSING,
+    SURVEY_ITEMS,
     AffectReport,
     DailyAffect,
     FeatureSchema,
-    ItemPolarity,
     Modality,
     ParticipantTimeline,
+    iso_date,
 )
 from .errors import InputFormatError, MissingInputError, SchemaError
 
@@ -168,7 +169,7 @@ def parse_modality_file(
 
     # Dates, schema and modality once per distinct text; numbers by column.
     distinct_days, day_codes = _distinct(day_texts)
-    days = [_attempt(date.fromisoformat, text) for text in distinct_days]
+    days = [_attempt(iso_date, text) for text in distinct_days]
     day_refused = np.array([isinstance(d, ValueError) for d in days], dtype=bool)
     values, value_refused = _floats(value_texts)
     durations, duration_refused = _floats(duration_texts)
@@ -230,24 +231,21 @@ def _raise_first(path: Path, lines: np.ndarray, checks: list) -> None:
         raise error(f"{path}:{lines[i]}: {message(i)}")
 
 
-def parse_affect_file(
-    path: Path | str, polarity: ItemPolarity, participant_id: str
-) -> dict[date, AffectReport]:
+def parse_affect_file(path: Path | str, participant_id: str) -> dict[date, AffectReport]:
     """Parse an affect CSV into per-day reports (possibly partial), one per
     date in the order first seen, its items in file order.  The checks run
     over whole columns, as in parse_modality_file."""
     path = Path(path)
     widths, lines, (day_texts, item_ids, rating_texts) = _read_columns(path, AFFECT_HEADER)
     distinct_days, day_codes = _distinct(day_texts)
-    days = [_attempt(date.fromisoformat, text) for text in distinct_days]
+    days = [_attempt(iso_date, text) for text in distinct_days]
     day_refused = np.array([isinstance(d, ValueError) for d in days], dtype=bool)
     ratings, rating_refused = _floats(rating_texts)
     distinct_items, item_codes = _distinct(item_ids)
-    unknown = np.array([item_id not in polarity.known for item_id in distinct_items], dtype=bool)[item_codes]
-    # A rating repeats an earlier one when its date (by day number, as two
-    # texts may name one date) and item are the same.
-    day_numbers = np.array([-1 if isinstance(d, ValueError) else d.toordinal() for d in days], dtype=np.int64)
-    pairs = day_numbers[day_codes] * len(distinct_items) + item_codes
+    unknown = np.array([item_id not in SURVEY_ITEMS for item_id in distinct_items], dtype=bool)[item_codes]
+    # A rating repeats an earlier one when its date and item are the same;
+    # a date has one spelling, so one text.
+    pairs = day_codes * len(distinct_items) + item_codes
     order = np.argsort(pairs, kind="stable")
     repeated = np.zeros(len(pairs), dtype=bool)
     repeated[order[1:]] = pairs[order[1:]] == pairs[order[:-1]]
@@ -264,15 +262,13 @@ def parse_affect_file(
     _raise_first(path, lines, checks)
     # The rows of each date together, dates in the order first seen; every
     # report holds the one str object of each item id.
-    rank = {day: k for k, day in enumerate(dict.fromkeys(days))}
-    row_ranks = np.array([rank[day] for day in days], dtype=np.intp)[day_codes]
-    order = np.argsort(row_ranks, kind="stable")
-    bounds = np.searchsorted(row_ranks[order], np.arange(len(rank) + 1)).tolist()
+    order = np.argsort(day_codes, kind="stable")
+    bounds = np.searchsorted(day_codes[order], np.arange(len(days) + 1)).tolist()
     items = np.array(distinct_items, dtype=object)[item_codes[order]].tolist()
     rated = ratings[order].tolist()
     return {
         day: AffectReport(day, dict(zip(items[a:b], rated[a:b])))
-        for day, a, b in zip(rank, bounds, bounds[1:])
+        for day, a, b in zip(days, bounds, bounds[1:])
     }
 
 
@@ -280,10 +276,8 @@ def build_timeline(
     files: Sequence[RawSampleFile],
     affect_reports: Iterable[AffectReport],
     schema: FeatureSchema,
-    polarity: ItemPolarity,
 ) -> ParticipantTimeline:
-    """Merge modality files and affect reports into one participant timeline,
-    the reports' composites computed under ``polarity``.
+    """Merge modality files and affect reports into one participant timeline.
 
     Every date seen in any input gets a row; a feature's daily value is the
     duration-weighted mean of its samples that day, and features without
@@ -340,7 +334,7 @@ def build_timeline(
         dates=dates,
         values=np.divide(weighted, duration, out=np.full(shape, np.nan), where=measured),
         provenance=np.where(measured, CODE_MEASURED, CODE_MISSING).astype(np.int8),
-        affect=DailyAffect.from_reports(len(dates), np.searchsorted(days, report_days), reports, polarity),
+        affect=DailyAffect.from_reports(len(dates), np.searchsorted(days, report_days), reports),
     )
 
 

@@ -19,12 +19,12 @@ import numpy as np
 
 from .core import (
     FORMAT_VERSION,
+    SURVEY_ITEMS,
     FeatureSchema,
     Modality,
     ParticipantTimeline,
     RawJSONPieces,
     column_means,
-    default_polarity,
     dump_json,
     from_json,
     ordinals,
@@ -76,7 +76,7 @@ def parse_target(name: str, pooled: bool) -> TargetSpec:
         return TargetSpec(kind=name, scope=scope)
     if name == "mood":
         return TargetSpec(kind="compiled_mood", scope=scope)
-    if isinstance(name, str) and name[len("item:"):] in default_polarity().all_items():
+    if isinstance(name, str) and name[len("item:"):] in SURVEY_ITEMS:
         return TargetSpec(kind="single_item", item_id=name[len("item:"):], scope=scope)
     raise ConfigError(f"unknown target {name!r} (expected {TARGET_NAMES})")
 
@@ -97,6 +97,8 @@ class LabelSet:
             raise SchemaError(f"dates both labeled and excluded: {sorted(overlap)}")
         if self.alignment not in ALIGNMENTS:
             raise SchemaError(f"unknown alignment {self.alignment!r}")
+        if not 0.0 <= self.middle_band < 1.0:
+            raise SchemaError(f"labels {self.participant_id}: middle_band must be in [0, 1), got {self.middle_band}")
         bad = {r for r in self.excluded.values()} - {
             EXCLUDE_MIDDLE_BAND,
             EXCLUDE_MISSING_AFFECT,
@@ -330,29 +332,6 @@ class Dataset:
             alignment=self.alignment,
         )
 
-    def restrict_dates(self, keep: Iterable[tuple[str, date]]) -> "Dataset":
-        """Keep rows whose (participant, feature-date) pair is in `keep`."""
-        wanted = set(keep)
-        mask = np.array(
-            [
-                (pid, day) in wanted
-                for pid, day in zip(self.participant_ids, self.dates)
-            ],
-            dtype=bool,
-        )
-        return Dataset(
-            feature_ids=self.feature_ids,
-            X=self.X[mask],
-            y=self.y[mask],
-            dates=tuple(d for d, m in zip(self.dates, mask) if m),
-            participant_ids=tuple(p for p, m in zip(self.participant_ids, mask) if m),
-            target=self.target,
-            alignment=self.alignment,
-        )
-
-    def row_keys(self) -> tuple[tuple[str, date], ...]:
-        return tuple(zip(self.participant_ids, self.dates))
-
 
 def build_dataset(
     timeline: ParticipantTimeline,
@@ -503,6 +482,11 @@ def dataset_from_dict(payload: dict) -> Dataset:
     X = from_json(np.ndarray, [r.features for r in doc.rows], path) if doc.rows else np.empty(shape)
     if X.shape != shape:
         raise InputFormatError(f"{path}: expected {shape[0]} rows of {shape[1]} numbers")
+    seen = set()
+    for row in doc.rows:
+        if (row.participant_id, row.date) in seen:
+            raise InputFormatError(f"dataset: participant {row.participant_id!r} has a second row on {row.date}")
+        seen.add((row.participant_id, row.date))
     return Dataset(
         feature_ids=doc.feature_ids,
         X=X.astype(float, copy=False),

@@ -33,7 +33,6 @@ from .core import (
     ParticipantTimeline,
     canonical_json,
     check_output,
-    default_polarity,
     default_schema,
     dump_json,
     filter_eligible_participants,
@@ -230,9 +229,8 @@ def ingest_participant(
     """One participant's timeline from their modality CSVs and, when there
     is one, their affect CSV."""
     files = [parse_modality_file(path, schema, m, participant_id) for m, path in modality_files.items()]
-    polarity = default_polarity()
-    reports = {} if affect_file is None else parse_affect_file(affect_file, polarity, participant_id)
-    return build_timeline(files, list(reports.values()), schema, polarity)
+    reports = {} if affect_file is None else parse_affect_file(affect_file, participant_id)
+    return build_timeline(files, list(reports.values()), schema)
 
 
 def impute_timeline(timeline: ParticipantTimeline, section: ImputeConfig) -> ParticipantTimeline:

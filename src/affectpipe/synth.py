@@ -25,13 +25,13 @@ import numpy as np
 
 from .core import (
     FORMAT_VERSION,
+    POSITIVE_ITEMS,
+    SURVEY_ITEMS,
     AffectReport,
     FeatureSchema,
     FeatureSpec,
-    ItemPolarity,
     Modality,
     ParticipantTimeline,
-    default_polarity,
     default_schema,
     dump_json,
     read_config,
@@ -144,7 +144,6 @@ class CohortConfig:
     shift: PlantedShift | None = field(default_factory=PlantedShift)
     seed: int = 1234
     schema: FeatureSchema = field(default_factory=default_schema)
-    polarity: ItemPolarity = field(default_factory=default_polarity)
 
     def __post_init__(self) -> None:
         if self.n_days < 30:
@@ -372,16 +371,15 @@ def _sample_participant(
 
     rng_items = _rng(config, _SALT_ITEMS, index)
     rng_report = _rng(config, _SALT_REPORT, index)
-    item_ids = config.polarity.all_items()
     # Each day after the first draws its report coin and twenty item noises,
     # reported or not.
     reported = np.flatnonzero(rng_report.random(n_days - 1) < report_prob)
-    eta = rng_items.normal(0.0, sig.item_noise_sd, (n_days - 1, 2, len(config.polarity.positive)))[reported]
+    eta = rng_items.normal(0.0, sig.item_noise_sd, (n_days - 1, 2, len(POSITIVE_ITEMS)))[reported]
     eta -= eta.mean(axis=-1, keepdims=True)
     composites = np.stack([pa[reported], na[reported]], axis=-1)
     ratings = np.clip(composites[:, :, None] + eta, 0.0, 100.0).tolist()
     reports = [
-        AffectReport(dates[t + 1], dict(zip(item_ids, pos + neg)))
+        AffectReport(dates[t + 1], dict(zip(SURVEY_ITEMS, pos + neg)))
         for t, (pos, neg) in zip(reported.tolist(), ratings)
     ]
 
@@ -445,7 +443,7 @@ def generate(
     for i in range(config.n_participants):
         files, reports, truth = _sample_participant(config, i)
         timelines.append(
-            build_timeline(list(files.values()), reports, config.schema, config.polarity)
+            build_timeline(list(files.values()), reports, config.schema)
         )
         truths.append(truth)
     return timelines, _ground_truth_with(config, truths)

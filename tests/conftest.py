@@ -20,8 +20,10 @@ from affectpipe.core import (
     FeatureSpec,
     Modality,
     ParticipantTimeline,
+    NEGATIVE_ITEMS,
+    POSITIVE_ITEMS,
+    SURVEY_ITEMS,
     canonical_json,
-    default_polarity,
     default_schema,
     timeline_to_dict,
 )
@@ -46,19 +48,18 @@ def timeline_document(timeline):
     return json.loads(canonical_json(timeline_to_dict(timeline)))
 
 
-def survey_items(pa=50.0, na=20.0, polarity=None):
+def survey_items(pa=50.0, na=20.0):
     """The twenty ratings of a survey whose composites are pa/na: each item
     rated as its side's composite.  Exactly so when ten of them add without
     rounding, as whole numbers and sixteenths below 100 do."""
-    polarity = polarity or default_polarity()
-    items = {item: float(pa) for item in polarity.positive}
-    items.update({item: float(na) for item in polarity.negative})
+    items = {item: float(pa) for item in POSITIVE_ITEMS}
+    items.update({item: float(na) for item in NEGATIVE_ITEMS})
     return items
 
 
-def make_report(day, pa=50.0, na=20.0, polarity=None):
+def make_report(day, pa=50.0, na=20.0):
     """Complete 20-item report whose composites are pa/na (see survey_items)."""
-    return AffectReport(day, survey_items(pa, na, polarity))
+    return AffectReport(day, survey_items(pa, na))
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class Survey:
 def side_mean(items, side):
     """The composite rule, kept here apart from the code it checks: None
     unless every item of the side is answered, else the side's ratings
-    added one by one in polarity order from 0.0 and divided by the side's
+    added one by one in side order from 0.0 and divided by the side's
     size.  A loop, not sum(), which adds floats with compensation from
     Python 3.12 on."""
     if not all(item in items for item in side):
@@ -86,10 +87,9 @@ def side_mean(items, side):
     return total / len(side)
 
 
-def survey(day, items, polarity=None):
+def survey(day, items):
     """The Survey of these ratings, its composites by side_mean."""
-    polarity = polarity or default_polarity()
-    return Survey(day, dict(items), side_mean(items, polarity.positive), side_mean(items, polarity.negative))
+    return Survey(day, dict(items), side_mean(items, POSITIVE_ITEMS), side_mean(items, NEGATIVE_ITEMS))
 
 
 def make_affect(n_days, affect_by_index=None):
@@ -171,7 +171,6 @@ def report_timelines(draw, fids=None, kinds=REPORT_KINDS, min_days=0, max_days=5
     ).reshape(shape)
     numbers = draw(st.lists(NUMBERS, min_size=n, max_size=n))
     values = np.where(codes == CODE_MISSING, np.nan, np.array(numbers, dtype=float).reshape(shape))
-    polarity = default_polarity()
     reports = []
     for day in dates:
         kind = draw(st.sampled_from(kinds))
@@ -182,11 +181,11 @@ def report_timelines(draw, fids=None, kinds=REPORT_KINDS, min_days=0, max_days=5
             pa, na = draw(st.none() | NUMBERS), draw(st.none() | NUMBERS)
             reports.append(Survey(day, items, pa, na))
         else:
-            answered = polarity.all_items() if kind == "all items" else draw(
-                st.lists(st.sampled_from(polarity.all_items()), unique=True, min_size=1)
+            answered = SURVEY_ITEMS if kind == "all items" else draw(
+                st.lists(st.sampled_from(SURVEY_ITEMS), unique=True, min_size=1)
             )
             ratings = draw(st.lists(RATINGS, min_size=len(answered), max_size=len(answered)))
-            reports.append(survey(day, dict(zip(answered, ratings)), polarity))
+            reports.append(survey(day, dict(zip(answered, ratings))))
     surveys = {i: (r.pa, r.na, r.items) for i, r in enumerate(reports) if r is not None}
     timeline = ParticipantTimeline(draw(KEYS), fids, dates, values, codes, make_affect(len(dates), surveys))
     return timeline, tuple(reports)
@@ -205,11 +204,6 @@ def series_timeline(pid, series, fid="sleep_deep", schema=TINY_SCHEMA, **kw):
 @pytest.fixture
 def schema():
     return default_schema()
-
-
-@pytest.fixture
-def polarity():
-    return default_polarity()
 
 
 @pytest.fixture

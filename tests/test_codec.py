@@ -122,11 +122,15 @@ def test_from_json_document_errors():
         from_json(FeatureSchema, {"entries": [spec, spec]})
 
 
-def test_cohort_config_documents_carry_polarity():
+def test_cohort_config_documents_refuse_polarity():
+    """The survey items are fixed, so a cohort config has no polarity and
+    refuses one as an unknown key."""
     payload = to_json(CohortConfig())
-    assert payload["polarity"]["positive"][0] == "interested"
-    del payload["polarity"]
+    assert "polarity" not in payload
     assert cohort_config_from_dict(payload) == CohortConfig()
+    payload["polarity"] = {"positive": ["interested"] * 10, "negative": ["afraid"] * 10}
+    with pytest.raises(ConfigError, match=r"^cohort config: unknown keys \['polarity'\]$"):
+        cohort_config_from_dict(payload)
 
 
 @pytest.mark.parametrize("family", list(ModelFamily))
@@ -337,6 +341,28 @@ REFUSED_AFFECT = [
 def test_timeline_affect_the_csv_parser_refuses_exits_4(workspace, edit, message):
     doc = _edit(workspace[1]["timeline"][0], lambda d: edit(_first_affect(d)))
     assert run_document(workspace, "timeline", doc) == (4, f"error: timeline p01: 2020-01-01 affect: {message}\n")
+
+
+# Values of the right type that no writer gives, and the one error line each
+# exits with: a band outside [0, 1), a repeated dataset row, and dates in an
+# ISO 8601 spelling other than YYYY-MM-DD, which Python 3.11 reads.
+REFUSED_VALUES = [
+    ("labels", lambda d: d["participants"][0].update(middle_band=5.0),
+     (5, "error: labels p01: middle_band must be in [0, 1), got 5.0\n")),
+    ("labels", lambda d: d["participants"][0].update(middle_band=-0.25),
+     (5, "error: labels p01: middle_band must be in [0, 1), got -0.25\n")),
+    ("dataset", lambda d: d["rows"].append(d["rows"][0]),
+     (4, "error: dataset: participant 'p01' has a second row on 2020-01-01\n")),
+    ("timeline", lambda d: d["days"][2].update(date="20200103"),
+     (4, "error: timeline.days[2].date: expected an ISO date\n")),
+    ("dataset", lambda d: d["rows"][1].update(date="2020-W01-4"),
+     (4, "error: dataset.rows[1].date: expected an ISO date\n")),
+]
+
+
+@pytest.mark.parametrize("kind, edit, expected", REFUSED_VALUES)
+def test_values_no_writer_gives_exit_with_one_error_line(workspace, kind, edit, expected):
+    assert run_document(workspace, kind, _edit(workspace[1][kind][0], edit)) == expected
 
 
 def test_document_keys_are_refused_outside_documents(workspace):

@@ -20,7 +20,9 @@ from affectpipe.core import (
     DailyAffect,
     FeatureSchema,
     FeatureSpec,
-    ItemPolarity,
+    NEGATIVE_ITEMS,
+    POSITIVE_ITEMS,
+    SURVEY_ITEMS,
     Modality,
     ParticipantTimeline,
     PROVENANCES,
@@ -28,7 +30,6 @@ from affectpipe.core import (
     RawJSON,
     RawJSONPieces,
     canonical_json,
-    default_polarity,
     default_schema,
     dump_json,
     filter_eligible_participants,
@@ -90,47 +91,35 @@ def test_spec_of_unknown_feature(schema):
 
 
 # ---------------------------------------------------------------------------
-# polarity and affect reports
+# survey items and affect reports
 
 
-def test_default_polarity_shape(polarity):
-    assert len(polarity.positive) == 10
-    assert len(polarity.negative) == 10
-    assert not set(polarity.positive) & set(polarity.negative)
-    assert len(polarity.all_items()) == 20
+def test_survey_items_shape():
+    assert len(POSITIVE_ITEMS) == len(set(POSITIVE_ITEMS)) == 10
+    assert len(NEGATIVE_ITEMS) == len(set(NEGATIVE_ITEMS)) == 10
+    assert not set(POSITIVE_ITEMS) & set(NEGATIVE_ITEMS)
+    assert SURVEY_ITEMS == POSITIVE_ITEMS + NEGATIVE_ITEMS
 
 
-def test_polarity_rejects_overlap():
-    pos = tuple(f"p{i}" for i in range(10))
-    neg = ("p0",) + tuple(f"n{i}" for i in range(9))
-    with pytest.raises(SchemaError, match="overlap"):
-        ItemPolarity(pos, neg)
-
-
-def test_polarity_rejects_wrong_count():
-    with pytest.raises(SchemaError):
-        ItemPolarity(tuple(f"p{i}" for i in range(9)), tuple(f"n{i}" for i in range(10)))
-
-
-def composites_of(items, polarity):
+def composites_of(items):
     """The PA and NA a timeline computes for one day rated ``items``."""
-    affect = DailyAffect.from_reports(1, [0], [AffectReport(D0, items)], polarity)
+    affect = DailyAffect.from_reports(1, [0], [AffectReport(D0, items)])
     return affect.pa[0], affect.na[0]
 
 
-def test_composites_are_side_means(polarity):
+def test_composites_are_side_means():
     # positives 30,35,...,75 mean 52.5; negatives 10,...,55 mean 32.5
-    items = {item: 30.0 + 5 * i for i, item in enumerate(polarity.positive)}
-    items.update({item: 10.0 + 5 * i for i, item in enumerate(polarity.negative)})
-    pa, na = composites_of(items, polarity)
+    items = {item: 30.0 + 5 * i for i, item in enumerate(POSITIVE_ITEMS)}
+    items.update({item: 10.0 + 5 * i for i, item in enumerate(NEGATIVE_ITEMS)})
+    pa, na = composites_of(items)
     assert pa == 52.5
     assert na == 32.5
 
 
-def test_partial_side_gives_none_composite(polarity):
-    items = {item: 50.0 for item in polarity.positive[1:]}  # one positive missing
-    items.update({item: 20.0 for item in polarity.negative})
-    pa, na = composites_of(items, polarity)
+def test_partial_side_gives_none_composite():
+    items = {item: 50.0 for item in POSITIVE_ITEMS[1:]}  # one positive missing
+    items.update({item: 20.0 for item in NEGATIVE_ITEMS})
+    pa, na = composites_of(items)
     assert np.isnan(pa)
     assert na == 20.0
 
@@ -141,12 +130,12 @@ def one_day_document(items):
     return {"participant_id": "p", "days": [day]}
 
 
-def test_rating_out_of_range_rejected(polarity):
+def test_rating_out_of_range_rejected():
     with pytest.raises(InputFormatError, match="out of"):
-        timeline_from_dict(one_day_document({polarity.positive[0]: 101.0}))
+        timeline_from_dict(one_day_document({POSITIVE_ITEMS[0]: 101.0}))
 
 
-def test_unknown_item_rejected(polarity):
+def test_unknown_item_rejected():
     with pytest.raises(InputFormatError, match="unknown affect item"):
         timeline_from_dict(one_day_document({"serene": 50.0}))
 
@@ -157,10 +146,9 @@ def test_unknown_item_rejected(polarity):
     neg=st.lists(st.floats(0, 100, allow_nan=False), min_size=10, max_size=10),
 )
 def test_composites_equal_means_property(pos, neg):
-    polarity = default_polarity()
-    items = dict(zip(polarity.positive, pos))
-    items.update(zip(polarity.negative, neg))
-    pa, na = composites_of(items, polarity)
+    items = dict(zip(POSITIVE_ITEMS, pos))
+    items.update(zip(NEGATIVE_ITEMS, neg))
+    pa, na = composites_of(items)
     assert pa == pytest.approx(sum(pos) / 10, abs=1e-9)
     assert na == pytest.approx(sum(neg) / 10, abs=1e-9)
     assert 0.0 <= pa <= 100.0 and 0.0 <= na <= 100.0
@@ -174,20 +162,19 @@ def bits(value):
 @settings(max_examples=100, deadline=None)
 @given(
     surveys=st.lists(
-        st.dictionaries(st.sampled_from(default_polarity().all_items()), RATINGS, min_size=17),
+        st.dictionaries(st.sampled_from(SURVEY_ITEMS), RATINGS, min_size=17),
         min_size=1, max_size=6,
     )
 )
 def test_composites_equal_the_side_sum_in_polarity_order(surveys):
-    """Each composite is the ratings of its side added in polarity order
-    and divided by 10, bit for bit; a side with an unanswered item has
-    none."""
-    polarity = default_polarity()
+    """Each composite is the ratings of its side added in the order of
+    POSITIVE_ITEMS or NEGATIVE_ITEMS and divided by 10, bit for bit; a side
+    with an unanswered item has none."""
     reports = [AffectReport(D0 + timedelta(days=k), items) for k, items in enumerate(surveys)]
-    affect = DailyAffect.from_reports(len(reports), range(len(reports)), reports, polarity)
+    affect = DailyAffect.from_reports(len(reports), range(len(reports)), reports)
     for k, items in enumerate(surveys):
-        assert bits(affect.pa[k]) == bits(side_mean(items, polarity.positive))
-        assert bits(affect.na[k]) == bits(side_mean(items, polarity.negative))
+        assert bits(affect.pa[k]) == bits(side_mean(items, POSITIVE_ITEMS))
+        assert bits(affect.na[k]) == bits(side_mean(items, NEGATIVE_ITEMS))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +247,8 @@ def test_days_view_yields_dicts_and_provenance_members():
     assert day.features.provenance["heart_rate"] is Provenance.MISSING
 
 
-def test_valid_day_count_ignores_partial_reports(tiny_schema, polarity):
-    partial = (None, None, {polarity.positive[0]: 50.0})
+def test_valid_day_count_ignores_partial_reports(tiny_schema):
+    partial = (None, None, {POSITIVE_ITEMS[0]: 50.0})
     tl = make_timeline(
         "p",
         [{}, {}, {}],

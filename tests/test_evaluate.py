@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,7 +322,7 @@ def test_paired_subsets_share_rows_and_hash():
     )
     assert subsets["ring"].feature_ids == ("sleep_deep", "heart_rate")
     assert subsets["watch"].feature_ids == ("walk_steps",)
-    assert all(s.row_keys() == ds.row_keys() for s in subsets.values())
+    assert all(s.participant_ids == ds.participant_ids and s.dates == ds.dates for s in subsets.values())
 
     spec = ModelSpec(family=ModelFamily.KNN, hyperparameters={"k": 3}, seed=0)
     reports = ablation_run(subsets, spec, k=3, seed=4, schema=TINY_SCHEMA)
@@ -333,21 +334,12 @@ def test_paired_subsets_share_rows_and_hash():
     assert reports["ring"].mean_accuracy > reports["watch"].mean_accuracy
 
 
-def test_ablation_restricts_to_common_rows():
-    full = ramp_dataset("p1")
-    trimmed = full.restrict_dates(full.row_keys()[2:])
-    reports = ablation_run(
-        {"full": full, "trimmed": trimmed},
-        ModelSpec(family=ModelFamily.KNN, hyperparameters={"k": 1}, seed=0),
-        k=3,
-        seed=1,
-    )
-    assert reports["full"].n_rows == reports["trimmed"].n_rows == full.n_rows - 2
-    assert reports["full"].fold_hash == reports["trimmed"].fold_hash
-
-
 def test_ablation_requires_overlap():
+    """Subsets must hold the same rows, participants and dates alike; the
+    refusal comes before any fit."""
     a = ramp_dataset("p1")
-    b = ramp_dataset("p1", start=D0 + timedelta(days=400))
-    with pytest.raises(InsufficientDataError, match="share no rows"):
-        ablation_run({"a": a, "b": b}, ModelSpec(family=ModelFamily.KNN), k=2, seed=0)
+    for b in (ramp_dataset("p1", start=D0 + timedelta(days=400)), ramp_dataset("p2")):
+        with mock.patch("affectpipe.evaluate.cross_validate") as fit:
+            with pytest.raises(SchemaError, match="^subset 'b' holds other rows than 'a'$"):
+                ablation_run({"a": a, "b": b}, ModelSpec(family=ModelFamily.KNN), k=2, seed=0)
+        fit.assert_not_called()

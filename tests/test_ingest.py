@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe import ingest
-from affectpipe.core import CODE_MISSING, AffectReport, Modality, Provenance, default_polarity
+from affectpipe.core import CODE_MISSING, NEGATIVE_ITEMS, POSITIVE_ITEMS, SURVEY_ITEMS, AffectReport, Modality, Provenance
 from affectpipe.errors import (
     InputFormatError,
     MissingInputError,
@@ -134,63 +134,75 @@ def test_parse_modality_rejects_non_finite_numbers(tmp_path):
 # affect parsing
 
 
-def test_parse_affect_builds_reports(tmp_path, polarity):
+def test_parse_affect_builds_reports(tmp_path):
     lines = ["date,item_id,rating"]
-    for item in polarity.positive:
+    for item in POSITIVE_ITEMS:
         lines.append(f"2020-03-01,{item},60")
-    for item in polarity.negative:
+    for item in NEGATIVE_ITEMS:
         lines.append(f"2020-03-01,{item},20")
     path = write(tmp_path, "affect.csv", "\n".join(lines) + "\n")
-    reports = parse_affect_file(path, polarity, "p01")
+    reports = parse_affect_file(path, "p01")
     assert list(reports) == [D1]
-    affect = build_timeline([], reports.values(), TINY_SCHEMA, polarity).affect
+    affect = build_timeline([], reports.values(), TINY_SCHEMA).affect
     assert affect.pa[0] == 60.0
     assert affect.na[0] == 20.0
 
 
-def test_parse_affect_partial_day_kept_incomplete(tmp_path, polarity):
-    lines = ["date,item_id,rating"] + [f"2020-03-01,{i},50" for i in polarity.positive]
+def test_parse_affect_partial_day_kept_incomplete(tmp_path):
+    lines = ["date,item_id,rating"] + [f"2020-03-01,{i},50" for i in POSITIVE_ITEMS]
     path = write(tmp_path, "affect.csv", "\n".join(lines) + "\n")
-    reports = parse_affect_file(path, polarity, "p01")
-    affect = build_timeline([], reports.values(), TINY_SCHEMA, polarity).affect
+    reports = parse_affect_file(path, "p01")
+    affect = build_timeline([], reports.values(), TINY_SCHEMA).affect
     assert affect.pa[0] == 50.0
     assert np.isnan(affect.na[0])
 
 
-def test_parse_affect_rejects_out_of_range(tmp_path, polarity):
+def test_parse_affect_rejects_out_of_range(tmp_path):
     path = write(
-        tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,{polarity.positive[0]},101\n"
+        tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,{POSITIVE_ITEMS[0]},101\n"
     )
     with pytest.raises(InputFormatError, match="out of"):
-        parse_affect_file(path, polarity, "p01")
+        parse_affect_file(path, "p01")
 
 
-def test_parse_affect_rejects_duplicate_item(tmp_path, polarity):
-    item = polarity.positive[0]
+def test_parse_affect_rejects_duplicate_item(tmp_path):
+    item = POSITIVE_ITEMS[0]
     path = write(
         tmp_path,
         "affect.csv",
         f"date,item_id,rating\n2020-03-01,{item},40\n2020-03-01,{item},41\n",
     )
     with pytest.raises(InputFormatError, match="duplicate"):
-        parse_affect_file(path, polarity, "p01")
+        parse_affect_file(path, "p01")
 
 
-def test_parse_affect_rejects_duplicate_item_under_another_date_spelling(tmp_path, polarity):
-    try:
-        date.fromisoformat("20200301")
-    except ValueError:
-        pytest.skip("this Python reads only YYYY-MM-DD dates")
-    item = polarity.positive[0]
+def test_parse_affect_rejects_duplicate_item_under_another_date_spelling(tmp_path):
+    """A date has one spelling, YYYY-MM-DD, on every Python: the other
+    spellings Python 3.11 reads are refused as dates."""
+    item = POSITIVE_ITEMS[0]
     path = write(tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,{item},40\n20200301,{item},41\n")
-    with pytest.raises(InputFormatError, match=f":3: duplicate rating for '{item}' on 2020-03-01"):
-        parse_affect_file(path, polarity, "p01")
+    with pytest.raises(InputFormatError, match=":3: Invalid isoformat string: '20200301'"):
+        parse_affect_file(path, "p01")
 
 
-def test_parse_affect_rejects_unknown_item(tmp_path, polarity):
+@pytest.mark.parametrize("text", ["20200301", "2020-W09-7"])
+def test_csv_dates_are_yyyy_mm_dd_on_every_python(tmp_path, text):
+    """Python 3.11 reads these as 2020-03-01; both parsers refuse them, with
+    the line of the first."""
+    message = f":3: Invalid isoformat string: '{text}'"
+    ring = write(tmp_path, "ring.csv", f"date,feature_id,value,duration_min\n2020-03-01,heart_rate,60,5\n"
+                 f"{text},heart_rate,61,5\n")
+    with pytest.raises(InputFormatError, match=message):
+        parse_modality_file(ring, TINY_SCHEMA, Modality.RING, "p01")
+    affect = write(tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,proud,40\n{text},alert,41\n")
+    with pytest.raises(InputFormatError, match=message):
+        parse_affect_file(affect, "p01")
+
+
+def test_parse_affect_rejects_unknown_item(tmp_path):
     path = write(tmp_path, "affect.csv", "date,item_id,rating\n2020-03-01,serene,40\n")
     with pytest.raises(InputFormatError, match="serene"):
-        parse_affect_file(path, polarity, "p01")
+        parse_affect_file(path, "p01")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,7 @@ def test_parse_affect_rejects_unknown_item(tmp_path, polarity):
 
 def daily_value(rows):
     """The value build_timeline aggregates for the day of one feature's samples."""
-    tl = build_timeline([ring_file(rows)], [], TINY_SCHEMA, default_polarity())
+    tl = build_timeline([ring_file(rows)], [], TINY_SCHEMA)
     return tl.values[0, tl.feature_ids.index(rows[0][1])]
 
 
@@ -248,7 +260,7 @@ def test_build_timeline_materializes_all_dates():
         [(date(2020, 3, 1), "heart_rate", 60.0, 60.0), (date(2020, 3, 3), "heart_rate", 62.0, 60.0)]
     )
     affect = [make_report(date(2020, 3, 2), 55.0, 15.0)]
-    tl = build_timeline([ring], affect, TINY_SCHEMA, default_polarity())
+    tl = build_timeline([ring], affect, TINY_SCHEMA)
     assert tl.dates == (date(2020, 3, 1), date(2020, 3, 2), date(2020, 3, 3))
     # the affect-only day carries a fully missing feature vector
     assert (tl.provenance[1] == CODE_MISSING).all() and np.isnan(tl.values[1]).all()
@@ -262,44 +274,44 @@ def test_build_timeline_materializes_all_dates():
 
 def test_build_timeline_aggregates_within_day():
     ring = ring_file([(D1, "heart_rate", 10.0, 120.0), (D1, "heart_rate", 20.0, 360.0)])
-    tl = build_timeline([ring], [], TINY_SCHEMA, default_polarity())
+    tl = build_timeline([ring], [], TINY_SCHEMA)
     assert tl.days[0].features.values["heart_rate"] == 17.5
 
 
 def test_build_timeline_rejects_cross_file_duplicates():
     row = (D1, "heart_rate", 60.0, 60.0)
     with pytest.raises(InputFormatError, match="duplicate"):
-        build_timeline([ring_file([row]), ring_file([row])], [], TINY_SCHEMA, default_polarity())
+        build_timeline([ring_file([row]), ring_file([row])], [], TINY_SCHEMA)
 
 
 def test_build_timeline_rejects_multiple_participants():
     a = ring_file([(D1, "heart_rate", 60.0, 60.0)], pid="a")
     b = ring_file([(D1, "sleep_deep", 30.0, 60.0)], pid="b")
     with pytest.raises(SchemaError, match="multiple participants"):
-        build_timeline([a, b], [], TINY_SCHEMA, default_polarity())
+        build_timeline([a, b], [], TINY_SCHEMA)
 
 
 def test_build_timeline_rejects_duplicate_affect():
     reports = [make_report(D1), make_report(D1)]
     with pytest.raises(InputFormatError, match="duplicate affect"):
-        build_timeline([], reports, TINY_SCHEMA, default_polarity())
+        build_timeline([], reports, TINY_SCHEMA)
 
 
 def test_build_timeline_requires_some_input():
     with pytest.raises(InputFormatError):
-        build_timeline([], [], TINY_SCHEMA, default_polarity())
+        build_timeline([], [], TINY_SCHEMA)
 
 
-def test_csv_round_trips(tmp_path, polarity):
+def test_csv_round_trips(tmp_path):
     rows = [(D1, "heart_rate", 62.123456789012, 5.5), (date(2020, 3, 2), "sleep_deep", 91.25, 480.0)]
     path = tmp_path / "ring.csv"
     write_modality_csv(path, samples(rows))
     assert parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p").rows.tolist() == rows
 
-    reports = [make_report(D1, 47.375, 21.0625, polarity)]
+    reports = [make_report(D1, 47.375, 21.0625)]
     apath = tmp_path / "affect.csv"
     write_affect_csv(apath, reports)
-    parsed = parse_affect_file(apath, polarity, "p")
+    parsed = parse_affect_file(apath, "p")
     assert parsed[D1] == reports[0]
 
 
@@ -308,28 +320,35 @@ def test_csv_round_trips(tmp_path, polarity):
 def test_build_timeline_affect_equals_the_per_cell_arrays(drawn):
     """One pass over the reports gives the arrays a per-cell fill gives."""
     expected, reports = drawn
-    polarity = default_polarity()
     surveys = [r for r in reports if r is not None]
-    found = build_timeline([ring_file([])], [AffectReport(r.day, r.items) for r in surveys], TINY_SCHEMA, polarity)
+    found = build_timeline([ring_file([])], [AffectReport(r.day, r.items) for r in surveys], TINY_SCHEMA)
     rows = [expected.dates.index(r.day) for r in surveys]
     assert found.affect.item_ids == expected.affect.item_ids
     for name in ("ratings", "reported"):
         np.testing.assert_array_equal(getattr(found.affect, name), getattr(expected.affect, name)[rows])
     # the composites by the rule, also for a day drawn with any composites
-    for side, name in ((polarity.positive, "pa"), (polarity.negative, "na")):
+    for side, name in ((POSITIVE_ITEMS, "pa"), (NEGATIVE_ITEMS, "na")):
         means = [side_mean(r.items, side) for r in surveys]
         np.testing.assert_array_equal(getattr(found.affect, name), np.array(means, dtype=float))
 
 
 def test_build_timeline_refuses_an_empty_generator():
     with pytest.raises(InputFormatError, match="nothing to build"):
-        build_timeline([], iter([]), TINY_SCHEMA, default_polarity())
+        build_timeline([], iter([]), TINY_SCHEMA)
     # an empty file is input, and gives a timeline without days
-    assert build_timeline([ring_file([])], iter([]), TINY_SCHEMA, default_polarity()).dates == ()
+    assert build_timeline([ring_file([])], iter([]), TINY_SCHEMA).dates == ()
 
 
 # ---------------------------------------------------------------------------
 # column parser against the row-by-row reference
+
+
+def reference_date(text):
+    """date.fromisoformat of a YYYY-MM-DD text; ValueError for any other."""
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return day
 
 
 def reference_parse(path, schema, modality):
@@ -350,7 +369,7 @@ def reference_parse(path, schema, modality):
             if len(row) != 4:
                 raise InputFormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             try:
-                day = date.fromisoformat(row[0])
+                day = reference_date(row[0])
                 value = float(row[2])
                 duration = float(row[3])
             except ValueError as exc:
@@ -376,10 +395,10 @@ def reference_parse(path, schema, modality):
     return rows
 
 
-def reference_affect_parse(path, polarity):
+def reference_affect_parse(path):
     """The row loop parse_affect_file replaced: each day's items in file
     order, or the error it raises."""
-    known = set(polarity.all_items())
+    known = set(SURVEY_ITEMS)
     by_day = {}
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -394,7 +413,7 @@ def reference_affect_parse(path, polarity):
             if len(row) != 3:
                 raise InputFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
             try:
-                day = date.fromisoformat(row[0])
+                day = reference_date(row[0])
                 rating = float(row[2])
             except ValueError as exc:
                 raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
@@ -517,8 +536,7 @@ def test_column_parser_matches_the_row_reference(tmp_path_factory, data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_affect_column_parser_matches_the_row_reference(tmp_path_factory, data):
-    polarity = default_polarity()
-    items = polarity.all_items()
+    items = SURVEY_ITEMS
     n = data.draw(st.integers(1, 8))
     # a few items on each of three days, some days out of order
     rows = [f"2020-03-0{1 + k % 3},{items[k // 3 % 20]},{(7 * k) % 101}.5" for k in range(n)]
@@ -526,24 +544,23 @@ def test_affect_column_parser_matches_the_row_reference(tmp_path_factory, data):
                         AFFECT_MUTATIONS)
 
     def parsed():
-        reports = parse_affect_file(path, polarity, "p01")
+        reports = parse_affect_file(path, "p01")
         assert all(r.day == day for day, r in reports.items())
         return [(day, list(r.items.items())) for day, r in reports.items()]
 
-    agree(lambda: [(day, list(i.items())) for day, i in reference_affect_parse(path, polarity).items()], parsed)
+    agree(lambda: [(day, list(i.items())) for day, i in reference_affect_parse(path).items()], parsed)
 
 
 def test_line_numbers_count_file_lines_past_a_quoted_line_break(tmp_path):
     """A quoted field spanning lines 2-3 moves the later records down a line:
     the error names the file's line 5, not the fourth record's number."""
-    polarity = default_polarity()
     affect = write(tmp_path, "a.csv", 'date,item_id,rating\n2020-03-01,proud,"5\n"\n'
                    "2020-03-01,alert,5\n2020-03-01,bogus,5\n")
     ring = write(tmp_path, "r.csv", 'date,feature_id,value,duration_min\n2020-03-01,heart_rate,"6\n",5\n'
                  "2020-03-01,heart_rate,7,5\n2020-03-01,bogus,7,5\n")
     assert agree(
-        lambda: reference_affect_parse(affect, polarity),
-        lambda: parse_affect_file(affect, polarity, "p01"),
+        lambda: reference_affect_parse(affect),
+        lambda: parse_affect_file(affect, "p01"),
     ) == (InputFormatError, f"{affect}:5: unknown affect item 'bogus'")
     assert agree(
         lambda: reference_parse(ring, TINY_SCHEMA, Modality.RING),

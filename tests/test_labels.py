@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_MISSING, Modality, canonical_json, default_polarity, default_schema, dump_json, from_json, to_json
+from affectpipe.core import CODE_MISSING, SURVEY_ITEMS, Modality, canonical_json, default_schema, dump_json, from_json, to_json
 from affectpipe.errors import InsufficientDataError, NoDataError, PipelineError, SchemaError
 from affectpipe.labels import (
     ALIGNMENTS,
@@ -298,7 +298,7 @@ LABEL_KINDS = ("absent", "some items", "all items", "all items", "all items", "a
 @settings(max_examples=100, deadline=None)
 @given(
     drawn=report_timelines(kinds=LABEL_KINDS, min_days=10, max_days=24),
-    item=st.sampled_from(default_polarity().all_items()),
+    item=st.sampled_from(SURVEY_ITEMS),
 )
 def test_label_values_equal_the_per_report_reference(drawn, item):
     timeline, reports = drawn
@@ -454,10 +454,7 @@ def test_dataset_projection_and_row_keys():
     phone = ds.project(TINY_SCHEMA, [Modality.PHONE])
     assert phone.feature_ids == ("main_activity",)
     assert phone.n_rows == ds.n_rows
-    keys = ds.row_keys()
-    restricted = ds.restrict_dates(keys[:3])
-    assert restricted.n_rows == 3
-    assert restricted.row_keys() == keys[:3]
+    assert (phone.participant_ids, phone.dates) == (ds.participant_ids, ds.dates)
 
 
 def test_concat_datasets_checks_columns():
@@ -502,7 +499,7 @@ def reference_dataset_document(ds):
 # Quotes, backslashes, control and non-ASCII characters.
 NAMES = st.text(st.sampled_from('ab"\\\n\x00\u00e9\u4e2d\U0001f600%'), max_size=6)
 TARGETS = st.sampled_from(["pa", "na", "compiled_mood"]).map(TargetSpec) | st.builds(
-    TargetSpec, st.just("single_item"), st.sampled_from(default_polarity().all_items()), st.sampled_from(["pooled"])
+    TargetSpec, st.just("single_item"), st.sampled_from(SURVEY_ITEMS), st.sampled_from(["pooled"])
 )
 
 

@@ -352,6 +352,30 @@ def test_preflight_rejects_unknown_keys_before_output(tmp_path):
     assert not out.exists()
 
 
+def test_a_cohort_config_with_polarity_exits_2_before_any_output(tmp_path, capsys):
+    """The survey items are fixed.  A cohort config that sets its own
+    polarity used to synthesise (exit 0) and then fail its run at ingest
+    (exit 4); synth and run now refuse it, from a synth section or from
+    config_path, with one line and no output."""
+    polarity = {"positive": [f"p{i}" for i in range(10)], "negative": [f"n{i}" for i in range(10)]}
+    cohort = tmp_path / "cohort.json"
+    dump_json(cohort, dict(SYNTH_SECTION, n_participants=2, n_days=30, n_eligible=1, shift=None, polarity=polarity))
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    inline, _ = run_config(tmp_path / "a", synth=read_json(cohort))
+    by_path, _ = run_config(tmp_path / "b", synth={"config_path": str(cohort)})
+    out = tmp_path / "out"
+    for argv, where in (
+        (["synth", "--config", str(cohort)], "cohort config"),
+        (["run", "--config", str(inline)], "config.synth"),
+        (["run", "--config", str(by_path)], str(cohort)),
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {where}: unknown keys ['polarity']\n"
+        assert not out.exists()
+
+
 def test_preflight_rejects_unknown_stage_and_model():
     with pytest.raises(ConfigError, match="stage"):
         preflight({"synth": {}, "stages": ["synth", "deploy"]})

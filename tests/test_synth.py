@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from affectpipe.core import (
+    NEGATIVE_ITEMS,
+    POSITIVE_ITEMS,
     Modality,
     canonical_json,
-    default_polarity,
     default_schema,
     read_json,
     timeline_from_dict,
@@ -306,7 +307,6 @@ def test_write_cohort_round_trips_through_ingestion(tmp_path):
     truth = write_cohort(cfg, tmp_path)
     assert read_json(tmp_path / "ground_truth.json") == truth
     expected, _ = generate(cfg)
-    polarity = default_polarity()
     for i, pid in enumerate(cfg.participant_ids()):
         files = [
             parse_modality_file(
@@ -314,26 +314,25 @@ def test_write_cohort_round_trips_through_ingestion(tmp_path):
             )
             for m in Modality
         ]
-        reports = parse_affect_file(tmp_path / f"{pid}_affect.csv", polarity, pid)
-        rebuilt = build_timeline(files, reports.values(), cfg.schema, polarity)
+        reports = parse_affect_file(tmp_path / f"{pid}_affect.csv", pid)
+        rebuilt = build_timeline(files, reports.values(), cfg.schema)
         assert canonical_json(timeline_to_dict(rebuilt)) == canonical_json(timeline_to_dict(expected[i]))
 
 
 def test_one_survey_gets_the_same_composites_on_every_path(tmp_path):
     """A generated survey's composites are the same in memory (generate),
     through its affect CSV and through its timeline document, and are its
-    sides' ratings added in polarity order over 10."""
+    sides' ratings added in item order over 10."""
     cfg = small_config()
     write_cohort(cfg, tmp_path)
     generated, _ = generate(cfg)
-    polarity = cfg.polarity
     complete = 0
     for pid, timeline in zip(cfg.participant_ids(), generated):
         affect = timeline.affect
         from_csv = ingest_participant(pid, {}, tmp_path / f"{pid}_affect.csv", cfg.schema).affect
         from_document = timeline_from_dict(timeline_document(timeline)).affect
-        reports = sorted(parse_affect_file(tmp_path / f"{pid}_affect.csv", polarity, pid).values(), key=lambda r: r.day)
-        for name, side in (("pa", polarity.positive), ("na", polarity.negative)):
+        reports = sorted(parse_affect_file(tmp_path / f"{pid}_affect.csv", pid).values(), key=lambda r: r.day)
+        for name, side in (("pa", POSITIVE_ITEMS), ("na", NEGATIVE_ITEMS)):
             expected = np.array([side_mean(r.items, side) for r in reports], dtype=float)
             np.testing.assert_array_equal(getattr(affect, name)[affect.reported], expected)
             np.testing.assert_array_equal(getattr(from_csv, name), expected)
