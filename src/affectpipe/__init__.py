@@ -22,7 +22,6 @@ from .errors import (
     InputFormatError,
     InsufficientDataError,
     MissingInputError,
-    NoDataError,
     PipelineError,
     SchemaError,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "InputFormatError",
     "InsufficientDataError",
     "MissingInputError",
-    "NoDataError",
     "PipelineError",
     "SchemaError",
 ]

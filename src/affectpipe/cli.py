@@ -17,7 +17,6 @@ from .errors import (
     InputFormatError,
     InsufficientDataError,
     MissingInputError,
-    NoDataError,
     PipelineError,
     SchemaError,
 )
@@ -46,7 +45,6 @@ EXIT_CODES = [
     (InputFormatError, 4),
     (SchemaError, 5),
     (InsufficientDataError, 6),
-    (NoDataError, 6),
 ]
 
 def _schema_from_arg(path: str | None):

@@ -542,7 +542,7 @@ def _fail(path: str, message: str) -> NoReturn:
 # Keys a stored document carries besides its fields.
 _DOCUMENT_KEYS = frozenset({"format_version", "run_id"})
 # What a value of each scalar type but an enum must be.
-_EXPECTED = {float: "a finite number", date: "an ISO date", int: "int", str: "str", bool: "bool"}
+_EXPECTED = {float: "a finite number", date: "a YYYY-MM-DD date", int: "int", str: "str", bool: "bool"}
 
 
 def _finite_float(value: Any) -> float:

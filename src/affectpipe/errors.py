@@ -26,7 +26,3 @@ class SchemaError(PipelineError):
 
 class InsufficientDataError(PipelineError):
     """Not enough observations to carry out the requested operation."""
-
-
-class NoDataError(PipelineError):
-    """An aggregation was requested over an empty sample set."""

@@ -31,7 +31,7 @@ from .core import (
     read_json,
     to_json,
 )
-from .errors import ConfigError, InputFormatError, InsufficientDataError, NoDataError, PipelineError, SchemaError
+from .errors import ConfigError, InputFormatError, InsufficientDataError, PipelineError, SchemaError
 
 TARGET_KINDS = ("single_item", "pa", "na", "compiled_mood")
 # The target names a run config and the CLI accept (see parse_target).
@@ -122,9 +122,21 @@ def percentile_thresholds(
     return float(lo), float(hi)
 
 
-def apply_thresholds(
-    values: Mapping[date, float], lo: float, hi: float
+def median_split_labels(
+    values: Mapping[date, float],
+    middle_band: float = 0.20,
+    thresholds: tuple[float, float] | None = None,
 ) -> tuple[dict[date, Label], dict[date, str]]:
+    """High/Low split with the middle band excluded: a value strictly above
+    the upper cut point is High, strictly below the lower one Low.
+
+    `thresholds` overrides the per-call percentile computation (pooled mode).
+    """
+    if len(values) < 10:
+        raise InsufficientDataError("insufficient label data")
+    if thresholds is None:
+        thresholds = percentile_thresholds(list(values.values()), middle_band)
+    lo, hi = thresholds
     entries: dict[date, Label] = {}
     excluded: dict[date, str] = {}
     for day, value in values.items():
@@ -135,22 +147,6 @@ def apply_thresholds(
         else:
             excluded[day] = EXCLUDE_MIDDLE_BAND
     return entries, excluded
-
-
-def median_split_labels(
-    values: Mapping[date, float],
-    middle_band: float = 0.20,
-    thresholds: tuple[float, float] | None = None,
-) -> tuple[dict[date, Label], dict[date, str]]:
-    """High/Low split with the middle band excluded.
-
-    `thresholds` overrides the per-call percentile computation (pooled mode).
-    """
-    if len(values) < 10:
-        raise InsufficientDataError("insufficient label data")
-    if thresholds is None:
-        thresholds = percentile_thresholds(list(values.values()), middle_band)
-    return apply_thresholds(values, *thresholds)
 
 
 def compiled_mood_labels(
@@ -167,7 +163,7 @@ def compiled_mood_labels(
     if set(pa) != set(na):
         raise SchemaError("pa and na date sets differ")
     if not pa:
-        raise NoDataError("no days to label")
+        raise InsufficientDataError("no days to label")
     if medians is None:
         med_pa = float(np.median(list(pa.values())))
         med_na = float(np.median(list(na.values())))
@@ -178,50 +174,35 @@ def compiled_mood_labels(
     for day in pa:
         dev_pa = pa[day] - med_pa
         dev_na = na[day] - med_na
-        if abs(dev_pa) >= abs(dev_na):
-            if dev_pa > 0:
-                entries[day] = Label.HAPPY
-            elif dev_pa < 0:
-                entries[day] = Label.SAD
-            else:
-                excluded[day] = EXCLUDE_MIDDLE_BAND
+        dominant = dev_pa if abs(dev_pa) >= abs(dev_na) else -dev_na
+        if dominant > 0:
+            entries[day] = Label.HAPPY
+        elif dominant < 0:
+            entries[day] = Label.SAD
         else:
-            entries[day] = Label.SAD if dev_na > 0 else Label.HAPPY
+            excluded[day] = EXCLUDE_MIDDLE_BAND
     return entries, excluded
 
 
-def _on_days(timeline: ParticipantTimeline, mask: np.ndarray) -> list[date]:
-    """The dates of the rows marked true."""
-    return [timeline.dates[i] for i in np.flatnonzero(mask)]
-
-
-def target_values(
+def _target_values(
     timeline: ParticipantTimeline, target: TargetSpec
-) -> tuple[dict[date, float], dict[date, str]]:
-    """Per-day target values plus days excluded for missing affect.
-
-    Days without any affect report are skipped entirely; partial reports that
-    cannot supply the target value are excluded with reason missing_affect.
+) -> tuple[list[dict[date, float]], dict[date, str]]:
+    """The target's per-day values, one map per composite it needs (PA and
+    NA for compiled mood, else its one composite or item), over the days
+    that have all of them; plus the reported days that lack one, excluded
+    as missing_affect.  Days without a report are in neither.
     """
     affect = timeline.affect
-    if target.kind in ("pa", "na"):
-        column = affect.pa if target.kind == "pa" else affect.na
-    else:
-        column = affect.column(target.item_id)  # type: ignore[arg-type]
-    has = ~np.isnan(column)
-    values = dict(zip(_on_days(timeline, has), column[has].tolist()))
-    return values, dict.fromkeys(_on_days(timeline, affect.reported & ~has), EXCLUDE_MISSING_AFFECT)
-
-
-def composite_values(
-    timeline: ParticipantTimeline,
-) -> tuple[dict[date, float], dict[date, float], dict[date, str]]:
-    """(pa, na) maps over days where both composites exist."""
-    affect = timeline.affect
-    both = affect.complete
-    days = _on_days(timeline, both)
-    excluded = dict.fromkeys(_on_days(timeline, affect.reported & ~both), EXCLUDE_MISSING_AFFECT)
-    return dict(zip(days, affect.pa[both].tolist())), dict(zip(days, affect.na[both].tolist())), excluded
+    composites = {"pa": [affect.pa], "na": [affect.na], "compiled_mood": [affect.pa, affect.na]}
+    columns = composites.get(target.kind) or [affect.column(target.item_id)]  # type: ignore[arg-type]
+    # Column by column: a days x columns array here raised the peak memory
+    # of a cohort run's label stage (scripts/stage_peaks.py).
+    has = ~np.isnan(columns[0])
+    for column in columns[1:]:
+        has &= ~np.isnan(column)
+    days = [timeline.dates[i] for i in np.flatnonzero(has)]
+    missing = [timeline.dates[i] for i in np.flatnonzero(affect.reported & ~has)]
+    return [dict(zip(days, column[has].tolist())) for column in columns], dict.fromkeys(missing, EXCLUDE_MISSING_AFFECT)
 
 
 def build_labels(
@@ -229,25 +210,9 @@ def build_labels(
     target: TargetSpec,
     middle_band: float = 0.20,
     alignment: str = "next_day",
-    thresholds: tuple[float, float] | None = None,
-    medians: tuple[float, float] | None = None,
 ) -> LabelSet:
     """Label one participant's timeline for the given target."""
-    if target.kind == "compiled_mood":
-        pa, na, missing = composite_values(timeline)
-        entries, excluded = compiled_mood_labels(pa, na, medians=medians)
-    else:
-        values, missing = target_values(timeline, target)
-        entries, excluded = median_split_labels(values, middle_band, thresholds=thresholds)
-    excluded.update(missing)
-    return LabelSet(
-        participant_id=timeline.participant_id,
-        target=target,
-        entries=entries,
-        excluded=excluded,
-        middle_band=middle_band,
-        alignment=alignment,
-    )
+    return build_labels_cohort([timeline], target, middle_band, alignment)[0]
 
 
 def build_labels_cohort(
@@ -256,39 +221,39 @@ def build_labels_cohort(
     middle_band: float = 0.20,
     alignment: str = "next_day",
 ) -> list[LabelSet]:
-    """Label every timeline; pooled scope shares cut points across the cohort."""
-    thresholds = None
-    medians = None
+    """Label every timeline; pooled scope shares cut points across the cohort:
+    the PA and NA medians for compiled mood, else percentile_thresholds."""
+    mood = target.kind == "compiled_mood"
+    read = [_target_values(tl, target) for tl in timelines]
+    cuts = None
     if target.scope == "pooled":
-        if target.kind == "compiled_mood":
-            all_pa: list[float] = []
-            all_na: list[float] = []
-            for tl in timelines:
-                pa, na, _ = composite_values(tl)
-                all_pa.extend(pa.values())
-                all_na.extend(na.values())
-            if not all_pa:
-                raise NoDataError("no complete composite days in cohort")
-            medians = (float(np.median(all_pa)), float(np.median(all_na)))
+        pooled = [[v for maps, _ in read for v in maps[side].values()] for side in range(2 if mood else 1)]
+        if mood:
+            if not pooled[0]:
+                raise InsufficientDataError("no complete composite days in cohort")
+            cuts = (float(np.median(pooled[0])), float(np.median(pooled[1])))
         else:
-            pooled: list[float] = []
-            for tl in timelines:
-                values, _ = target_values(tl, target)
-                pooled.extend(values.values())
-            if len(pooled) < 10:
+            if len(pooled[0]) < 10:
                 raise InsufficientDataError("insufficient label data")
-            thresholds = percentile_thresholds(pooled, middle_band)
-    return [
-        build_labels(
-            tl,
-            target,
-            middle_band=middle_band,
-            alignment=alignment,
-            thresholds=thresholds,
-            medians=medians,
+            cuts = percentile_thresholds(pooled[0], middle_band)
+    label_sets = []
+    for tl, (maps, missing) in zip(timelines, read):
+        if mood:
+            entries, excluded = compiled_mood_labels(*maps, medians=cuts)
+        else:
+            entries, excluded = median_split_labels(*maps, middle_band, thresholds=cuts)
+        excluded.update(missing)
+        label_sets.append(
+            LabelSet(
+                participant_id=tl.participant_id,
+                target=target,
+                entries=entries,
+                excluded=excluded,
+                middle_band=middle_band,
+                alignment=alignment,
+            )
         )
-        for tl in timelines
-    ]
+    return label_sets
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +310,9 @@ def build_dataset(
     next_day alignment pairs the features of day t with the label of day t+1.
     Rows with residual missing features are dropped under the default policy;
     fallback="participant-mean" fills them from the timeline's non-missing
-    values first.
+    values first, window-imputed ones included; the impute stage's
+    participant-mean fallback (fill_residual_with_participant_mean) takes
+    measured values only.
     """
     if labels.participant_id != timeline.participant_id:
         raise SchemaError(
@@ -368,7 +335,7 @@ def build_dataset(
         X = np.where(np.isnan(X), column_means(columns, ~np.isnan(columns)), X)
     keep = ~np.isnan(X).any(axis=1)
     if not keep.any():
-        raise NoDataError("no labeled days align with feature days")
+        raise InsufficientDataError("no labeled days align with feature days")
     return Dataset(
         feature_ids=feature_ids,
         X=X[keep],
@@ -382,7 +349,7 @@ def build_dataset(
 
 def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
     if not parts:
-        raise NoDataError("no datasets to concatenate")
+        raise InsufficientDataError("no datasets to concatenate")
     first = parts[0]
     for part in parts[1:]:
         if part.feature_ids != first.feature_ids:

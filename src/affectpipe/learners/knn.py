@@ -24,6 +24,8 @@ class KNNModel:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InputFormatError(f"k must be at least 1, got {self.k}")
+        if len(self.X) != len(self.y):
+            raise InputFormatError(f"{len(self.X)} training rows but {len(self.y)} labels")
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed_seq=None) -> "KNNModel":
         self.X = np.asarray(X, dtype=float)

@@ -491,6 +491,8 @@ def run_pipeline(
     raw = read_json(config_path)
     config = preflight(raw)
     seed = config.seed if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     out_dir = Path(out_dir_override or config.out_dir)
     check_output(out_dir, directory=True)
     run = PipelineRun(raw, config, out_dir, seed)

@@ -143,7 +143,6 @@ class CohortConfig:
     missingness: MissingnessSpec = field(default_factory=MissingnessSpec)
     shift: PlantedShift | None = field(default_factory=PlantedShift)
     seed: int = 1234
-    schema: FeatureSchema = field(default_factory=default_schema)
 
     def __post_init__(self) -> None:
         if self.n_days < 30:
@@ -155,10 +154,9 @@ class CohortConfig:
         for p in (self.report_prob_eligible, self.report_prob_other):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"report probability out of [0,1]: {p}")
-        units = {s.units for s in self.schema.entries if s.kind == "continuous"} - set(_UNIT_TRANSFORMS)
-        if units:
-            raise ConfigError(f"no synthetic values for units {sorted(units)}")
-        known = set(self.schema.feature_ids())
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
+        known = set(default_schema().feature_ids())
         for name, weights in (
             ("pa_weights", self.signal.pa_weights),
             ("na_weights", self.signal.na_weights),
@@ -333,7 +331,7 @@ def _rng(config: CohortConfig, salt: int, index: int) -> np.random.Generator:
 def _sample_participant(
     config: CohortConfig, index: int
 ) -> tuple[dict[Modality, RawSampleFile], list[AffectReport], ParticipantTruth]:
-    schema = config.schema
+    schema = default_schema()
     feature_ids = schema.feature_ids()
     fid_index = {fid: i for i, fid in enumerate(feature_ids)}
     n_days = config.n_days
@@ -413,7 +411,7 @@ def ground_truth(config: CohortConfig) -> dict:
         "noise_std_na": sig.noise_std_na,
         "sigma_signal_pa": signal_sigma(sig.pa_weights),
         "bayes_accuracy_pa": bayes_accuracy(sig.pa_weights, sig.noise_std_pa),
-        "variance_shares_pa": variance_shares(sig.pa_weights, config.schema),
+        "variance_shares_pa": variance_shares(sig.pa_weights, default_schema()),
         "shift": None
         if config.shift is None
         else dict(to_json(config.shift), month=config.shift_month()),
@@ -443,7 +441,7 @@ def generate(
     for i in range(config.n_participants):
         files, reports, truth = _sample_participant(config, i)
         timelines.append(
-            build_timeline(list(files.values()), reports, config.schema)
+            build_timeline(list(files.values()), reports, default_schema())
         )
         truths.append(truth)
     return timelines, _ground_truth_with(config, truths)

@@ -91,7 +91,7 @@ def test_from_json_fills_defaults_and_requires_the_rest():
     "change, message",
     [
         ({"id": 5}, r"Sample\.id: expected str"),
-        ({"when": "2020-13-01"}, r"Sample\.when: expected an ISO date"),
+        ({"when": "2020-13-01"}, r"Sample\.when: expected a YYYY-MM-DD date"),
         ({"modality": "ring2"}, r"Sample\.modality: expected one of"),
         ({"pair": [1, "2"]}, r"Sample\.pair\[1\]: expected int"),
         ({"pair": [1, True]}, r"Sample\.pair\[1\]: expected int"),
@@ -344,8 +344,10 @@ def test_timeline_affect_the_csv_parser_refuses_exits_4(workspace, edit, message
 
 
 # Values of the right type that no writer gives, and the one error line each
-# exits with: a band outside [0, 1), a repeated dataset row, and dates in an
-# ISO 8601 spelling other than YYYY-MM-DD, which Python 3.11 reads.
+# exits with: a band outside [0, 1), a repeated dataset row, dates in an
+# ISO 8601 spelling other than YYYY-MM-DD, which Python 3.11 reads, a
+# negative seed, which numpy's seeding refuses with a traceback, and a KNN
+# model with one training row more than it has labels.
 REFUSED_VALUES = [
     ("labels", lambda d: d["participants"][0].update(middle_band=5.0),
      (5, "error: labels p01: middle_band must be in [0, 1), got 5.0\n")),
@@ -354,9 +356,14 @@ REFUSED_VALUES = [
     ("dataset", lambda d: d["rows"].append(d["rows"][0]),
      (4, "error: dataset: participant 'p01' has a second row on 2020-01-01\n")),
     ("timeline", lambda d: d["days"][2].update(date="20200103"),
-     (4, "error: timeline.days[2].date: expected an ISO date\n")),
+     (4, "error: timeline.days[2].date: expected a YYYY-MM-DD date\n")),
     ("dataset", lambda d: d["rows"][1].update(date="2020-W01-4"),
-     (4, "error: dataset.rows[1].date: expected an ISO date\n")),
+     (4, "error: dataset.rows[1].date: expected a YYYY-MM-DD date\n")),
+    ("cohort", lambda d: d.update(seed=-1), (2, "error: seed must be at least 0, got -1\n")),
+    ("run_config", lambda d: d.update(seed=-1), (2, "error: seed must be at least 0, got -1\n")),
+    ("run_config_raw_dir", lambda d: d.update(seed=-1), (2, "error: seed must be at least 0, got -1\n")),
+    ("model_KNN", lambda d: d["model"]["X"].append(d["model"]["X"][0]),
+     (4, "error: 31 training rows but 30 labels\n")),
 ]
 
 
@@ -417,6 +424,21 @@ def _at(doc, path):
 
 # One value of each JSON type; a retyped value gets one of another type.
 REPLACEMENTS = (None, True, 7, 1.5, "x", [], {})
+# Numbers just outside the ranges the documents state: below 0, a fraction
+# or middle band of 1 and just above, a rating just above 100, and a count
+# below its least value.
+OUT_OF_RANGE = (-1e-14, 1.0, 1.0000000000000002, 100.00000000000001, 0, -1)
+
+
+# The values each mutation applies to.
+MUTABLE = {
+    "drop": lambda v: True,
+    "retype": lambda v: True,
+    "add": lambda v: True,
+    "repeat": lambda v: isinstance(v, list) and len(v) > 0,
+    "swap": lambda v: isinstance(v, list) and len(v) > 1,
+    "out_of_range": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
 
 
 @pytest.mark.parametrize(
@@ -431,12 +453,9 @@ REPLACEMENTS = (None, True, 7, 1.5, "x", [], {})
 def test_mutated_documents_never_escape_the_exit_codes(workspace, kind, data):
     base_doc = workspace[1][kind][0]
     doc = copy.deepcopy(base_doc)
-    by_depth: dict[int, list] = {}
-    for path, value in _locations(doc):
-        by_depth.setdefault(len(path), []).append((path, value))
-    depth = data.draw(st.sampled_from(sorted(by_depth)), label="depth")
-    path, value = data.draw(st.sampled_from(by_depth[depth]), label="location")
-    op = data.draw(st.sampled_from(["drop", "retype", "add", "output"]), label="op")
+    locations = list(_locations(doc))
+    ops = [op for op, mutable in MUTABLE.items() if any(mutable(value) for _, value in locations)]
+    op = data.draw(st.sampled_from([*ops, "output"]), label="op")
     if op == "output":
         # --out, --out-dir (cohort) or the run config's out_dir
         directory = kind == "cohort" or kind.startswith("run_config")
@@ -447,7 +466,21 @@ def test_mutated_documents_never_escape_the_exit_codes(workspace, kind, data):
         assert code == 2, err
         assert_one_error_line(code, err)
         return
-    if op == "retype" or not isinstance(value, dict) or (op == "drop" and not value):
+    by_depth: dict[int, list] = {}
+    for path, value in locations:
+        if MUTABLE[op](value):
+            by_depth.setdefault(len(path), []).append((path, value))
+    depth = data.draw(st.sampled_from(sorted(by_depth)), label="depth")
+    path, value = data.draw(st.sampled_from(by_depth[depth]), label="location")
+    if op == "repeat":
+        i = data.draw(st.integers(0, len(value) - 1), label="index")
+        value.insert(i, copy.deepcopy(value[i]))
+    elif op == "swap":
+        i, j = data.draw(st.lists(st.integers(0, len(value) - 1), min_size=2, max_size=2, unique=True), label="indices")
+        value[i], value[j] = value[j], value[i]
+    elif op == "out_of_range":
+        _at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(OUT_OF_RANGE), label="number")
+    elif op == "retype" or not isinstance(value, dict) or (op == "drop" and not value):
         new = data.draw(st.sampled_from([r for r in REPLACEMENTS if type(r) is not type(value)]))
         if path:
             _at(doc, path[:-1])[path[-1]] = copy.deepcopy(new)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe.core import CODE_MISSING, SURVEY_ITEMS, Modality, canonical_json, default_schema, dump_json, from_json, to_json
-from affectpipe.errors import InsufficientDataError, NoDataError, PipelineError, SchemaError
+from affectpipe.errors import InsufficientDataError, PipelineError, SchemaError
 from affectpipe.labels import (
     ALIGNMENTS,
     EXCLUDE_MIDDLE_BAND,
@@ -24,12 +24,10 @@ from affectpipe.labels import (
     Label,
     LabelSet,
     TargetSpec,
-    apply_thresholds,
     build_dataset,
     build_labels,
     build_labels_cohort,
     compiled_mood_labels,
-    composite_values,
     concat_datasets,
     dataset_from_dict,
     dataset_to_dict,
@@ -37,7 +35,6 @@ from affectpipe.labels import (
     parse_target,
     percentile_thresholds,
     save_dataset,
-    target_values,
 )
 
 from conftest import D0, TINY_SCHEMA, make_affect, make_timeline, report_timelines, series_timeline, survey_items
@@ -110,11 +107,11 @@ def test_median_split_needs_ten_days():
 
 
 def test_threshold_boundaries_are_strict():
-    values = value_map([1.9, 2.0, 3.0, 4.0, 4.0001])
-    entries, excluded = apply_thresholds(values, 2.0, 4.0)
+    values = value_map([1.0, 1.9, 2.0, 2.5, 3.0, 3.5, 4.0, 4.0001, 5.0, 6.0])
+    entries, excluded = median_split_labels(values, thresholds=(2.0, 4.0))
     labels = {values[k]: v for k, v in entries.items()}
-    assert labels == {1.9: Label.LOW, 4.0001: Label.HIGH}
-    assert {values[k] for k in excluded} == {2.0, 3.0, 4.0}
+    assert labels == {1.0: Label.LOW, 1.9: Label.LOW, 4.0001: Label.HIGH, 5.0: Label.HIGH, 6.0: Label.HIGH}
+    assert {values[k] for k in excluded} == {2.0, 2.5, 3.0, 3.5, 4.0}
 
 
 @settings(max_examples=40)
@@ -260,7 +257,8 @@ def test_build_labels_single_item_target():
 
 
 def reference_target_values(timeline, reports, target):
-    """target_values read from per-day reports."""
+    """A target's per-day values and missing_affect exclusions, read from
+    per-day reports."""
     values, excluded = {}, {}
     for day, report in zip(timeline.dates, reports):
         if report is None:
@@ -279,7 +277,8 @@ def reference_target_values(timeline, reports, target):
 
 
 def reference_composite_values(timeline, reports):
-    """composite_values read from per-day reports."""
+    """The (pa, na) maps over days with both composites and the
+    missing_affect exclusions, read from per-day reports."""
     pa, na, excluded = {}, {}, {}
     for day, report in zip(timeline.dates, reports):
         if report is None:
@@ -302,18 +301,22 @@ LABEL_KINDS = ("absent", "some items", "all items", "all items", "all items", "a
 )
 def test_label_values_equal_the_per_report_reference(drawn, item):
     timeline, reports = drawn
-    for name in ("pa", "na", f"item:{item}"):
+    for name in ("pa", "na", f"item:{item}", "mood"):
         target = parse_target(name, pooled=False)
-        found, expected = target_values(timeline, target), reference_target_values(timeline, reports, target)
-        assert [list(d.items()) for d in found] == [list(d.items()) for d in expected]
-        if len(expected[0]) < 10:
-            with pytest.raises(InsufficientDataError):
+        if name == "mood":
+            *values, missing = reference_composite_values(timeline, reports)
+            label = compiled_mood_labels
+        else:
+            values, missing = reference_target_values(timeline, reports, target)
+            values, label = [values], median_split_labels
+        try:
+            entries, excluded = label(*values)
+        except InsufficientDataError as exc:
+            with pytest.raises(InsufficientDataError, match=f"^{exc}$"):
                 build_labels(timeline, target)
             continue
-        labels, (entries, excluded) = build_labels(timeline, target), median_split_labels(expected[0])
-        assert labels.entries == entries and labels.excluded == {**excluded, **expected[1]}
-    found, expected = composite_values(timeline), reference_composite_values(timeline, reports)
-    assert [list(d.items()) for d in found] == [list(d.items()) for d in expected]
+        labels = build_labels(timeline, target)
+        assert labels.entries == entries and labels.excluded == {**excluded, **missing}
 
 
 def test_target_spec_validation():
@@ -436,7 +439,7 @@ def test_build_dataset_no_overlap():
     rows = [{} for _ in range(11)]
     tl = make_timeline("p", rows, affect_by_index=affect_series(range(11)))
     ls = build_labels(tl, TargetSpec(kind="pa"))
-    with pytest.raises(NoDataError, match="align"):
+    with pytest.raises(InsufficientDataError, match="align"):
         build_dataset(tl, ls, TINY_SCHEMA)
 
 

@@ -18,7 +18,7 @@ from typing import get_type_hints
 import pytest
 
 from affectpipe.cli import main
-from affectpipe.core import dump_json, read_json
+from affectpipe.core import default_schema, dump_json, read_json, to_json
 from affectpipe.errors import ConfigError, InsufficientDataError, MissingInputError
 from affectpipe.pipeline import STAGES, RunConfig, file_digest, preflight, run_pipeline
 from affectpipe.synth import CohortConfig, save_cohort_config
@@ -352,14 +352,11 @@ def test_preflight_rejects_unknown_keys_before_output(tmp_path):
     assert not out.exists()
 
 
-def test_a_cohort_config_with_polarity_exits_2_before_any_output(tmp_path, capsys):
-    """The survey items are fixed.  A cohort config that sets its own
-    polarity used to synthesise (exit 0) and then fail its run at ingest
-    (exit 4); synth and run now refuse it, from a synth section or from
-    config_path, with one line and no output."""
-    polarity = {"positive": [f"p{i}" for i in range(10)], "negative": [f"n{i}" for i in range(10)]}
+def assert_cohort_key_exits_2_before_any_output(tmp_path, capsys, key, cohort_changes):
+    """synth and run refuse a cohort config with `key`, from a synth section
+    or from config_path, with one line and no output."""
     cohort = tmp_path / "cohort.json"
-    dump_json(cohort, dict(SYNTH_SECTION, n_participants=2, n_days=30, n_eligible=1, shift=None, polarity=polarity))
+    dump_json(cohort, dict(SYNTH_SECTION, shift=None, **cohort_changes))
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     inline, _ = run_config(tmp_path / "a", synth=read_json(cohort))
@@ -372,8 +369,31 @@ def test_a_cohort_config_with_polarity_exits_2_before_any_output(tmp_path, capsy
     ):
         capsys.readouterr()
         assert main([*argv, "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {where}: unknown keys ['polarity']\n"
+        assert capsys.readouterr().err == f"error: {where}: unknown keys [{key!r}]\n"
         assert not out.exists()
+
+
+def test_a_cohort_config_with_polarity_exits_2_before_any_output(tmp_path, capsys):
+    """The survey items are fixed.  A cohort config that set its own
+    polarity used to synthesise (exit 0) and then fail its run at ingest
+    (exit 4)."""
+    polarity = {"positive": [f"p{i}" for i in range(10)], "negative": [f"n{i}" for i in range(10)]}
+    assert_cohort_key_exits_2_before_any_output(
+        tmp_path, capsys, "polarity", dict(n_participants=2, n_days=30, n_eligible=1, polarity=polarity)
+    )
+
+
+def test_a_cohort_config_with_a_schema_exits_2_before_any_output(tmp_path, capsys):
+    """A run reads default_schema().  A cohort config that set its own
+    feature schema used to synthesise, ingest, impute and label, and then
+    fail its run at the dataset stage (exit 6) with every row dropped."""
+    weights = {"sleep_deep": 0.55, "walk_steps": 0.45, "main_activity": 0.30}
+    schema = to_json(default_schema())
+    schema["entries"] = [e for e in schema["entries"] if e["id"] in weights]
+    signal = {"pa_weights": weights, "na_weights": {fid: -0.6 * w for fid, w in weights.items()}}
+    assert_cohort_key_exits_2_before_any_output(
+        tmp_path, capsys, "schema", dict(n_participants=2, n_days=60, n_eligible=2, schema=schema, signal=signal)
+    )
 
 
 def test_preflight_rejects_unknown_stage_and_model():

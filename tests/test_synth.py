@@ -270,7 +270,7 @@ def test_composite_moments_match_config():
 def test_boolean_features_stay_fractional():
     cfg = small_config(missingness=NO_MISSING)
     timelines, _ = generate(cfg)
-    phone_ids = cfg.schema.features_for([Modality.PHONE])
+    phone_ids = default_schema().features_for([Modality.PHONE])
     for tl in timelines:
         for day in tl.days:
             for fid in phone_ids:
@@ -289,7 +289,7 @@ def test_missingness_rates_match_analytic_prediction():
     timelines, _ = generate(cfg)
     tl = timelines[0]
     for modality in Modality:
-        j = tl.feature_ids.index(cfg.schema.features_for([modality])[0])
+        j = tl.feature_ids.index(default_schema().features_for([modality])[0])
         measured = {day for day, value in zip(tl.dates, tl.values[:, j]) if not np.isnan(value)}
         missing = sum(1 for d in cfg.dates() if d not in measured)
         rate = missing / cfg.n_days
@@ -310,12 +310,12 @@ def test_write_cohort_round_trips_through_ingestion(tmp_path):
     for i, pid in enumerate(cfg.participant_ids()):
         files = [
             parse_modality_file(
-                tmp_path / f"{pid}_{m.value}.csv", cfg.schema, m, pid
+                tmp_path / f"{pid}_{m.value}.csv", default_schema(), m, pid
             )
             for m in Modality
         ]
         reports = parse_affect_file(tmp_path / f"{pid}_affect.csv", pid)
-        rebuilt = build_timeline(files, reports.values(), cfg.schema)
+        rebuilt = build_timeline(files, reports.values(), default_schema())
         assert canonical_json(timeline_to_dict(rebuilt)) == canonical_json(timeline_to_dict(expected[i]))
 
 
@@ -329,7 +329,7 @@ def test_one_survey_gets_the_same_composites_on_every_path(tmp_path):
     complete = 0
     for pid, timeline in zip(cfg.participant_ids(), generated):
         affect = timeline.affect
-        from_csv = ingest_participant(pid, {}, tmp_path / f"{pid}_affect.csv", cfg.schema).affect
+        from_csv = ingest_participant(pid, {}, tmp_path / f"{pid}_affect.csv", default_schema()).affect
         from_document = timeline_from_dict(timeline_document(timeline)).affect
         reports = sorted(parse_affect_file(tmp_path / f"{pid}_affect.csv", pid).values(), key=lambda r: r.day)
         for name, side in (("pa", POSITIVE_ITEMS), ("na", NEGATIVE_ITEMS)):
@@ -365,7 +365,7 @@ def test_noise_free_single_feature_cohort_is_learnable():
     timelines, _ = generate(cfg)
     tl = timelines[0]
     labels = build_labels(tl, TargetSpec(kind="pa"))
-    ds = build_dataset(tl, labels, cfg.schema)
+    ds = build_dataset(tl, labels, default_schema())
     spec = ModelSpec(
         family=ModelFamily.RF,
         hyperparameters={"n_trees": 30, "max_depth": None, "max_features": "sqrt"},
