@@ -13,18 +13,11 @@ import numpy as np
 from .core import FeatureSchema, Modality, dump_json, from_json, read_json, to_json
 from .errors import InsufficientDataError, PipelineError, SchemaError
 from .labels import Dataset
-from .learners import ModelFamily, ModelSpec, train
+from .learners import ModelSpec, train
 
 # Published reference points for this cohort task; used only in comparison
 # printouts, never as targets for the test suite.
-REFERENCE_RESULTS = {
-    "auc": 0.82,
-    "mean_accuracy": 0.81,
-    "multimodal_relative_gain": 0.218,
-    "best_over_baseline_auc_gain": 0.16,
-    "best_over_baseline_accuracy_gain": 0.04,
-    "relative_improvement_over_baseline": 0.23,
-}
+REFERENCE_RESULTS = {"auc": 0.82, "mean_accuracy": 0.81}
 
 
 def relative_improvement(ours: float, reference: float) -> float:
@@ -62,23 +55,11 @@ def kfold_indices(
         raise InsufficientDataError(f"cannot split {n} rows into {k} folds")
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     if stratified and labels is not None:
-        folds: list[list[int]] = [[] for _ in range(k)]
-        offset = 0
-        for cls in np.unique(labels):
-            members = rng.permutation(np.nonzero(labels == cls)[0])
-            for i, idx in enumerate(members):
-                folds[(offset + i) % k].append(int(idx))
-            offset += members.size
-        return [np.sort(np.array(f, dtype=int)) for f in folds]
-    perm = rng.permutation(n)
-    base, extra = divmod(n, k)
-    folds_out: list[np.ndarray] = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds_out.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds_out
+        # Each class's members in turn, dealt round-robin over the folds.
+        classes = [rng.permutation(np.flatnonzero(labels == cls)) for cls in np.unique(labels)]
+        members = np.concatenate(classes)
+        return [np.sort(members[i::k]) for i in range(k)]
+    return [np.sort(part) for part in np.array_split(rng.permutation(n), k)]
 
 
 def fold_assignment_hash(folds: Sequence[np.ndarray], n: int) -> str:
@@ -93,19 +74,13 @@ def _partition_with_resample(
 ) -> list[np.ndarray]:
     """Seeded partition; one resample is allowed when a training complement
     ends up single-class, after which the split is a hard error."""
-    n = y.shape[0]
+    n, positives = y.shape[0], int(y.sum())
     for attempt in (0, 1):
         folds = kfold_indices(
             n, k, np.random.SeedSequence([seed, attempt]), labels=y, stratified=stratified
         )
-        ok = True
-        for test_idx in folds:
-            train_mask = np.ones(n, dtype=bool)
-            train_mask[test_idx] = False
-            if np.unique(y[train_mask]).size < 2:
-                ok = False
-                break
-        if ok:
+        # The complement of a fold keeps both classes.
+        if all(0 < positives - int(y[f].sum()) < n - f.size for f in folds):
             return folds
     raise InsufficientDataError(
         "a training split lost a class even after one resample"
@@ -131,20 +106,11 @@ def roc_auc(
     if n_pos == 0 or n_neg == 0:
         raise InsufficientDataError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    l = labels[order]
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = s.shape[0]
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        tp += int((l[i:j] == 1).sum())
-        fp += int((l[i:j] == 0).sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
+    s, l = scores[order], labels[order]
+    # One step at the last score of each run of equal scores.
+    last = np.append(s[1:] != s[:-1], True)
+    fps, tps = np.cumsum(l == 0)[last], np.cumsum(l == 1)[last]
+    points = [(0.0, 0.0)] + [(int(fp) / n_neg, int(tp) / n_pos) for fp, tp in zip(fps, tps)]
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
         auc += 0.5 * (y0 + y1) * (x1 - x0)
@@ -171,31 +137,19 @@ def cross_validate(
     fold_accs: list[float] = []
     base_accs: list[float] = []
     chosen: list[dict] = []
-    tp = fp = tn = fn = 0
     for test_idx in folds:
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_idx] = False
         model = train(spec, dataset.X[train_mask], y[train_mask], grid=grid)
         chosen.append(model.chosen_hyperparameters)
-        proba = model.predict_proba(dataset.X[test_idx])
-        oof_scores[test_idx] = proba
-        pred = (proba >= 0.5).astype(np.int8)
+        proba = oof_scores[test_idx] = model.predict_proba(dataset.X[test_idx])
         truth = y[test_idx]
-        fold_accs.append(float((pred == truth).mean()))
-        tp += int(((pred == 1) & (truth == 1)).sum())
-        fp += int(((pred == 1) & (truth == 0)).sum())
-        tn += int(((pred == 0) & (truth == 0)).sum())
-        fn += int(((pred == 0) & (truth == 1)).sum())
-
-        base = train(
-            ModelSpec(family=ModelFamily.MAJORITY, seed=spec.seed),
-            dataset.X[train_mask],
-            y[train_mask],
-        )
-        base_pred = base.predict(dataset.X[test_idx])
-        base_accs.append(float((base_pred == truth).mean()))
+        fold_accs.append(float(((proba >= 0.5) == truth).mean()))
+        # The training fold's majority class; a tie goes to High.
+        base_accs.append(float(((y[train_mask].mean() >= 0.5) == truth).mean()))
 
     roc_points, auc = roc_auc(oof_scores, y)
+    pred, high = oof_scores >= 0.5, y == 1
     return EvaluationReport(
         target_kind=dataset.target.kind,
         modalities=modalities,
@@ -207,7 +161,12 @@ def cross_validate(
         mean_accuracy=float(np.mean(fold_accs)),
         roc_points=tuple(roc_points),
         auc=auc,
-        confusion={"tp": tp, "fp": fp, "tn": tn, "fn": fn},
+        confusion={
+            "tp": int((pred & high).sum()),
+            "fp": int((pred & ~high).sum()),
+            "tn": int((~pred & ~high).sum()),
+            "fn": int((~pred & high).sum()),
+        },
         baseline_accuracy=float(np.mean(base_accs)),
         fold_hash=fold_assignment_hash(folds, n),
         chosen_hyperparameters=tuple(chosen),
@@ -240,28 +199,27 @@ def ablation_run(
     seed: int = 0,
     grid: Sequence[dict] | None = None,
     schema: FeatureSchema | None = None,
+    stratified: bool = False,
 ) -> dict[str, EvaluationReport]:
     """Cross-validate each subset's dataset on identical row partitions.
 
-    The datasets must hold the same rows, as the projections `paired_subsets`
-    gives do; SchemaError names the first that does not, before any fit.
+    The datasets must hold the same rows and labels, as the projections
+    `paired_subsets` gives do, so the same seed yields the same folds for
+    each; SchemaError names the first that does not, before any fit.
     """
     if not datasets:
         raise SchemaError("no datasets given")
     first_name, first = next(iter(datasets.items()))
     for name, ds in datasets.items():
-        if (ds.participant_ids, ds.dates) != (first.participant_ids, first.dates):
+        same_rows = (ds.participant_ids, ds.dates) == (first.participant_ids, first.dates)
+        if not (same_rows and np.array_equal(ds.y, first.y)):
             raise SchemaError(f"subset {name!r} holds other rows than {first_name!r}")
-    reports: dict[str, EvaluationReport] = {}
-    hashes = set()
-    for name, ds in datasets.items():
-        reports[name] = cross_validate(
-            ds, spec, k=k, seed=seed, grid=grid, modalities=subset_modalities(ds, schema)
+    return {
+        name: cross_validate(
+            ds, spec, k=k, seed=seed, grid=grid, stratified=stratified, modalities=subset_modalities(ds, schema)
         )
-        hashes.add(reports[name].fold_hash)
-    if len(hashes) != 1:
-        raise SchemaError("paired ablation produced diverging fold assignments")
-    return reports
+        for name, ds in datasets.items()
+    }
 
 
 def subset_modalities(ds: Dataset, schema: FeatureSchema | None) -> tuple[str, ...]:

@@ -231,7 +231,7 @@ def _raise_first(path: Path, lines: np.ndarray, checks: list) -> None:
         raise error(f"{path}:{lines[i]}: {message(i)}")
 
 
-def parse_affect_file(path: Path | str, participant_id: str) -> dict[date, AffectReport]:
+def parse_affect_file(path: Path | str) -> dict[date, AffectReport]:
     """Parse an affect CSV into per-day reports (possibly partial), one per
     date in the order first seen, its items in file order.  The checks run
     over whole columns, as in parse_modality_file."""
@@ -274,10 +274,12 @@ def parse_affect_file(path: Path | str, participant_id: str) -> dict[date, Affec
 
 def build_timeline(
     files: Sequence[RawSampleFile],
+    participant_id: str,
     affect_reports: Iterable[AffectReport],
     schema: FeatureSchema,
 ) -> ParticipantTimeline:
-    """Merge modality files and affect reports into one participant timeline.
+    """Merge one participant's modality files and affect reports into their
+    timeline; a file of another participant is refused.
 
     Every date seen in any input gets a row; a feature's daily value is the
     duration-weighted mean of its samples that day, and features without
@@ -286,10 +288,9 @@ def build_timeline(
     reports = list(affect_reports)
     if not files and not reports:
         raise InputFormatError("nothing to build a timeline from")
-    pids = {f.participant_id for f in files}
+    pids = {participant_id, *(f.participant_id for f in files)}
     if len(pids) > 1:
         raise SchemaError(f"files span multiple participants: {sorted(pids)}")
-    participant_id = next(iter(pids)) if pids else ""
 
     affect_by_day: dict[date, AffectReport] = {}
     for report in reports:

@@ -149,6 +149,8 @@ class EvaluateConfig:
             parse_modalities(names)
 
     def spec(self, seed: int) -> ModelSpec:
+        if seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {seed}")
         return ModelSpec(family=MODEL_NAMES[self.model], hyperparameters=self.hyperparameters, seed=seed)
 
     def grid(self) -> list[dict] | None:
@@ -229,8 +231,8 @@ def ingest_participant(
     """One participant's timeline from their modality CSVs and, when there
     is one, their affect CSV."""
     files = [parse_modality_file(path, schema, m, participant_id) for m, path in modality_files.items()]
-    reports = {} if affect_file is None else parse_affect_file(affect_file, participant_id)
-    return build_timeline(files, list(reports.values()), schema)
+    reports = {} if affect_file is None else parse_affect_file(affect_file)
+    return build_timeline(files, participant_id, list(reports.values()), schema)
 
 
 def impute_timeline(timeline: ParticipantTimeline, section: ImputeConfig) -> ParticipantTimeline:
@@ -391,7 +393,8 @@ class PipelineRun:
             for pid, ds in self.datasets.items():
                 subsets = paired_subsets(ds, self.schema, subsets_by_name)
                 ablation[pid] = ablation_run(
-                    subsets, spec, k=section.folds, seed=self.seed, grid=section.grid(), schema=self.schema
+                    subsets, spec, k=section.folds, seed=self.seed, grid=section.grid(), schema=self.schema,
+                    stratified=section.stratified,
                 )
 
         doc = {

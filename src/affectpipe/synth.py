@@ -438,10 +438,10 @@ def generate(
     uses, so CSV round-trips reproduce them exactly."""
     timelines = []
     truths = []
-    for i in range(config.n_participants):
+    for i, pid in enumerate(config.participant_ids()):
         files, reports, truth = _sample_participant(config, i)
         timelines.append(
-            build_timeline(list(files.values()), reports, default_schema())
+            build_timeline(list(files.values()), pid, reports, default_schema())
         )
         truths.append(truth)
     return timelines, _ground_truth_with(config, truths)

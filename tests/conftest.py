@@ -209,3 +209,73 @@ def schema():
 @pytest.fixture
 def tiny_schema():
     return TINY_SCHEMA
+
+
+# The loop versions of evaluate's fold split, resample check and ROC
+# stepping, kept as reference code for the array versions that replaced them.
+
+
+def kfold_indices_loop(n, k, seed_seq, labels=None, stratified=False):
+    """Folds dealt member by member: stratified, each class's permutation
+    round-robin over the folds, continuing where the last class stopped;
+    else consecutive slices of one permutation, the first n % k one longer."""
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    if stratified and labels is not None:
+        folds = [[] for _ in range(k)]
+        offset = 0
+        for cls in np.unique(labels):
+            members = rng.permutation(np.nonzero(labels == cls)[0])
+            for i, idx in enumerate(members):
+                folds[(offset + i) % k].append(int(idx))
+            offset += members.size
+        return [np.sort(np.array(f, dtype=int)) for f in folds]
+    perm = rng.permutation(n)
+    base, extra = divmod(n, k)
+    out, start = [], 0
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
+        out.append(np.sort(perm[start : start + size]))
+        start += size
+    return out
+
+
+def partition_with_resample_loop(y, k, seed, stratified):
+    """The first of two seeded partitions whose every training complement
+    keeps both classes, checked by one mask per fold; None when neither does."""
+    n = y.shape[0]
+    for attempt in (0, 1):
+        folds = kfold_indices_loop(n, k, np.random.SeedSequence([seed, attempt]), labels=y, stratified=stratified)
+        ok = True
+        for test_idx in folds:
+            train_mask = np.ones(n, dtype=bool)
+            train_mask[test_idx] = False
+            if np.unique(y[train_mask]).size < 2:
+                ok = False
+                break
+        if ok:
+            return folds
+    return None
+
+
+def roc_auc_loop(scores, labels):
+    """ROC points stepped over each run of equal scores in turn, and their
+    trapezoid AUC."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels).astype(np.int8)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    order = np.argsort(-scores, kind="stable")
+    s, l = scores[order], labels[order]
+    points = [(0.0, 0.0)]
+    tp = fp = i = 0
+    while i < s.shape[0]:
+        j = i
+        while j < s.shape[0] and s[j] == s[i]:
+            j += 1
+        tp += int((l[i:j] == 1).sum())
+        fp += int((l[i:j] == 0).sum())
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
+        auc += 0.5 * (y0 + y1) * (x1 - x0)
+    return points, float(auc)

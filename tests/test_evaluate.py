@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 from datetime import date, timedelta
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectpipe.core import Modality
@@ -17,6 +18,7 @@ from affectpipe.core import from_json, to_json
 from affectpipe.evaluate import (
     REFERENCE_RESULTS,
     EvaluationReport,
+    _partition_with_resample,
     ablation_run,
     cross_validate,
     fold_assignment_hash,
@@ -33,7 +35,14 @@ from affectpipe.evaluate import (
 from affectpipe.labels import Dataset, TargetSpec, build_dataset, build_labels
 from affectpipe.learners import ModelFamily, ModelSpec
 
-from conftest import D0, TINY_SCHEMA, make_timeline
+from conftest import (
+    D0,
+    TINY_SCHEMA,
+    kfold_indices_loop,
+    make_timeline,
+    partition_with_resample_loop,
+    roc_auc_loop,
+)
 
 
 def concordance_oracle(scores, labels):
@@ -154,6 +163,54 @@ def test_stratified_folds_preserve_class_ratio():
     folds = kfold_indices(60, 5, np.random.SeedSequence(3), labels=y, stratified=True)
     for f in folds:
         assert (y[f] == 1).sum() == 4  # 20 positives over 5 folds
+
+
+def test_stratified_folds_pinned():
+    """An assignment computed by the member-by-member deal."""
+    y = np.array([0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1], dtype=np.int8)
+    folds = kfold_indices(13, 4, np.random.SeedSequence([8, 0]), labels=y, stratified=True)
+    assert [f.tolist() for f in folds] == [[5, 6, 9, 10], [3, 11, 12], [0, 1, 4], [2, 7, 8]]
+
+
+@st.composite
+def cv_cases(draw):
+    """Labels, a fold count, a seed and scores, tied or not."""
+    y = draw(st.lists(st.integers(0, 1), min_size=2, max_size=40))
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    scores = draw(st.lists(values, min_size=len(y), max_size=len(y)))
+    return y, draw(st.integers(2, len(y))), draw(st.integers(0, 2**32 - 1)), scores
+
+
+TWO_POSITIVES = [1, 1, 0, 0, 0, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cv_cases(), stratified=st.booleans())
+# the first partition kept, rescued by the resample, and refused after it
+@example(case=(TWO_POSITIVES, 2, 1, [0.5] * 6), stratified=False)
+@example(case=(TWO_POSITIVES, 2, 0, [0.9, 0.1, 0.5, 0.5, 0.2, 0.3]), stratified=False)
+@example(case=(TWO_POSITIVES, 2, 3, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), stratified=False)
+# a single-member class, and n % k != 0
+@example(case=([0, 0, 1, 0, 0, 0, 0], 3, 5, [0.5, 0.5, 0.5, 0.0, 1.0, 1.0, 0.0]), stratified=True)
+def test_array_folds_resample_and_roc_equal_the_loop_versions(case, stratified):
+    """Folds, the resample outcome, ROC points and AUC as the loops in
+    conftest give them, for any size, class balance and score ties."""
+    y, k, seed, scores = np.array(case[0], dtype=np.int8), case[1], case[2], np.array(case[3])
+    for attempt in (0, 1):
+        seed_seq = np.random.SeedSequence([seed, attempt])
+        found = kfold_indices(y.size, k, seed_seq, labels=y, stratified=stratified)
+        expected = kfold_indices_loop(y.size, k, seed_seq, labels=y, stratified=stratified)
+        assert [f.tolist() for f in found] == [f.tolist() for f in expected]
+        assert all(f.dtype == np.int64 for f in found)
+    expected = partition_with_resample_loop(y, k, seed, stratified)
+    if expected is None:
+        with pytest.raises(InsufficientDataError, match="resample"):
+            _partition_with_resample(y, k, seed, stratified)
+    else:
+        found = _partition_with_resample(y, k, seed, stratified)
+        assert [f.tolist() for f in found] == [f.tolist() for f in expected]
+    if 0 < y.sum() < y.size:
+        assert roc_auc(scores, y) == roc_auc_loop(scores, y)
 
 
 def test_fold_hash_tracks_assignment():
@@ -279,7 +336,6 @@ def test_macro_average_and_relative_improvement():
 def test_reference_constants_are_the_published_numbers():
     assert REFERENCE_RESULTS["mean_accuracy"] == 0.81
     assert REFERENCE_RESULTS["auc"] == 0.82
-    assert REFERENCE_RESULTS["multimodal_relative_gain"] == 0.218
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +391,11 @@ def test_paired_subsets_share_rows_and_hash():
 
 
 def test_ablation_requires_overlap():
-    """Subsets must hold the same rows, participants and dates alike; the
-    refusal comes before any fit."""
+    """Subsets must hold the same rows, participants and dates alike, and
+    the same labels; the refusal comes before any fit."""
     a = ramp_dataset("p1")
-    for b in (ramp_dataset("p1", start=D0 + timedelta(days=400)), ramp_dataset("p2")):
+    flipped = replace(a, y=1 - a.y)
+    for b in (ramp_dataset("p1", start=D0 + timedelta(days=400)), ramp_dataset("p2"), flipped):
         with mock.patch("affectpipe.evaluate.cross_validate") as fit:
             with pytest.raises(SchemaError, match="^subset 'b' holds other rows than 'a'$"):
                 ablation_run({"a": a, "b": b}, ModelSpec(family=ModelFamily.KNN), k=2, seed=0)

@@ -141,9 +141,9 @@ def test_parse_affect_builds_reports(tmp_path):
     for item in NEGATIVE_ITEMS:
         lines.append(f"2020-03-01,{item},20")
     path = write(tmp_path, "affect.csv", "\n".join(lines) + "\n")
-    reports = parse_affect_file(path, "p01")
+    reports = parse_affect_file(path)
     assert list(reports) == [D1]
-    affect = build_timeline([], reports.values(), TINY_SCHEMA).affect
+    affect = build_timeline([], "p01", reports.values(), TINY_SCHEMA).affect
     assert affect.pa[0] == 60.0
     assert affect.na[0] == 20.0
 
@@ -151,8 +151,8 @@ def test_parse_affect_builds_reports(tmp_path):
 def test_parse_affect_partial_day_kept_incomplete(tmp_path):
     lines = ["date,item_id,rating"] + [f"2020-03-01,{i},50" for i in POSITIVE_ITEMS]
     path = write(tmp_path, "affect.csv", "\n".join(lines) + "\n")
-    reports = parse_affect_file(path, "p01")
-    affect = build_timeline([], reports.values(), TINY_SCHEMA).affect
+    reports = parse_affect_file(path)
+    affect = build_timeline([], "p01", reports.values(), TINY_SCHEMA).affect
     assert affect.pa[0] == 50.0
     assert np.isnan(affect.na[0])
 
@@ -162,7 +162,7 @@ def test_parse_affect_rejects_out_of_range(tmp_path):
         tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,{POSITIVE_ITEMS[0]},101\n"
     )
     with pytest.raises(InputFormatError, match="out of"):
-        parse_affect_file(path, "p01")
+        parse_affect_file(path)
 
 
 def test_parse_affect_rejects_duplicate_item(tmp_path):
@@ -173,7 +173,7 @@ def test_parse_affect_rejects_duplicate_item(tmp_path):
         f"date,item_id,rating\n2020-03-01,{item},40\n2020-03-01,{item},41\n",
     )
     with pytest.raises(InputFormatError, match="duplicate"):
-        parse_affect_file(path, "p01")
+        parse_affect_file(path)
 
 
 def test_parse_affect_rejects_duplicate_item_under_another_date_spelling(tmp_path):
@@ -182,7 +182,7 @@ def test_parse_affect_rejects_duplicate_item_under_another_date_spelling(tmp_pat
     item = POSITIVE_ITEMS[0]
     path = write(tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,{item},40\n20200301,{item},41\n")
     with pytest.raises(InputFormatError, match=":3: Invalid isoformat string: '20200301'"):
-        parse_affect_file(path, "p01")
+        parse_affect_file(path)
 
 
 @pytest.mark.parametrize("text", ["20200301", "2020-W09-7"])
@@ -196,13 +196,13 @@ def test_csv_dates_are_yyyy_mm_dd_on_every_python(tmp_path, text):
         parse_modality_file(ring, TINY_SCHEMA, Modality.RING, "p01")
     affect = write(tmp_path, "affect.csv", f"date,item_id,rating\n2020-03-01,proud,40\n{text},alert,41\n")
     with pytest.raises(InputFormatError, match=message):
-        parse_affect_file(affect, "p01")
+        parse_affect_file(affect)
 
 
 def test_parse_affect_rejects_unknown_item(tmp_path):
     path = write(tmp_path, "affect.csv", "date,item_id,rating\n2020-03-01,serene,40\n")
     with pytest.raises(InputFormatError, match="serene"):
-        parse_affect_file(path, "p01")
+        parse_affect_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_parse_affect_rejects_unknown_item(tmp_path):
 
 def daily_value(rows):
     """The value build_timeline aggregates for the day of one feature's samples."""
-    tl = build_timeline([ring_file(rows)], [], TINY_SCHEMA)
+    tl = build_timeline([ring_file(rows)], "p01", [], TINY_SCHEMA)
     return tl.values[0, tl.feature_ids.index(rows[0][1])]
 
 
@@ -260,7 +260,7 @@ def test_build_timeline_materializes_all_dates():
         [(date(2020, 3, 1), "heart_rate", 60.0, 60.0), (date(2020, 3, 3), "heart_rate", 62.0, 60.0)]
     )
     affect = [make_report(date(2020, 3, 2), 55.0, 15.0)]
-    tl = build_timeline([ring], affect, TINY_SCHEMA)
+    tl = build_timeline([ring], "p01", affect, TINY_SCHEMA)
     assert tl.dates == (date(2020, 3, 1), date(2020, 3, 2), date(2020, 3, 3))
     # the affect-only day carries a fully missing feature vector
     assert (tl.provenance[1] == CODE_MISSING).all() and np.isnan(tl.values[1]).all()
@@ -274,32 +274,35 @@ def test_build_timeline_materializes_all_dates():
 
 def test_build_timeline_aggregates_within_day():
     ring = ring_file([(D1, "heart_rate", 10.0, 120.0), (D1, "heart_rate", 20.0, 360.0)])
-    tl = build_timeline([ring], [], TINY_SCHEMA)
+    tl = build_timeline([ring], "p01", [], TINY_SCHEMA)
     assert tl.days[0].features.values["heart_rate"] == 17.5
 
 
 def test_build_timeline_rejects_cross_file_duplicates():
     row = (D1, "heart_rate", 60.0, 60.0)
     with pytest.raises(InputFormatError, match="duplicate"):
-        build_timeline([ring_file([row]), ring_file([row])], [], TINY_SCHEMA)
+        build_timeline([ring_file([row]), ring_file([row])], "p01", [], TINY_SCHEMA)
 
 
 def test_build_timeline_rejects_multiple_participants():
     a = ring_file([(D1, "heart_rate", 60.0, 60.0)], pid="a")
     b = ring_file([(D1, "sleep_deep", 30.0, 60.0)], pid="b")
     with pytest.raises(SchemaError, match="multiple participants"):
-        build_timeline([a, b], [], TINY_SCHEMA)
+        build_timeline([a, b], "a", [], TINY_SCHEMA)
+    # a file of another participant than the caller's
+    with pytest.raises(SchemaError, match=r"multiple participants: \['a', 'b'\]"):
+        build_timeline([b], "a", [], TINY_SCHEMA)
 
 
 def test_build_timeline_rejects_duplicate_affect():
     reports = [make_report(D1), make_report(D1)]
     with pytest.raises(InputFormatError, match="duplicate affect"):
-        build_timeline([], reports, TINY_SCHEMA)
+        build_timeline([], "p01", reports, TINY_SCHEMA)
 
 
 def test_build_timeline_requires_some_input():
     with pytest.raises(InputFormatError):
-        build_timeline([], [], TINY_SCHEMA)
+        build_timeline([], "p01", [], TINY_SCHEMA)
 
 
 def test_csv_round_trips(tmp_path):
@@ -311,7 +314,7 @@ def test_csv_round_trips(tmp_path):
     reports = [make_report(D1, 47.375, 21.0625)]
     apath = tmp_path / "affect.csv"
     write_affect_csv(apath, reports)
-    parsed = parse_affect_file(apath, "p")
+    parsed = parse_affect_file(apath)
     assert parsed[D1] == reports[0]
 
 
@@ -321,7 +324,7 @@ def test_build_timeline_affect_equals_the_per_cell_arrays(drawn):
     """One pass over the reports gives the arrays a per-cell fill gives."""
     expected, reports = drawn
     surveys = [r for r in reports if r is not None]
-    found = build_timeline([ring_file([])], [AffectReport(r.day, r.items) for r in surveys], TINY_SCHEMA)
+    found = build_timeline([ring_file([])], "p01", [AffectReport(r.day, r.items) for r in surveys], TINY_SCHEMA)
     rows = [expected.dates.index(r.day) for r in surveys]
     assert found.affect.item_ids == expected.affect.item_ids
     for name in ("ratings", "reported"):
@@ -334,9 +337,9 @@ def test_build_timeline_affect_equals_the_per_cell_arrays(drawn):
 
 def test_build_timeline_refuses_an_empty_generator():
     with pytest.raises(InputFormatError, match="nothing to build"):
-        build_timeline([], iter([]), TINY_SCHEMA)
+        build_timeline([], "p01", iter([]), TINY_SCHEMA)
     # an empty file is input, and gives a timeline without days
-    assert build_timeline([ring_file([])], iter([]), TINY_SCHEMA).dates == ()
+    assert build_timeline([ring_file([])], "p01", iter([]), TINY_SCHEMA).dates == ()
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +547,7 @@ def test_affect_column_parser_matches_the_row_reference(tmp_path_factory, data):
                         AFFECT_MUTATIONS)
 
     def parsed():
-        reports = parse_affect_file(path, "p01")
+        reports = parse_affect_file(path)
         assert all(r.day == day for day, r in reports.items())
         return [(day, list(r.items.items())) for day, r in reports.items()]
 
@@ -560,7 +563,7 @@ def test_line_numbers_count_file_lines_past_a_quoted_line_break(tmp_path):
                  "2020-03-01,heart_rate,7,5\n2020-03-01,bogus,7,5\n")
     assert agree(
         lambda: reference_affect_parse(affect),
-        lambda: parse_affect_file(affect, "p01"),
+        lambda: parse_affect_file(affect),
     ) == (InputFormatError, f"{affect}:5: unknown affect item 'bogus'")
     assert agree(
         lambda: reference_parse(ring, TINY_SCHEMA, Modality.RING),

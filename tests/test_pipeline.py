@@ -790,6 +790,41 @@ def test_cli_run_subcommand(tmp_path, capsys):
     assert (out / "manifest.json").is_file()
 
 
+def test_stratified_ablation_uses_the_main_reports_folds(tmp_path):
+    """With evaluate.stratified on, each participant's `all` subset is
+    cross-validated on the main report's folds, and so scores the same."""
+    evaluate = {"model": "knn", "hyperparameters": {"k": 5}, "folds": 4, "stratified": True, "ablation": True}
+    config_path, _ = run_config(tmp_path, evaluate=evaluate, stages=list(STAGES[:-1]))
+    out = tmp_path / "out"
+    run_pipeline(config_path, out_dir_override=out)
+    report = read_json(out / "report.json")
+    assert report["per_participant"]
+    for pid, main_report in report["per_participant"].items():
+        every = report["ablation"][pid]["all"]
+        assert every["fold_hash"] == main_report["fold_hash"]
+        assert every["mean_accuracy"] == main_report["mean_accuracy"]
+
+
+def test_cli_ingest_of_affect_alone_keeps_the_participant(tmp_path):
+    from affectpipe.core import load_timeline
+
+    affect = tmp_path / "affect.csv"
+    affect.write_text("date,item_id,rating\n2020-03-01,proud,50\n")
+    out = tmp_path / "t.json"
+    assert main(["ingest", "--participant", "p01", "--affect", str(affect), "--out", str(out)]) == 0
+    assert load_timeline(out).participant_id == "p01"
+
+
+def test_cli_train_and_evaluate_refuse_a_negative_seed(tmp_path, capsys):
+    ds = save_four_row_dataset(tmp_path / "ds.json", [1, 0, 1, 0])
+    out = tmp_path / "o.json"
+    for command in ("train", "evaluate"):
+        capsys.readouterr()
+        assert main([command, "--data", str(ds), "--model", "knn", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.json"]
+
+
 def save_four_row_dataset(path, y):
     """A one-feature dataset of four days labelled ``y``, saved to ``path``."""
     from datetime import timedelta

@@ -314,8 +314,8 @@ def test_write_cohort_round_trips_through_ingestion(tmp_path):
             )
             for m in Modality
         ]
-        reports = parse_affect_file(tmp_path / f"{pid}_affect.csv", pid)
-        rebuilt = build_timeline(files, reports.values(), default_schema())
+        reports = parse_affect_file(tmp_path / f"{pid}_affect.csv")
+        rebuilt = build_timeline(files, pid, reports.values(), default_schema())
         assert canonical_json(timeline_to_dict(rebuilt)) == canonical_json(timeline_to_dict(expected[i]))
 
 
@@ -331,7 +331,7 @@ def test_one_survey_gets_the_same_composites_on_every_path(tmp_path):
         affect = timeline.affect
         from_csv = ingest_participant(pid, {}, tmp_path / f"{pid}_affect.csv", default_schema()).affect
         from_document = timeline_from_dict(timeline_document(timeline)).affect
-        reports = sorted(parse_affect_file(tmp_path / f"{pid}_affect.csv", pid).values(), key=lambda r: r.day)
+        reports = sorted(parse_affect_file(tmp_path / f"{pid}_affect.csv").values(), key=lambda r: r.day)
         for name, side in (("pa", POSITIVE_ITEMS), ("na", NEGATIVE_ITEMS)):
             expected = np.array([side_mean(r.items, side) for r in reports], dtype=float)
             np.testing.assert_array_equal(getattr(affect, name)[affect.reported], expected)
