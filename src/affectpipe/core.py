@@ -245,11 +245,13 @@ class ParticipantTimeline:
         rows = np.minimum(np.searchsorted(own, days), own.size - 1)
         return np.where(own[rows] == days, rows, -1)
 
-    def columns(self, feature_ids: Iterable[str]) -> np.ndarray:
-        """The value columns of ``feature_ids`` in that order; NaN for a
-        feature the timeline does not have."""
+    def columns(self, feature_ids: Iterable[str], matrix: np.ndarray | None = None) -> np.ndarray:
+        """The columns of ``feature_ids`` of ``matrix`` (a row per date and a
+        column per feature, the values unless given) in that order; NaN for
+        a feature the timeline does not have."""
         index = {fid: j for j, fid in enumerate(self.feature_ids)}
-        padded = np.column_stack([self.values, np.full(len(self.dates), np.nan)])
+        matrix = self.values if matrix is None else matrix
+        padded = np.column_stack([matrix, np.full(len(self.dates), np.nan)])
         return padded[:, [index.get(fid, -1) for fid in feature_ids]]
 
     @property
@@ -269,8 +271,22 @@ def column_means(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
     none.  The sum is added day by day from 0.0, as a loop over the days
     adds it; np.sum may add in another order."""
     stacked = np.vstack([np.zeros(values.shape[1]), np.where(cells, values, 0.0)])
-    with np.errstate(invalid="ignore"):
+    # A sum past the largest float is an infinite mean; see check_fill.
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.cumsum(stacked, axis=0)[-1] / cells.sum(axis=0)
+
+
+def check_fill(pid: str, dates: Sequence[date], feature_ids: Sequence[str], values: np.ndarray) -> None:
+    """Refuse, with InputFormatError, the first infinite value in ``values``
+    (a row per date, a column per feature) once a mean has filled them: the
+    values it averages are finite, but their sum overflowed."""
+    bad = np.argwhere(np.isinf(values))
+    if bad.size:
+        row, col = bad[0]
+        raise InputFormatError(
+            f"timeline {pid}: {dates[row]} {feature_ids[col]!r}: "
+            "the values its fill averages add up past the largest float"
+        )
 
 
 def valid_affect_day_count(timeline: ParticipantTimeline) -> int:
@@ -723,21 +739,11 @@ def _pattern_bytes(matrix: np.ndarray) -> Callable[[int], bytes]:
     return lambda i: data[i * width:(i + 1) * width]
 
 
-def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
-    """The timeline document, its ``days`` rendered as canonical JSON text
-    one day at a time while it is written (see RawJSONPieces).
-
-    A day is one % template over Python floats, with features and provenance
-    in sorted key order; provenance text is built once per distinct day
-    pattern and affect text from one template per answered-item pattern.  A
-    non-finite value outside a missing cell, rating or composite raises
-    PipelineError here, before any text is rendered.
-    """
-    pid, dates, values, codes, affect = (
-        timeline.participant_id, timeline.dates, timeline.values, timeline.provenance, timeline.affect
-    )
-    missing = codes == CODE_MISSING
-    bad = np.argwhere(~(missing | np.isfinite(values)))
+def _check_timeline_numbers(timeline: ParticipantTimeline) -> None:
+    """Refuse, with PipelineError, a non-finite value outside a missing cell
+    and an infinite rating or composite: text canonical JSON cannot hold."""
+    pid, dates, values, affect = timeline.participant_id, timeline.dates, timeline.values, timeline.affect
+    bad = np.argwhere(~((timeline.provenance == CODE_MISSING) | np.isfinite(values)))
     if bad.size:
         row, col = bad[0]
         raise PipelineError(
@@ -750,36 +756,72 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
         row, col = bad[0]
         name = (*affect.item_ids, "pa", "na")[col]
         raise PipelineError(f"timeline {pid}: {dates[row]} affect: {name!r}: {numbers[row, col]} is not a finite number")
-    # A repeated feature id keeps its last column, as a dict would.
+
+
+def _feature_order(timeline: ParticipantTimeline) -> tuple[list[str], list[int]]:
+    """The document's feature members (see _members), in sorted key order,
+    and the column each one writes.  A repeated feature id keeps its last
+    column, as a dict would."""
     column = {fid: j for j, fid in enumerate(timeline.feature_ids)}
     fids = sorted(column)
-    order = [column[fid] for fid in fids]
-    members = _members(fids)
+    return _members(fids), [column[fid] for fid in fids]
+
+
+def _cells_by_day(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """The columns of the cells ``mask`` marks, day by day: those of day i
+    are cells[bounds[i]:bounds[i + 1]]."""
+    rows, cells = np.nonzero(mask)
+    return cells.tolist(), np.searchsorted(rows, np.arange(mask.shape[0] + 1)).tolist()
+
+
+_PROVENANCE_TEXTS = np.array([_canonical(p.value) for p in PROVENANCES], dtype=object)
+
+
+def _provenance_texts(members: list[str], patterns: np.ndarray) -> Callable[[int], str]:
+    """The provenance object text of day i, whose codes are row i of
+    ``patterns`` (one column per member); built once per distinct pattern."""
+    pattern_of = _pattern_bytes(patterns)
+    texts: dict[bytes, str] = {}
+
+    def text(i: int) -> str:
+        key = pattern_of(i)
+        found = texts.get(key)
+        if found is None:
+            found = "{" + ",".join(map(str.__add__, members, _PROVENANCE_TEXTS[patterns[i]])) + "}"
+            texts[key] = found
+        return found
+
+    return text
+
+
+def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
+    """The timeline document, its ``days`` rendered as canonical JSON text
+    one day at a time while it is written (see RawJSONPieces).
+
+    A day is one % template over Python floats, with features and provenance
+    in sorted key order; provenance text is built once per distinct day
+    pattern and affect text from one template per answered-item pattern.  A
+    non-finite value outside a missing cell, rating or composite raises
+    PipelineError here, before any text is rendered.
+    """
+    _check_timeline_numbers(timeline)
+    dates, values, codes, affect = timeline.dates, timeline.values, timeline.provenance, timeline.affect
+    members, order = _feature_order(timeline)
     day_template = '{"affect":%s,"date":"%s","features":{' + _template(members) + '},"provenance":%s}'
-    names = np.array([_canonical(p.value) for p in PROVENANCES], dtype=object)
 
     def days() -> Iterator[str]:
         ordered, patterns = values[:, order], codes[:, order]
-        pattern_of = _pattern_bytes(patterns)
-        # The missing cells of day i are cells[bounds[i]:bounds[i + 1]].
-        missing_rows, cells = np.nonzero(missing[:, order])
-        bounds = np.searchsorted(missing_rows, np.arange(len(dates) + 1)).tolist()
-        cells = cells.tolist()
+        provenance_of = _provenance_texts(members, patterns)
+        cells, bounds = _cells_by_day(patterns == CODE_MISSING)
         answered = ~np.isnan(affect.ratings)
         answered_of = _pattern_bytes(answered)
         composites = [[_NULL if v != v else v for v in c.tolist()] for c in (affect.na, affect.pa)]
-        provenance_texts: dict[bytes, str] = {}
         affect_templates: dict[bytes, tuple[list[int], str]] = {}
         yield "["
         for i, (day, reported, na, pa) in enumerate(zip(dates, affect.reported.tolist(), *composites)):
             row = ordered[i].tolist()
             for j in cells[bounds[i]:bounds[i + 1]]:
                 row[j] = _NULL
-            pattern = pattern_of(i)
-            provenance = provenance_texts.get(pattern)
-            if provenance is None:
-                provenance = "{" + ",".join(map(str.__add__, members, names[patterns[i]])) + "}"
-                provenance_texts[pattern] = provenance
             text = "null"
             if reported:
                 key = answered_of(i)
@@ -790,7 +832,94 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
                 items, template = affect_templates[key]
                 ratings = affect.ratings[i].tolist()
                 text = template % (*map(ratings.__getitem__, items), na, pa)
-            yield ("," if i else "") + day_template % (text, day.isoformat(), *row, provenance)
+            yield ("," if i else "") + day_template % (text, day.isoformat(), *row, provenance_of(i))
+        yield "]"
+
+    return {"format_version": FORMAT_VERSION, "participant_id": timeline.participant_id, "days": RawJSONPieces(days)}
+
+
+def patched_timeline_to_dict(source: Path | str, timeline: ParticipantTimeline, filled: np.ndarray) -> dict:
+    """timeline_to_dict(timeline), its ``days`` written from the text of the
+    document in ``source``: the canonical document (timeline_to_dict) of
+    the same timeline before the cells ``filled`` marks gained their values.
+
+    A day with no filled cell is copied as it stands.  A day with some gets
+    new text for those cells, which its document has as null, and for its
+    provenance object; its affect text and every other value are copied.
+    So no measured value or rating is formatted again, and the document
+    holds the same bytes as timeline_to_dict(timeline) gives.  The checks
+    of timeline_to_dict run first.  Where the text read back is not that
+    document, by its days' dates or the text around what is replaced,
+    writing stops with PipelineError.
+    """
+    _check_timeline_numbers(timeline)
+    path = Path(source)
+    pid, dates = timeline.participant_id, timeline.dates
+    members, order = _feature_order(timeline)
+    # A missing cell's text: its member, after "{" for the first and ","
+    # for any other, then null.  '{"' and ',"' cannot occur inside a JSON
+    # string, so a day's features hold it only where that cell is null.
+    nulls = [("," if j else "{") + member + "null" for j, member in enumerate(members)]
+    # Where in its missing cell's text each fill begins.
+    starts = [len(text) - len("null") for text in nulls]
+    patterns, filled = timeline.provenance[:, order], filled[:, order]
+    cells, bounds = _cells_by_day(filled)
+    fills = list(map(repr, timeline.values[:, order][filled].tolist()))
+    provenance_of = _provenance_texts(members, patterns)
+    provenance_before = _provenance_texts(members, np.where(filled, CODE_MISSING, patterns))
+
+    def mismatch(where: str) -> PipelineError:
+        return PipelineError(f"{path}: not the document of timeline {pid} as ingested: {where}")
+
+    def days() -> Iterator[str]:
+        # Read as bytes when written, each day decoded as it goes: canonical
+        # JSON text is ASCII, and the whole text is never held twice.
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise MissingInputError(f"no such file: {path}") from None
+        if not data.startswith(b'{"days":['):
+            raise mismatch("no days list first")
+        yield "["
+        # Day i's text, the "," before it first, is data[begin:end];
+        # positions within it count from begin.
+        end = len('{"days":[')
+        for i, day in enumerate(dates):
+            begin = end
+            at = data.find(b',"date":"', begin) + len(',"date":"') - begin
+            features = at + len('YYYY-MM-DD","features":{')
+            ends = data.find(b'},"provenance":', begin + features) - begin
+            before = provenance_before(i)
+            end = begin + ends + len('},"provenance":') + len(before) + 1
+            try:
+                text = data[begin:end].decode("ascii")
+            except UnicodeDecodeError:
+                text = ""
+            if not (
+                text.startswith(',{"affect":' if i else '{"affect":')
+                and at > 0
+                and text.startswith(day.isoformat(), at)
+                and text.startswith('","features":{', at + 10)
+                and ends >= features
+                and text.startswith(before, ends + len('},"provenance":'))
+                and text.endswith("}")
+            ):
+                raise mismatch(f"day {i + 1} is not {day} as written")
+            if bounds[i] == bounds[i + 1]:
+                yield text
+                continue
+            parts, cursor = [text[:features]], features
+            for j, fill in zip(cells[bounds[i]:bounds[i + 1]], fills[bounds[i]:bounds[i + 1]]):
+                found = text.find(nulls[j], cursor - 1, ends)
+                if found < 0:
+                    raise mismatch(f"{day}: {members[j][:-1]} is not null")
+                found += starts[j]
+                parts += (text[cursor:found], fill)
+                cursor = found + 4  # past "null"
+            parts += (text[cursor:ends], '},"provenance":', provenance_of(i), "}")
+            yield "".join(parts)
+        if not data.startswith(b"]", end):
+            raise mismatch(f"more days than its {len(dates)}")
         yield "]"
 
     return {"format_version": FORMAT_VERSION, "participant_id": pid, "days": RawJSONPieces(days)}

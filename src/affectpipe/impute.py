@@ -12,18 +12,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import CODE_IMPUTED, CODE_MEASURED, CODE_MISSING, ParticipantTimeline, column_means, ordinals
+from .core import CODE_IMPUTED, CODE_MEASURED, CODE_MISSING, ParticipantTimeline, check_fill, column_means, ordinals
 
 WINDOW_OFFSETS = (-2, -1, 1, 2)
 
 
 def _fill(timeline: ParticipantTimeline, means: np.ndarray) -> ParticipantTimeline:
     """The timeline with each missing value whose mean is not NaN set to it
-    and marked imputed."""
+    and marked imputed; InputFormatError where a mean overflowed."""
     fill = (timeline.provenance == CODE_MISSING) & ~np.isnan(means)
+    values = np.where(fill, means, timeline.values)
+    check_fill(timeline.participant_id, timeline.dates, timeline.feature_ids, values)
     return replace(
         timeline,
-        values=np.where(fill, means, timeline.values),
+        values=values,
         provenance=np.where(fill, CODE_IMPUTED, timeline.provenance).astype(np.int8),
     )
 
@@ -40,12 +42,14 @@ def impute_all(timeline: ParticipantTimeline) -> ParticipantTimeline:
     # the same sum as adding only the present ones.
     total = np.zeros(timeline.values.shape)
     count = np.zeros(timeline.values.shape, dtype=np.int64)
-    for offset in WINDOW_OFFSETS:
-        rows = timeline.rows_at(days + offset)
-        donor = (rows >= 0)[:, None] & measured[rows]
-        total += np.where(donor, timeline.values[rows], 0.0)
-        count += donor
-    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN: no donors
+    # A sum past the largest float is an infinite mean, which _fill
+    # refuses; 0 / 0 is NaN: no donors.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for offset in WINDOW_OFFSETS:
+            rows = timeline.rows_at(days + offset)
+            donor = (rows >= 0)[:, None] & measured[rows]
+            total += np.where(donor, timeline.values[rows], 0.0)
+            count += donor
         means = total / count
     return _fill(timeline, means)
 

@@ -18,12 +18,14 @@ from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    CODE_MEASURED,
     FORMAT_VERSION,
     SURVEY_ITEMS,
     FeatureSchema,
     Modality,
     ParticipantTimeline,
     RawJSONPieces,
+    check_fill,
     column_means,
     dump_json,
     from_json,
@@ -309,10 +311,10 @@ def build_dataset(
 
     next_day alignment pairs the features of day t with the label of day t+1.
     Rows with residual missing features are dropped under the default policy;
-    fallback="participant-mean" fills them from the timeline's non-missing
-    values first, window-imputed ones included; the impute stage's
-    participant-mean fallback (fill_residual_with_participant_mean) takes
-    measured values only.
+    fallback="participant-mean" fills them first with the mean of the
+    feature's measured values, as the impute stage's participant-mean
+    fallback (fill_residual_with_participant_mean) does, and refuses with
+    InputFormatError a mean whose sum overflowed.
     """
     if labels.participant_id != timeline.participant_id:
         raise SchemaError(
@@ -329,10 +331,12 @@ def build_dataset(
     rows = timeline.rows_at(ordinals(label_days) - lag)
     y = np.array([labels.entries[d] is Label.HIGH for d in label_days], dtype=np.int8)[rows >= 0]
     rows = rows[rows >= 0]
-    columns = timeline.columns(feature_ids)
-    X = columns[rows]
+    X = timeline.columns(feature_ids)[rows]
     if fallback == "participant-mean":
-        X = np.where(np.isnan(X), column_means(columns, ~np.isnan(columns)), X)
+        measured = np.where(timeline.provenance == CODE_MEASURED, timeline.values, np.nan)
+        measured = timeline.columns(feature_ids, measured)
+        X = np.where(np.isnan(X), column_means(measured, ~np.isnan(measured)), X)
+        check_fill(timeline.participant_id, [timeline.dates[r] for r in rows], feature_ids, X)
     keep = ~np.isnan(X).any(axis=1)
     if not keep.any():
         raise InsufficientDataError("no labeled days align with feature days")

@@ -37,6 +37,7 @@ from .core import (
     dump_json,
     filter_eligible_participants,
     parse_modalities,
+    patched_timeline_to_dict,
     read_config,
     read_json,
     timeline_to_dict,
@@ -185,8 +186,9 @@ class RunConfig:
         return tuple(s for s in STAGES if s in self.stages and not (s == "synth" and self.synth is None))
 
     def stage_needs(self) -> dict[str, tuple[str, ...]]:
-        """The stages whose output each stage reads.  Stages hand it on in
-        memory only, so a run must list them too."""
+        """The stages whose output each stage reads, so a run must list
+        them too.  Stages hand it on in memory, and impute also reads back
+        each timeline document that this run's ingest wrote."""
         return {
             "synth": (),
             "ingest": () if self.synth is None else ("synth",),
@@ -360,10 +362,13 @@ class PipelineRun:
 
     def stage_impute(self) -> None:
         # Each imputed timeline takes its ingested one's place at once, so
-        # the two are never both held for the whole cohort.
+        # the two are never both held for the whole cohort.  Its document
+        # is the ingested one, read back, with the filled cells written in.
         for i, timeline in enumerate(self.timelines):
             self.timelines[i] = out = impute_timeline(timeline, self.config.impute)
-            self._write_json(f"imputed/{out.participant_id}.json", timeline_to_dict(out))
+            pid, filled = out.participant_id, out.provenance != timeline.provenance
+            doc = patched_timeline_to_dict(self.out_dir / "timelines" / f"{pid}.json", out, filled)
+            self._write_json(f"imputed/{pid}.json", doc)
 
     def stage_label(self) -> None:
         min_days = self.config.eligibility.min_days

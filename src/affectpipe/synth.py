@@ -190,8 +190,18 @@ class CohortConfig:
         return f"{year:04d}-{month:02d}"
 
 
+def _sum_of_squares(weights: Mapping[str, float]) -> float:
+    """The squared weights added one by one from 0.0, in their order.  A
+    loop, not sum(), which adds floats with compensation from Python 3.12
+    on and would change the bits of ground_truth.json."""
+    total = 0.0
+    for w in weights.values():
+        total += w * w
+    return total
+
+
 def signal_sigma(weights: Mapping[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in weights.values()))
+    return math.sqrt(_sum_of_squares(weights))
 
 
 def bayes_accuracy(weights: Mapping[str, float], noise_std: float) -> float:
@@ -203,7 +213,7 @@ def bayes_accuracy(weights: Mapping[str, float], noise_std: float) -> float:
 def variance_shares(
     weights: Mapping[str, float], schema: FeatureSchema
 ) -> dict[str, float]:
-    total = sum(w * w for w in weights.values())
+    total = _sum_of_squares(weights)
     shares = {m.value: 0.0 for m in Modality}
     for fid, w in weights.items():
         shares[schema.spec_of(fid).modality.value] += w * w / total

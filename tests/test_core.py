@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from affectpipe.core import (
     dump_json,
     filter_eligible_participants,
     from_json,
+    patched_timeline_to_dict,
     read_json,
     save_timeline,
     timeline_from_dict,
@@ -41,7 +44,8 @@ from affectpipe.core import (
     to_json,
     valid_affect_day_count,
 )
-from affectpipe.errors import InputFormatError, PipelineError, SchemaError
+from affectpipe.errors import InputFormatError, MissingInputError, PipelineError, SchemaError
+from affectpipe.impute import fill_residual_with_participant_mean, impute_all
 
 from conftest import D0, KEYS, RATINGS, make_affect, make_timeline, report_timelines, side_mean, timeline_document
 
@@ -407,6 +411,82 @@ def test_timeline_text_refuses_a_planted_non_finite_value(tmp_path):
     with pytest.raises(PipelineError, match="timeline p01: 2020-01-01 affect: 'pa': -inf is not a finite number"):
         timeline_to_dict(tl)
     assert not (tmp_path / "tl.json").exists()
+
+
+def patched_text(path, ingested, out):
+    """The canonical JSON text of out's document written from ingested's
+    document in ``path``."""
+    return canonical_json(patched_timeline_to_dict(path, out, out.provenance != ingested.provenance))
+
+
+def imputed(timeline, residual):
+    """Window imputation, then the participant-mean fallback when ``residual``."""
+    out = impute_all(timeline)
+    return fill_residual_with_participant_mean(out) if residual else out
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=report_timelines(max_days=8), residual=st.booleans(), run_id=st.none() | KEYS)
+def test_patched_document_equals_the_full_render(drawn, residual, run_id):
+    timeline, _ = drawn
+    # Values small enough that no window or column sum overflows.
+    ingested = replace(timeline, values=np.clip(timeline.values, -1e300, 1e300))
+    out = imputed(ingested, residual)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ingested.json"
+        doc = timeline_to_dict(ingested)
+        if run_id is not None:
+            doc["run_id"] = run_id
+        dump_json(path, doc)
+        assert patched_text(path, ingested, out) == canonical_json(timeline_to_dict(out))
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_patched_document_covers_every_kind_of_gap(tmp_path, residual):
+    # sleep_deep is missing on the first and last day; the ring is missing
+    # as a whole on days 4-8, so day 6 has no window donor; main_activity is
+    # never measured.  Days 2 and 9 have no report, day 3 answers one side
+    # only (no NA), day 5 only some items (no composite).
+    rows = [{"sleep_deep": 30.0 + i, "heart_rate": 60.0 - i / 3, "walk_steps": 1e4 / (i + 1)} for i in range(12)]
+    for i in (0, 11):
+        del rows[i]["sleep_deep"]
+    for i in range(4, 9):
+        del rows[i]["sleep_deep"], rows[i]["heart_rate"]
+    affect = {i: (40.0 + i, 20.0) for i in (0, 1, 4, 6, 7, 8, 10, 11)}
+    affect[3] = (50.0, None, {item: 50.0 for item in POSITIVE_ITEMS})
+    affect[5] = (None, None, {"proud": 12.5, "upset": 3.0})
+    ingested = make_timeline("p01", rows, affect_by_index=affect)
+    out = imputed(ingested, residual)
+    filled = (out.provenance != ingested.provenance).any(axis=1)
+    assert filled.any() and not filled.all()  # days patched and days copied
+    assert np.isnan(out.columns(["main_activity"])).all()
+    path = tmp_path / "ingested.json"
+    dump_json(path, {**timeline_to_dict(ingested), "run_id": "0123abcd"})
+    assert patched_text(path, ingested, out) == canonical_json(timeline_to_dict(out))
+
+
+def test_patched_document_refuses_text_that_is_not_the_timeline(tmp_path):
+    ingested = make_timeline("p01", [{"sleep_deep": 30.0}, {}, {"sleep_deep": 32.0}])
+    out = impute_all(ingested)
+    path = tmp_path / "ingested.json"
+    text = canonical_json(timeline_to_dict(ingested))
+    day = D0 + timedelta(days=1)
+    for changed, where in [
+        (text.replace("2020-01-02", "2020-01-04"), f"day 2 is not {day} as written"),
+        (text.replace('"sleep_deep":null', '"sleep_deep":31.0'), f'{day}: "sleep_deep" is not null'),
+        (text.replace("]", ',{"affect":null}]', 1), "more days than its 3"),
+        ("[]", "no days list first"),
+    ]:
+        path.write_text(changed, encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"not the document of timeline p01 as ingested: {where}"):
+            patched_text(path, ingested, out)
+    path.unlink()
+    with pytest.raises(MissingInputError, match="no such file"):
+        patched_text(path, ingested, out)
+    # the checks of timeline_to_dict come first
+    out.values[1, 0] = np.inf
+    with pytest.raises(PipelineError, match="2020-01-02 'sleep_deep': inf is not a finite number"):
+        patched_timeline_to_dict(path, out, out.provenance != ingested.provenance)
 
 
 def assert_same_affect(a, b):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from affectpipe import synth
 from affectpipe.pipeline import run_pipeline
 from affectpipe.synth import CohortConfig, PlantedShift, write_cohort
 
@@ -26,7 +27,7 @@ TINY_SECTIONS = {
     "evaluate": {"model": "rf", "folds": 3, "hyperparameters": {"n_trees": 3}},
 }
 # Pooled same-day compiled mood; values left missing by the window reach
-# the dataset, which fills them with the participant mean.
+# the dataset, which fills them with the mean of the measured values.
 POOLED_MOOD = {
     "impute": {"fallback": "drop"},
     "label": {"target": "mood", "pooled": True, "same_day": True},
@@ -67,7 +68,7 @@ GOLDEN = {
         "accuracy_table.csv": "a0827deac1b8fb8d9111f4b3c962c856217953afc05634e7aa8d266d8b42ad7b",
         "analyze.json": "371f3d8e74fbf402c14d60f3d250b5a79ef69869d880741bfcfa3fd91c56bc20",
         "correlations.csv": "995f6d70d6fb9a7d5d8b107eb25fc6d51187e85e677c68b36b3572f6927e3b25",
-        "dataset.json": "acfdee4734d93f6078ae2c005162a3ddecfa12ea584a9757a0fc992dc3062d52",
+        "dataset.json": "b412eee1cf176c1efcc603dca2c79de4eca76e85a760778e9b1430c4bbc6464b",
         "imputed/p01.json": "a0b96a69c07c96968e3b4af64afedcb31989f9c300b739fcb6304a0126c9be1c",
         "imputed/p02.json": "0fef5ff65ab0cfc500a06771af510d533ca699b6de06f9c81f8ed056a94c09e1",
         "imputed/p03.json": "ebc600edfd2f8447387e1b617ab12bd834bda0c1059d1fd482e0a4fa6d844cb1",
@@ -135,3 +136,25 @@ def test_shifted_cohort_files_match_golden_digests(tmp_path):
     write_cohort(config, tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert digests == SHIFTED_COHORT
+
+
+def compensated_sum(values, start=0):
+    """sum() of floats as Python 3.12 and later add them (Neumaier)."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        added = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - added) + value
+        else:
+            compensation += (value - added) + total
+        total = added
+    return total + compensation
+
+
+def test_ground_truth_does_not_depend_on_how_sum_adds_floats(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "sum", compensated_sum, raising=False)
+    config = CohortConfig(n_participants=3, n_days=70, n_eligible=2, shift=PlantedShift(month_index=2))
+    truth = synth.write_cohort(config, tmp_path)
+    assert truth["variance_shares_pa"]["ring"] == 0.5956284153005463
+    digest = hashlib.sha256((tmp_path / "ground_truth.json").read_bytes()).hexdigest()
+    assert digest == SHIFTED_COHORT["ground_truth.json"]

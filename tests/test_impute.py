@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -10,12 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_IMPUTED, CODE_MISSING, Provenance, canonical_json, timeline_to_dict
+from affectpipe.cli import main
+from affectpipe.core import (
+    CODE_IMPUTED,
+    CODE_MEASURED,
+    CODE_MISSING,
+    Modality,
+    Provenance,
+    canonical_json,
+    default_schema,
+    save_timeline,
+    timeline_to_dict,
+)
+from affectpipe.errors import InputFormatError
 from affectpipe.impute import (
     WINDOW_OFFSETS,
     fill_residual_with_participant_mean,
     impute_all,
 )
+from affectpipe.pipeline import ingest_participant
+from affectpipe.synth import CohortConfig, write_cohort
 
 from conftest import D0, make_timeline, series_timeline, timeline_document
 
@@ -187,3 +202,38 @@ def test_array_imputation_equals_the_day_by_day_loop(cells):
     once = impute_all(series_timeline("p", values, dates=dates))
     assert column(once) == window
     assert column(fill_residual_with_participant_mean(once)) == filled
+
+
+# ---------------------------------------------------------------------------
+# means whose finite values add up past the largest float
+
+
+def test_window_sum_overflow_is_one_input_error(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    write_cohort(CohortConfig(n_participants=1, n_days=40, n_eligible=1, shift=None, seed=3), raw)
+    paths = {m: raw / f"p01_{m.value}.csv" for m in Modality}
+    timeline = ingest_participant("p01", paths, raw / "p01_affect.csv", default_schema())
+    j = timeline.feature_ids.index("distance")
+    # distance is missing on 2020-01-03 and measured on the days around it
+    assert timeline.provenance[:5, j].tolist() == [CODE_MEASURED] * 2 + [CODE_MISSING] + [CODE_MEASURED] * 2
+    timeline.values[[0, 1, 3, 4], j] = 1.7e308
+    save_timeline(tmp_path / "tl.json", timeline)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["impute", "--in", str(tmp_path / "tl.json"), "--out", str(tmp_path / "out.json")]) == 4
+    assert capsys.readouterr().err == (
+        "error: timeline p01: 2020-01-03 'distance': the values its fill averages add up past the largest float\n"
+    )
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_residual_mean_overflow_is_an_input_error():
+    # No window adds two of the large values, but the column does; day 4
+    # has no window donor, so the participant mean would fill it.
+    tl = impute_all(series_timeline("p", [1e308, 1.0, None, None, None, None, None, 1.0, 1e308]))
+    assert column(tl)[4] is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputFormatError, match=f"timeline p: {D0 + timedelta(days=4)} 'sleep_deep': the values"):
+            fill_residual_with_participant_mean(tl)

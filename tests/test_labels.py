@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_MISSING, SURVEY_ITEMS, Modality, canonical_json, default_schema, dump_json, from_json, to_json
-from affectpipe.errors import InsufficientDataError, PipelineError, SchemaError
+from affectpipe.core import CODE_IMPUTED, CODE_MISSING, SURVEY_ITEMS, Modality, canonical_json, default_schema, dump_json, from_json, to_json
+from affectpipe.errors import InputFormatError, InsufficientDataError, PipelineError, SchemaError
+from affectpipe.impute import fill_residual_with_participant_mean, impute_all
 from affectpipe.labels import (
     ALIGNMENTS,
     EXCLUDE_MIDDLE_BAND,
@@ -425,6 +427,37 @@ def test_build_dataset_drop_vs_mean_fallback():
     row = filled.X[filled.dates.index(feature_day)]
     assert row[1] == 60.0  # participant mean of the measured 60s
     assert filled.n_rows == dropped.n_rows + 1
+
+
+def gap_timeline(sleep_deep):
+    """A timeline whose sleep_deep is ``sleep_deep`` (None for missing),
+    every other feature measured, and a report every day whose PA is the
+    day's index, labelled on the same day."""
+    rows = [{"sleep_deep": v, "heart_rate": 60.0, "walk_steps": 100.0, "main_activity": 0.5} for v in sleep_deep]
+    affect = {i: (float(i), 20.0) for i in range(len(sleep_deep))}
+    tl = make_timeline("p", rows, affect_by_index=affect)
+    return tl, build_labels(tl, TargetSpec(kind="pa"), alignment="same_day")
+
+
+def test_both_participant_mean_fallbacks_fill_from_measured_values():
+    # Days 1, 7, 8, 10 and 11 are window-imputed; day 9 has no window donor.
+    tl, ls = gap_timeline([10.0, None, 14.0, 20.0, 22.0, 24.0, 26.0, None, None, None, None, None, 41.0])
+    window = impute_all(tl)
+    assert window.provenance[[1, 7, 8, 10, 11], 0].tolist() == [CODE_IMPUTED] * 5
+    assert np.isnan(window.values[9, 0])
+    by_impute = fill_residual_with_participant_mean(window).values[9, 0]
+    assert by_impute == (10.0 + 14.0 + 20.0 + 22.0 + 24.0 + 26.0 + 41.0) / 7
+    ds = build_dataset(window, ls, TINY_SCHEMA, fallback="participant-mean")
+    day = D0 + timedelta(days=9)
+    assert ds.X[ds.dates.index(day), 0] == by_impute
+
+
+def test_dataset_mean_overflow_is_an_input_error():
+    tl, ls = gap_timeline([1e308, None, 1.0, 1.0, None, 1e308, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputFormatError, match=f"timeline p: {D0 + timedelta(days=1)} 'sleep_deep': the values"):
+            build_dataset(tl, ls, TINY_SCHEMA, fallback="participant-mean")
 
 
 def test_build_dataset_modalities_subset():

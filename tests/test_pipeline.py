@@ -960,6 +960,46 @@ def test_non_finite_timeline_value_is_one_error_line(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out.json").exists()
 
 
+def remove_day(doc):
+    del doc["days"][3]
+
+
+def alter_date(doc):
+    doc["days"][3]["date"] = doc["days"][4]["date"]
+
+
+def add_day(doc):
+    doc["days"].append(doc["days"][-1])
+
+
+@pytest.mark.parametrize("change, where", [
+    (remove_day, "day 4 is not 2020-01-04 as written"),
+    (alter_date, "day 4 is not 2020-01-04 as written"),
+    (add_day, "more days than its 90"),
+])
+def test_impute_refuses_an_ingested_document_changed_after_ingest(tmp_path, capsys, monkeypatch, change, where):
+    from affectpipe.pipeline import PipelineRun
+
+    ingest = PipelineRun.stage_ingest
+
+    def ingest_then_change(run):
+        ingest(run)
+        path = run.out_dir / "timelines" / "p01.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        change(doc)
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
+
+    monkeypatch.setattr(PipelineRun, "stage_ingest", ingest_then_change)
+    config, _ = run_config(tmp_path, stages=["synth", "ingest", "impute"])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 1
+    document = out / "timelines" / "p01.json"
+    err = capsys.readouterr().err
+    assert err == f"error: stage impute: {document}: not the document of timeline p01 as ingested: {where}\n"
+    assert list((out / "imputed").iterdir()) == []
+
+
 def test_cli_insufficient_data_exit_code(tmp_path, capsys):
     # one positive row cannot be split into two folds even after reseeding
     path = save_four_row_dataset(tmp_path / "ds.json", [1, 0, 0, 0])
