@@ -245,13 +245,11 @@ class ParticipantTimeline:
         rows = np.minimum(np.searchsorted(own, days), own.size - 1)
         return np.where(own[rows] == days, rows, -1)
 
-    def columns(self, feature_ids: Iterable[str], matrix: np.ndarray | None = None) -> np.ndarray:
-        """The columns of ``feature_ids`` of ``matrix`` (a row per date and a
-        column per feature, the values unless given) in that order; NaN for
-        a feature the timeline does not have."""
+    def columns(self, feature_ids: Iterable[str]) -> np.ndarray:
+        """The values of ``feature_ids`` in that order, a row per date; NaN
+        for a feature the timeline does not have."""
         index = {fid: j for j, fid in enumerate(self.feature_ids)}
-        matrix = self.values if matrix is None else matrix
-        padded = np.column_stack([matrix, np.full(len(self.dates), np.nan)])
+        padded = np.column_stack([self.values, np.full(len(self.dates), np.nan)])
         return padded[:, [index.get(fid, -1) for fid in feature_ids]]
 
     @property
@@ -263,29 +261,6 @@ class ParticipantTimeline:
         return tuple(
             TimelineDay(day, DailyFeatureVector(day, dict(zip(fids, v)), dict(zip(fids, p))))
             for day, v, p in zip(self.dates, values, provenance)
-        )
-
-
-def column_means(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Each column's mean over the cells marked true, NaN for a column with
-    none.  The sum is added day by day from 0.0, as a loop over the days
-    adds it; np.sum may add in another order."""
-    stacked = np.vstack([np.zeros(values.shape[1]), np.where(cells, values, 0.0)])
-    # A sum past the largest float is an infinite mean; see check_fill.
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.cumsum(stacked, axis=0)[-1] / cells.sum(axis=0)
-
-
-def check_fill(pid: str, dates: Sequence[date], feature_ids: Sequence[str], values: np.ndarray) -> None:
-    """Refuse, with InputFormatError, the first infinite value in ``values``
-    (a row per date, a column per feature) once a mean has filled them: the
-    values it averages are finite, but their sum overflowed."""
-    bad = np.argwhere(np.isinf(values))
-    if bad.size:
-        row, col = bad[0]
-        raise InputFormatError(
-            f"timeline {pid}: {dates[row]} {feature_ids[col]!r}: "
-            "the values its fill averages add up past the largest float"
         )
 
 

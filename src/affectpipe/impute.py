@@ -12,17 +12,25 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import CODE_IMPUTED, CODE_MEASURED, CODE_MISSING, ParticipantTimeline, check_fill, column_means, ordinals
+from .core import CODE_IMPUTED, CODE_MEASURED, CODE_MISSING, ParticipantTimeline, ordinals
+from .errors import InputFormatError
 
 WINDOW_OFFSETS = (-2, -1, 1, 2)
 
 
 def _fill(timeline: ParticipantTimeline, means: np.ndarray) -> ParticipantTimeline:
     """The timeline with each missing value whose mean is not NaN set to it
-    and marked imputed; InputFormatError where a mean overflowed."""
+    and marked imputed.  An infinite mean is refused with InputFormatError:
+    the values it averages are finite, but their sum overflowed."""
     fill = (timeline.provenance == CODE_MISSING) & ~np.isnan(means)
     values = np.where(fill, means, timeline.values)
-    check_fill(timeline.participant_id, timeline.dates, timeline.feature_ids, values)
+    bad = np.argwhere(np.isinf(values))
+    if bad.size:
+        row, col = bad[0]
+        raise InputFormatError(
+            f"timeline {timeline.participant_id}: {timeline.dates[row]} {timeline.feature_ids[col]!r}: "
+            "the values its fill averages add up past the largest float"
+        )
     return replace(
         timeline,
         values=values,
@@ -54,8 +62,18 @@ def impute_all(timeline: ParticipantTimeline) -> ParticipantTimeline:
     return _fill(timeline, means)
 
 
+def _measured_means(timeline: ParticipantTimeline) -> np.ndarray:
+    """Each feature's mean over its measured values, NaN for one with none;
+    the sum is added day by day from 0.0, as a loop does (np.sum may not)."""
+    measured = timeline.provenance == CODE_MEASURED
+    stacked = np.vstack([np.zeros(len(timeline.feature_ids)), np.where(measured, timeline.values, 0.0)])
+    # An overflowing sum is an infinite mean, which _fill refuses; 0 / 0 is NaN.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.cumsum(stacked, axis=0)[-1] / measured.sum(axis=0)
+
+
 def fill_residual_with_participant_mean(timeline: ParticipantTimeline) -> ParticipantTimeline:
     """Fill values still missing after window imputation with the participant
     mean of measured values for that feature.  Features with no measured value
     anywhere stay missing."""
-    return _fill(timeline, column_means(timeline.values, timeline.provenance == CODE_MEASURED))
+    return _fill(timeline, _measured_means(timeline))

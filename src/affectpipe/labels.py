@@ -1,9 +1,10 @@
 """Binary target construction: median-split labels and compiled mood.
 
 Median split removes the middle band (default 20%) of the target distribution
-and keeps strictly-above / strictly-below days.  Compiled mood picks, per day,
+and keeps strictly-above / strictly-below days.  Compiled mood takes, per day,
 whichever of the PA/NA deviations from the participant medians is larger in
-magnitude (ties go to PA) and maps its sign to Happy/Sad.
+magnitude (ties go to PA, and NA's counts with its sign flipped) and splits
+that dominant deviation at zero: above is High, below Low.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    CODE_MEASURED,
     FORMAT_VERSION,
     SURVEY_ITEMS,
     FeatureSchema,
     Modality,
     ParticipantTimeline,
     RawJSONPieces,
-    check_fill,
-    column_means,
     dump_json,
     from_json,
     ordinals,
@@ -34,6 +32,7 @@ from .core import (
     to_json,
 )
 from .errors import ConfigError, InputFormatError, InsufficientDataError, PipelineError, SchemaError
+from .impute import fill_residual_with_participant_mean
 
 TARGET_KINDS = ("single_item", "pa", "na", "compiled_mood")
 # The target names a run config and the CLI accept (see parse_target).
@@ -49,9 +48,6 @@ EXCLUDE_MISSING_AFFECT = "missing_affect"
 class Label(str, Enum):
     HIGH = "High"
     LOW = "Low"
-    # Compiled-mood vocabulary; aliases of the same two members.
-    HAPPY = "High"
-    SAD = "Low"
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,11 @@ def median_split_labels(
         raise InsufficientDataError("insufficient label data")
     if thresholds is None:
         thresholds = percentile_thresholds(list(values.values()), middle_band)
-    lo, hi = thresholds
+    return _split(values, *thresholds)
+
+
+def _split(values: Mapping[date, float], lo: float, hi: float) -> tuple[dict[date, Label], dict[date, str]]:
+    """High above ``hi``, Low below ``lo``, and the rest excluded as middle_band."""
     entries: dict[date, Label] = {}
     excluded: dict[date, str] = {}
     for day, value in values.items():
@@ -156,11 +156,11 @@ def compiled_mood_labels(
     na: Mapping[date, float],
     medians: tuple[float, float] | None = None,
 ) -> tuple[dict[date, Label], dict[date, str]]:
-    """Happy/Sad by the dominant (larger |deviation|) composite per day.
+    """High/Low by a split at zero of each day's dominant deviation.
 
-    |dev_pa| >= |dev_na| defers to PA (sign > 0 -> Happy); otherwise NA decides
-    with the opposite sign convention.  A dominant deviation of exactly 0 means
-    both are 0; the day is excluded.
+    The dominant deviation is PA's when |dev_pa| >= |dev_na|, else NA's with
+    its sign flipped; above zero is High, below Low.  A dominant deviation of
+    exactly 0 means both are 0; the day is excluded as middle_band.
     """
     if set(pa) != set(na):
         raise SchemaError("pa and na date sets differ")
@@ -171,19 +171,11 @@ def compiled_mood_labels(
         med_na = float(np.median(list(na.values())))
     else:
         med_pa, med_na = medians
-    entries: dict[date, Label] = {}
-    excluded: dict[date, str] = {}
+    dominant: dict[date, float] = {}
     for day in pa:
-        dev_pa = pa[day] - med_pa
-        dev_na = na[day] - med_na
-        dominant = dev_pa if abs(dev_pa) >= abs(dev_na) else -dev_na
-        if dominant > 0:
-            entries[day] = Label.HAPPY
-        elif dominant < 0:
-            entries[day] = Label.SAD
-        else:
-            excluded[day] = EXCLUDE_MIDDLE_BAND
-    return entries, excluded
+        dev_pa, dev_na = pa[day] - med_pa, na[day] - med_na
+        dominant[day] = dev_pa if abs(dev_pa) >= abs(dev_na) else -dev_na
+    return _split(dominant, 0.0, 0.0)
 
 
 def _target_values(
@@ -311,10 +303,8 @@ def build_dataset(
 
     next_day alignment pairs the features of day t with the label of day t+1.
     Rows with residual missing features are dropped under the default policy;
-    fallback="participant-mean" fills them first with the mean of the
-    feature's measured values, as the impute stage's participant-mean
-    fallback (fill_residual_with_participant_mean) does, and refuses with
-    InputFormatError a mean whose sum overflowed.
+    fallback="participant-mean" first runs the impute stage's participant-mean
+    fallback (fill_residual_with_participant_mean) over the whole timeline.
     """
     if labels.participant_id != timeline.participant_id:
         raise SchemaError(
@@ -331,12 +321,9 @@ def build_dataset(
     rows = timeline.rows_at(ordinals(label_days) - lag)
     y = np.array([labels.entries[d] is Label.HIGH for d in label_days], dtype=np.int8)[rows >= 0]
     rows = rows[rows >= 0]
-    X = timeline.columns(feature_ids)[rows]
     if fallback == "participant-mean":
-        measured = np.where(timeline.provenance == CODE_MEASURED, timeline.values, np.nan)
-        measured = timeline.columns(feature_ids, measured)
-        X = np.where(np.isnan(X), column_means(measured, ~np.isnan(measured)), X)
-        check_fill(timeline.participant_id, [timeline.dates[r] for r in rows], feature_ids, X)
+        timeline = fill_residual_with_participant_mean(timeline)
+    X = timeline.columns(feature_ids)[rows]
     keep = ~np.isnan(X).any(axis=1)
     if not keep.any():
         raise InsufficientDataError("no labeled days align with feature days")

@@ -187,7 +187,6 @@ class DecisionTree:
         rng: np.random.Generator,
         max_depth: int | None,
         max_features: int,
-        min_samples_split: int = 2,
     ) -> "DecisionTree":
         """Grow the tree on 0/1 labels `y`, drawing `max_features` (at least 1)
         candidate columns from `rng` at every node that may split."""
@@ -213,11 +212,7 @@ class DecisionTree:
             left.append(-1)
             right.append(-1)
             value.append(n_pos / n)
-            if (
-                n < min_samples_split
-                or (max_depth is not None and depth >= max_depth)
-                or n_pos in (0, n)
-            ):
+            if (max_depth is not None and depth >= max_depth) or n_pos in (0, n):
                 continue
             candidates = all_features if draws is None else draws.take()
             split = _best_split(X, steps, idx, candidates)

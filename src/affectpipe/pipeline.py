@@ -144,10 +144,15 @@ class EvaluateConfig:
         except SchemaError as exc:
             raise ConfigError(str(exc)) from exc
         _build(spec.family, spec.resolved())
+        if self.tune and self.hyperparameters:
+            raise ConfigError("evaluate.hyperparameters: a tuned section takes none (evaluate.tune picks them)")
         if self.folds < 2:
             raise ConfigError(f"evaluate.folds must be at least 2, got {self.folds}")
-        for names in self.subsets.values():
-            parse_modalities(names)
+        for name, names in self.subsets.items():
+            if not parse_modalities(names):
+                raise ConfigError(f"evaluate.subsets: subset {name!r} has no modalities")
+        if self.ablation and not self.subsets:
+            raise ConfigError("evaluate.subsets: ablation needs at least one subset")
 
     def spec(self, seed: int) -> ModelSpec:
         if seed < 0:

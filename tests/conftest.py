@@ -27,6 +27,7 @@ from affectpipe.core import (
     default_schema,
     timeline_to_dict,
 )
+from affectpipe.labels import EXCLUDE_MIDDLE_BAND, Label
 
 D0 = date(2020, 1, 1)
 
@@ -279,3 +280,61 @@ def roc_auc_loop(scores, labels):
     for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
         auc += 0.5 * (y0 + y1) * (x1 - x0)
     return points, float(auc)
+
+
+# Compiled mood's own High/Low loop and the dataset fallback's own cell by
+# cell participant mean, kept as reference code for the shared split and for
+# the impute stage's fill that replaced them.
+
+
+def compiled_mood_loop(pa, na, medians=None):
+    """Compiled mood day by day: the dominant deviation is PA's when
+    |dev_pa| >= |dev_na|, else NA's negated; above 0 High, below 0 Low,
+    else excluded as middle_band.  The medians are numpy's unless given."""
+    if medians is None:
+        medians = (float(np.median(list(pa.values()))), float(np.median(list(na.values()))))
+    med_pa, med_na = medians
+    entries, excluded = {}, {}
+    for day in pa:
+        dev_pa = pa[day] - med_pa
+        dev_na = na[day] - med_na
+        dominant = dev_pa if abs(dev_pa) >= abs(dev_na) else -dev_na
+        if dominant > 0:
+            entries[day] = Label.HIGH
+        elif dominant < 0:
+            entries[day] = Label.LOW
+        else:
+            excluded[day] = EXCLUDE_MIDDLE_BAND
+    return entries, excluded
+
+
+def participant_mean_rows_loop(timeline, labels, feature_ids):
+    """The participant-mean dataset's rows as (feature day, features, 0/1
+    label), labelled day by labelled day: each missing cell of the aligned
+    feature day takes the mean of the feature's measured values, added one
+    by one from 0.0; a feature the timeline lacks or never measured stays
+    NaN, and a row holding NaN is dropped."""
+    lag = timedelta(days=1 if labels.alignment == "next_day" else 0)
+    rows = []
+    for day in sorted(labels.entries):
+        if day - lag not in timeline.dates:
+            continue
+        i = timeline.dates.index(day - lag)
+        features = []
+        for fid in feature_ids:
+            if fid not in timeline.feature_ids:
+                features.append(float("nan"))
+                continue
+            j = timeline.feature_ids.index(fid)
+            value = float(timeline.values[i, j])
+            if timeline.provenance[i, j] == CODE_MISSING:
+                total, count = 0.0, 0
+                for k in range(len(timeline.dates)):
+                    if timeline.provenance[k, j] == CODE_MEASURED:
+                        total += float(timeline.values[k, j])
+                        count += 1
+                value = total / count if count else float("nan")
+            features.append(value)
+        if not any(np.isnan(features)):
+            rows.append((day - lag, features, int(labels.entries[day] is Label.HIGH)))
+    return rows

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe.core import CODE_IMPUTED, CODE_MISSING, SURVEY_ITEMS, Modality, canonical_json, default_schema, dump_json, from_json, to_json
+from affectpipe.core import CODE_IMPUTED, CODE_MISSING, SURVEY_ITEMS, FeatureSchema, Modality, canonical_json, default_schema, dump_json, from_json, to_json
 from affectpipe.errors import InputFormatError, InsufficientDataError, PipelineError, SchemaError
 from affectpipe.impute import fill_residual_with_participant_mean, impute_all
 from affectpipe.labels import (
@@ -39,7 +39,17 @@ from affectpipe.labels import (
     save_dataset,
 )
 
-from conftest import D0, TINY_SCHEMA, make_affect, make_timeline, report_timelines, series_timeline, survey_items
+from conftest import (
+    D0,
+    TINY_SCHEMA,
+    compiled_mood_loop,
+    make_affect,
+    make_timeline,
+    participant_mean_rows_loop,
+    report_timelines,
+    series_timeline,
+    survey_items,
+)
 
 
 def days(n, start=D0):
@@ -64,8 +74,6 @@ def rank_interpolated(sorted_vals, q):
 
 
 def test_label_enum_aliases():
-    assert Label.HAPPY is Label.HIGH
-    assert Label.SAD is Label.LOW
     assert Label.HIGH.value == "High" and Label.LOW.value == "Low"
 
 
@@ -164,16 +172,16 @@ def test_compiled_mood_dominant_rules():
     pa = {d1: 10.0, d2: -2.0, d3: 0.0, d4: -5.0}
     na = {d1: 3.0, d2: 8.0, d3: 0.0, d4: -5.0}
     entries, excluded = compiled_mood_labels(pa, na, medians=(0.0, 0.0))
-    assert entries[d1] is Label.HAPPY  # PA dominates, positive
-    assert entries[d2] is Label.SAD  # NA dominates, positive
+    assert entries[d1] is Label.HIGH  # PA dominates, positive
+    assert entries[d2] is Label.LOW  # NA dominates, positive
     assert d3 in excluded  # both deviations zero
-    assert entries[d4] is Label.SAD  # tie defers to PA, negative
+    assert entries[d4] is Label.LOW  # tie defers to PA, negative
 
 
 def test_compiled_mood_low_na_reads_happy():
     d1 = D0
     entries, _ = compiled_mood_labels({d1: 1.0}, {d1: -9.0}, medians=(0.0, 0.0))
-    assert entries[d1] is Label.HAPPY
+    assert entries[d1] is Label.HIGH
 
 
 def test_compiled_mood_default_medians_match_numpy():
@@ -184,9 +192,9 @@ def test_compiled_mood_default_medians_match_numpy():
     for d in pa:
         dev_pa, dev_na = pa[d] - med_pa, na[d] - med_na
         if abs(dev_pa) >= abs(dev_na):
-            expect = None if dev_pa == 0 else (Label.HAPPY if dev_pa > 0 else Label.SAD)
+            expect = None if dev_pa == 0 else (Label.HIGH if dev_pa > 0 else Label.LOW)
         else:
-            expect = Label.SAD if dev_na > 0 else Label.HAPPY
+            expect = Label.LOW if dev_na > 0 else Label.HIGH
         if expect is None:
             assert d in excluded
         else:
@@ -218,7 +226,27 @@ def test_compiled_mood_swap_flips_labels(devs):
         if d in fwd_exc:
             assert d in rev_exc
         else:
-            assert rev[d] is (Label.SAD if fwd[d] is Label.HAPPY else Label.HAPPY)
+            assert rev[d] is (Label.LOW if fwd[d] is Label.HIGH else Label.HIGH)
+
+
+# Zeros of both signs and small whole numbers, so that deviations of 0 and
+# -0.0 and ties |dev_pa| == |dev_na| are common.
+MOOD_VALUES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 2.5]) | st.floats(-100, 100)
+
+
+@settings(max_examples=200)
+@given(
+    composites=st.lists(st.tuples(MOOD_VALUES, MOOD_VALUES), min_size=1, max_size=12),
+    medians=st.none() | st.tuples(MOOD_VALUES, MOOD_VALUES),
+)
+def test_compiled_mood_equals_the_day_by_day_loop(composites, medians):
+    dd = days(len(composites))
+    pa = {d: a for d, (a, _) in zip(dd, composites)}
+    na = {d: b for d, (_, b) in zip(dd, composites)}
+    entries, excluded = compiled_mood_labels(pa, na, medians=medians)
+    want_entries, want_excluded = compiled_mood_loop(pa, na, medians)
+    assert list(entries.items()) == list(want_entries.items())
+    assert list(excluded.items()) == list(want_excluded.items())
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +486,72 @@ def test_dataset_mean_overflow_is_an_input_error():
         warnings.simplefilter("error")
         with pytest.raises(InputFormatError, match=f"timeline p: {D0 + timedelta(days=1)} 'sleep_deep': the values"):
             build_dataset(tl, ls, TINY_SCHEMA, fallback="participant-mean")
+
+
+def test_dataset_fallback_refuses_what_the_impute_fallback_refuses():
+    """The dataset's participant-mean fallback is the impute stage's fill of
+    the whole timeline, so a mean that overflows is refused also in a column
+    outside the dataset's modalities and on a day that no row reads."""
+    # Day 3 is labelled Low; day 5 falls in the middle band.
+    for gap, modalities in ((3, [Modality.RING]), (5, tuple(Modality))):
+        rows = [
+            {"sleep_deep": 30.0, "heart_rate": 60.0, "walk_steps": None if i == gap else 1e308 if i < 2 else 1.0,
+             "main_activity": 0.5}
+            for i in range(12)
+        ]
+        tl = make_timeline("p", rows, affect_by_index={i: (float(i), 20.0) for i in range(12)})
+        ls = build_labels(tl, TargetSpec(kind="pa"), alignment="same_day")
+        assert build_dataset(tl, ls, TINY_SCHEMA, modalities, fallback="drop").n_rows == 10
+        message = f"timeline p: {D0 + timedelta(days=gap)} 'walk_steps': the values its fill averages add up past"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputFormatError, match=message):
+                build_dataset(tl, ls, TINY_SCHEMA, modalities, fallback="participant-mean")
+
+
+# Values a timeline cell may hold: modest, so that no mean overflows.
+CELL_VALUES = st.none() | st.sampled_from([-0.0, 0.0, 0.1, 1.0, 3.0]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def labelled_timelines(draw):
+    """A timeline of some of TINY_SCHEMA's features, in any order, over up
+    to 10 days with calendar gaps, window-imputed or not, with columns that
+    were never measured; and labels on some of its days, the day after, and
+    days outside it."""
+    # A row reads every feature of its modalities, so most draws keep them all.
+    fids = tuple(draw(st.permutations(TINY_SCHEMA.feature_ids())))[: draw(st.sampled_from([4, 4, 4, 3, 1]))]
+    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=10))
+    dates = [D0 + timedelta(days=sum(gaps[:k])) for k in range(len(gaps))]
+    never = draw(st.lists(st.sampled_from([False, False, False, True]), min_size=len(fids), max_size=len(fids)))
+    rows = [
+        {fid: None if skip else draw(CELL_VALUES) for fid, skip in zip(fids, never)}
+        for _ in dates
+    ]
+    schema = FeatureSchema(tuple(TINY_SCHEMA.spec_of(fid) for fid in fids))
+    tl = make_timeline("p", rows, schema=schema, dates=dates)
+    tl = impute_all(tl) if draw(st.booleans()) else tl
+    label_days = draw(st.sets(st.sampled_from(dates) | st.sampled_from(dates).map(lambda d: d + timedelta(days=1))
+                              | st.just(D0 - timedelta(days=5))))
+    entries = {d: draw(st.sampled_from(Label)) for d in sorted(label_days)}
+    alignment = draw(st.sampled_from(ALIGNMENTS))
+    return tl, LabelSet("p", TargetSpec(kind="pa"), entries, {}, alignment=alignment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=labelled_timelines(), modalities=st.sets(st.sampled_from(Modality), min_size=1))
+def test_participant_mean_dataset_equals_the_cell_by_cell_fill(drawn, modalities):
+    tl, ls = drawn
+    feature_ids = TINY_SCHEMA.features_for(modalities)
+    want = participant_mean_rows_loop(tl, ls, feature_ids)
+    if not want:
+        with pytest.raises(InsufficientDataError):
+            build_dataset(tl, ls, TINY_SCHEMA, modalities, fallback="participant-mean")
+        return
+    ds = build_dataset(tl, ls, TINY_SCHEMA, modalities, fallback="participant-mean")
+    assert ds.dates == tuple(day for day, _, _ in want)
+    assert [[repr(v) for v in row] for row in ds.X.tolist()] == [[repr(v) for v in f] for _, f, _ in want]
+    assert ds.y.tolist() == [label for _, _, label in want]
 
 
 def test_build_dataset_modalities_subset():

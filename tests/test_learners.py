@@ -201,7 +201,7 @@ def reference_best_split(X, y, feature_idx):
     return best
 
 
-def reference_fit(X, y, rng, max_depth, max_features, min_samples_split):
+def reference_fit(X, y, rng, max_depth, max_features):
     tree = DecisionTree()
     n_features = X.shape[1]
 
@@ -211,11 +211,7 @@ def reference_fit(X, y, rng, max_depth, max_features, min_samples_split):
             nodes.append(blank)
         sub_y = y[idx]
         tree.value[node] = float(sub_y.mean())
-        if (
-            idx.shape[0] < min_samples_split
-            or (max_depth is not None and depth >= max_depth)
-            or sub_y.min() == sub_y.max()
-        ):
+        if (max_depth is not None and depth >= max_depth) or sub_y.min() == sub_y.max():
             return node
         if max_features >= n_features:
             candidates = np.arange(n_features)
@@ -265,21 +261,18 @@ def test_tree_fit_equals_the_per_feature_reference():
         queries = np.vstack([X, data.normal(size=(15, X.shape[1])), X + 0.5])
         for max_features in range(1, X.shape[1] + 1):
             for max_depth in (None, 1, 3):
-                for min_samples_split in (2, 3, 4):
-                    seed = int(data.integers(2**32))
-                    rng_ref = np.random.default_rng(seed)
-                    rng_new = np.random.default_rng(seed)
-                    want = reference_fit(X, y, rng_ref, max_depth, max_features, min_samples_split)
-                    got = DecisionTree().fit(
-                        X, y, rng_new, max_depth, max_features, min_samples_split
-                    )
-                    assert got == want
-                    assert {type(v) for v in got.feature + got.left + got.right} == {int}
-                    assert {type(v) for v in got.threshold + got.value} == {float}
-                    assert got.leaf_values(queries).tolist() == reference_leaf_values(want, queries).tolist()
-                    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-                    fits += 1
-    assert fits == 5 * 5 * 3 * 3
+                seed = int(data.integers(2**32))
+                rng_ref = np.random.default_rng(seed)
+                rng_new = np.random.default_rng(seed)
+                want = reference_fit(X, y, rng_ref, max_depth, max_features)
+                got = DecisionTree().fit(X, y, rng_new, max_depth, max_features)
+                assert got == want
+                assert {type(v) for v in got.feature + got.left + got.right} == {int}
+                assert {type(v) for v in got.threshold + got.value} == {float}
+                assert got.leaf_values(queries).tolist() == reference_leaf_values(want, queries).tolist()
+                assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+                fits += 1
+    assert fits == 5 * 5 * 3
 
 
 @pytest.mark.parametrize("buffered", [False, True])

@@ -396,6 +396,39 @@ def test_a_cohort_config_with_a_schema_exits_2_before_any_output(tmp_path, capsy
     )
 
 
+def assert_evaluate_section_exits_2_before_any_output(tmp_path, capsys, evaluate, message):
+    """run refuses a config with this evaluate section with one line and no output."""
+    config_path, _ = run_config(tmp_path, synth=dict(SYNTH_SECTION, n_days=70), evaluate=evaluate)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_tune_with_hyperparameters_exits_2_before_any_output(tmp_path, capsys):
+    """Tuning takes every hyperparameter from the family's grid.  Given
+    values used to pass and then be ignored: a tuned rf section with
+    n_trees 3 fitted 100-tree forests."""
+    assert_evaluate_section_exits_2_before_any_output(
+        tmp_path, capsys, {"model": "rf", "tune": True, "hyperparameters": {"n_trees": 3, "max_depth": 2}},
+        "evaluate.hyperparameters: a tuned section takes none (evaluate.tune picks them)",
+    )
+    preflight({"synth": {}, "evaluate": {"model": "rf", "tune": True, "hyperparameters": {}}})
+
+
+def test_an_empty_modality_subset_exits_2_before_any_output(tmp_path, capsys):
+    """An empty subset, or an ablation with no subsets, used to pass and end
+    the run at the evaluate stage (exit 5) after its other files were written."""
+    for evaluate, message in (
+        ({"ablation": True, "subsets": {"none": []}}, "evaluate.subsets: subset 'none' has no modalities"),
+        ({"subsets": {"ring": ["ring"], "none": []}}, "evaluate.subsets: subset 'none' has no modalities"),
+        ({"ablation": True, "subsets": {}}, "evaluate.subsets: ablation needs at least one subset"),
+    ):
+        assert_evaluate_section_exits_2_before_any_output(tmp_path, capsys, evaluate, message)
+    preflight({"synth": {}, "evaluate": {"subsets": {}}})
+
+
 def test_preflight_rejects_unknown_stage_and_model():
     with pytest.raises(ConfigError, match="stage"):
         preflight({"synth": {}, "stages": ["synth", "deploy"]})
