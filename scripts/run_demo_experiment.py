@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """End-to-end demo: synthesize the default cohort, run every stage, and
-print the headline numbers next to the published reference constants.
+print the run's headline numbers.
 
     python scripts/run_demo_experiment.py --out-dir demo_run [--seed 1234]
 """
@@ -11,7 +11,6 @@ import argparse
 import json
 from pathlib import Path
 
-from affectpipe.evaluate import REFERENCE_RESULTS, relative_improvement
 from affectpipe.pipeline import run_pipeline
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default_run.json"
@@ -32,11 +31,6 @@ def main() -> None:
     macro = report["macro_mean_accuracy"]
     baseline = report["macro_baseline_accuracy"]
     print(f"macro CV accuracy {macro:.3f} (majority baseline {baseline:.3f})")
-    ref = REFERENCE_RESULTS["mean_accuracy"]
-    print(
-        f"vs reference accuracy {ref:.2f}: {macro - ref:+.3f} absolute, "
-        f"{relative_improvement(macro, ref):+.1%} relative"
-    )
 
     print("\nper participant:")
     for pid in sorted(report["per_participant"]):

@@ -20,7 +20,7 @@ from .errors import (
     PipelineError,
     SchemaError,
 )
-from .evaluate import REFERENCE_RESULTS, relative_improvement, save_report, write_accuracy_table_csv, write_roc_csv
+from .evaluate import save_report, write_accuracy_table_csv, write_roc_csv
 from .labels import FALLBACKS, TARGET_NAMES, concat_datasets, load_dataset, load_labels, save_dataset, save_labels
 from .learners import MODEL_NAMES, load_model, save_model, train
 from .pipeline import (
@@ -111,15 +111,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     print(
         f"{report.family}: mean accuracy {report.mean_accuracy:.3f} "
         f"(baseline {report.baseline_accuracy:.3f}), AUC {report.auc:.3f}"
-    )
-    ref_acc = REFERENCE_RESULTS["mean_accuracy"]
-    ref_auc = REFERENCE_RESULTS["auc"]
-    print(
-        "vs reference: accuracy "
-        f"{report.mean_accuracy - ref_acc:+.3f} absolute "
-        f"({relative_improvement(report.mean_accuracy, ref_acc):+.1%} relative), "
-        f"AUC {report.auc - ref_auc:+.3f} absolute "
-        f"({relative_improvement(report.auc, ref_auc):+.1%} relative)"
     )
 
 

@@ -15,15 +15,6 @@ from .errors import InsufficientDataError, PipelineError, SchemaError
 from .labels import Dataset
 from .learners import ModelSpec, train
 
-# Published reference points for this cohort task; used only in comparison
-# printouts, never as targets for the test suite.
-REFERENCE_RESULTS = {"auc": 0.82, "mean_accuracy": 0.81}
-
-
-def relative_improvement(ours: float, reference: float) -> float:
-    return (ours - reference) / reference
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     json_document: ClassVar[bool] = True
@@ -56,7 +47,8 @@ def kfold_indices(
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     if stratified and labels is not None:
         # Each class's members in turn, dealt round-robin over the folds.
-        classes = [rng.permutation(np.flatnonzero(labels == cls)) for cls in np.unique(labels)]
+        # Sorted as np.unique sorts them, which would import numpy.ma.
+        classes = [rng.permutation(np.flatnonzero(labels == cls)) for cls in sorted(set(labels.tolist()))]
         members = np.concatenate(classes)
         return [np.sort(members[i::k]) for i in range(k)]
     return [np.sort(part) for part in np.array_split(rng.permutation(n), k)]
@@ -128,7 +120,7 @@ def cross_validate(
 ) -> EvaluationReport:
     """Seeded k-fold CV; pooled out-of-fold scores feed one ROC curve."""
     y = dataset.y
-    if np.unique(y).size < 2:
+    if len(set(y.tolist())) < 2:
         raise InsufficientDataError("dataset must contain both classes")
     folds = _partition_with_resample(y, k, seed, stratified)
     n = dataset.n_rows
@@ -143,6 +135,8 @@ def cross_validate(
         model = train(spec, dataset.X[train_mask], y[train_mask], grid=grid)
         chosen.append(model.chosen_hyperparameters)
         proba = oof_scores[test_idx] = model.predict_proba(dataset.X[test_idx])
+        # Let this fold's model go before the next fold fits.
+        del model
         truth = y[test_idx]
         fold_accs.append(float(((proba >= 0.5) == truth).mean()))
         # The training fold's majority class; a tie goes to High.

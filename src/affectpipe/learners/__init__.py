@@ -161,7 +161,8 @@ def train(
     y = np.asarray(labels).astype(np.int8).ravel()
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise SchemaError(f"rows {X.shape} do not align with labels {y.shape}")
-    if np.unique(y).size < 2:
+    # Classes counted by a set: np.unique would import numpy.ma.
+    if len(set(y.tolist())) < 2:
         raise InsufficientDataError("single-class training labels")
 
     chosen = spec.resolved()
@@ -173,7 +174,7 @@ def train(
         perm = rng.permutation(n)
         val_idx, fit_idx = perm[:n_val], perm[n_val:]
         chosen = candidates[0]
-        if fit_idx.size >= 2 and np.unique(y[fit_idx]).size == 2 and val_idx.size > 0:
+        if fit_idx.size >= 2 and len(set(y[fit_idx].tolist())) == 2 and val_idx.size > 0:
             split_std = fit_standardizer(X[fit_idx])
             Xz_fit = split_std.apply(X[fit_idx])
             Xz_val = split_std.apply(X[val_idx])
@@ -181,6 +182,8 @@ def train(
             for hp in candidates:
                 model = _fit_one(spec, hp, Xz_fit, y[fit_idx])
                 proba = np.clip(model.predict_proba(Xz_val), 0.0, 1.0)
+                # Let this candidate go before the next one fits.
+                del model
                 acc = float(((proba >= 0.5).astype(np.int8) == y[val_idx]).mean())
                 if acc > best_acc:
                     best_acc = acc

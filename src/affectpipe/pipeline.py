@@ -305,6 +305,8 @@ def analyze_tvalues(
     for model, timeline in scored:
         pid = timeline.participant_id
         scores = monthly_scores(model, timeline, alignment=alignment)
+        # Let this model go before `scored` trains the next one.
+        del model
         all_scores.append(scores)
         rows[pid], warns = tvalues_from_scores(scores, baseline_months)
         if warns:

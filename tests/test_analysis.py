@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import weakref
 from datetime import date, timedelta
 
 import numpy as np
@@ -27,6 +28,7 @@ from affectpipe.core import ordinals
 from affectpipe.errors import InsufficientDataError
 from affectpipe.labels import TargetSpec, build_dataset, build_labels
 from affectpipe.learners import ModelFamily, ModelSpec, train
+from affectpipe.pipeline import analyze_tvalues
 
 from conftest import D0, TINY_SCHEMA, make_timeline, report_timelines
 
@@ -334,6 +336,25 @@ def test_monthly_scores_counts_and_values():
     np.testing.assert_allclose(
         scores["2020-01"], model.predict_proba(np.asarray(expected))
     )
+
+
+def test_analyze_tvalues_lets_each_model_go_before_the_next_fit(tmp_path):
+    fitted, live_at_fit = [], []
+
+    def fit(tl):
+        live_at_fit.append(sum(ref() is not None for ref in fitted))
+        model, _ = fit_knn(tl)
+        fitted.append(weakref.ref(model))
+        return model
+
+    def scored():
+        for pid in ("p01", "p02", "p03"):
+            tl = scored_timeline(pid)
+            yield fit(tl), tl
+
+    rows, _ = analyze_tvalues(tmp_path / "tv.csv", scored(), None, "next_day")
+    assert set(rows) == {"p01", "p02", "p03", "pooled"}
+    assert live_at_fit == [0, 0, 0]
 
 
 def test_monthly_scores_skip_incomplete_feature_days():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affectpipe import learners
 from affectpipe.errors import InsufficientDataError, SchemaError
 from affectpipe.learners import (
     DEFAULTS,
@@ -585,6 +587,24 @@ def test_tuning_tie_breaks_first_in_grid():
     grid = [{"k": 3}, {"k": 1}]
     model = train(ModelSpec(family=ModelFamily.KNN, seed=0), X, y, grid=grid)
     assert model.chosen_hyperparameters["k"] == 3
+
+
+def test_no_tuning_candidate_outlives_its_score(monkeypatch):
+    """Each candidate, and the final refit, fits with no earlier candidate alive."""
+    fit_one = learners._fit_one
+    fitted, live_at_fit = [], []
+
+    def tracking_fit_one(*args):
+        live_at_fit.append(sum(ref() is not None for ref in fitted))
+        model = fit_one(*args)
+        fitted.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(learners, "_fit_one", tracking_fit_one)
+    X, y = blobs(n_per=20, seed=9)
+    grid = [{"n_trees": 2}, {"n_trees": 3}, {"n_trees": 4}]
+    train(ModelSpec(family=ModelFamily.RF, seed=0), X, y, grid=grid)
+    assert live_at_fit == [0, 0, 0, 0]
 
 
 def test_train_is_deterministic_per_seed():
