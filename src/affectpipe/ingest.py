@@ -301,8 +301,7 @@ def build_timeline(
     feature_ids = schema.feature_ids()
     column = {fid: j for j, fid in enumerate(feature_ids)}
     # The distinct days by sorting: np.unique would import numpy.ma (about
-    # 1.7 MB), as np.percentile and np.median do, long before the label
-    # stage's thresholds need it.
+    # 1.7 MB), which no stage of a run needs.
     report_days = np.array(list(affect_by_day), dtype="datetime64[D]")
     days = np.sort(np.concatenate([report_days] + [f.rows["day"] for f in files]))
     first = np.ones(days.size, dtype=bool)

@@ -10,6 +10,7 @@ that dominant deviation at zero: above is High, below Low.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -114,10 +115,34 @@ def percentile_thresholds(
     """
     if not 0.0 <= middle_band < 1.0:
         raise SchemaError(f"middle_band must be in [0, 1), got {middle_band}")
-    arr = np.asarray(list(values), dtype=float)
+    ordered = sorted(map(float, values))
     half = 100.0 * middle_band / 2.0
-    lo, hi = np.percentile(arr, [50.0 - half, 50.0 + half])
-    return float(lo), float(hi)
+    return _percentile(ordered, 50.0 - half), _percentile(ordered, 50.0 + half)
+
+
+# np.percentile and np.median import numpy.ma (about 2 MB resident).  These
+# two take numpy's IEEE steps on a sorted list instead, so they hold its bits,
+# except that a zero may differ in sign (numpy may order 0.0 and -0.0 either
+# way), which no comparison sees.
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """np.percentile(ordered, q): at rank v = (n - 1) * (q / 100), between
+    a = ordered[floor(v)] and the next value b, with t = v - floor(v) and
+    d = b - a, a + d * t below t = 0.5 and b - d * (1 - t) from there."""
+    last = len(ordered) - 1
+    v = last * (q / 100)
+    i = math.floor(v)
+    a, b = ordered[i], ordered[min(i + 1, last)]
+    t, d = v - i, b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
+
+
+def _median(values: Iterable[float]) -> float:
+    """np.median: the middle sorted value, or the mean of the middle two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def median_split_labels(
@@ -167,8 +192,7 @@ def compiled_mood_labels(
     if not pa:
         raise InsufficientDataError("no days to label")
     if medians is None:
-        med_pa = float(np.median(list(pa.values())))
-        med_na = float(np.median(list(na.values())))
+        med_pa, med_na = _median(pa.values()), _median(na.values())
     else:
         med_pa, med_na = medians
     dominant: dict[date, float] = {}
@@ -225,7 +249,7 @@ def build_labels_cohort(
         if mood:
             if not pooled[0]:
                 raise InsufficientDataError("no complete composite days in cohort")
-            cuts = (float(np.median(pooled[0])), float(np.median(pooled[1])))
+            cuts = (_median(pooled[0]), _median(pooled[1]))
         else:
             if len(pooled[0]) < 10:
                 raise InsufficientDataError("insufficient label data")

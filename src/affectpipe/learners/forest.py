@@ -38,35 +38,40 @@ def _gini_table() -> np.ndarray:
 
     Built on the first fit, not at import, and shared by every fit.  An
     entry is the same IEEE operations on the same operands as the terms a
-    node computes in place, so it holds the same bits.
+    node computes in place, so it holds the same bits.  Filled a row at a
+    time: temporaries of the whole table set a run's peak memory.
     """
     table = np.zeros((_WIDTH, _WIDTH))
-    table[1:] = _gini_terms(np.arange(1.0, _WIDTH)[:, None], np.arange(_WIDTH))
+    for rows in range(1, _WIDTH):
+        table[rows] = _gini_terms(float(rows), np.arange(_WIDTH))
     table.flags.writeable = False
     return table.ravel()
 
 
-def _weighted_gini(index: np.ndarray, n: int) -> np.ndarray:
-    """Weighted Gini of cutting after each of the first n - 1 sorted rows,
-    from the running side indices `index` (n x columns)."""
+def _weighted_gini(index: np.ndarray, counts: np.ndarray | None, n: int) -> np.ndarray:
+    """Weighted Gini of cutting after each but the last sorted row of a node
+    of n weighted rows, from the running side indices `index` and, above
+    _TABLE_ROWS, the running row counts `counts` (both rows x columns)."""
     left = index[:-1]
     right = index[-1] - left
-    if n <= _TABLE_ROWS:
+    if counts is None:
         table = _gini_table()
         return (table.take(left) + table.take(right)) / n
-    n_left = np.arange(1.0, n)[:, None]
-    pos_left = left - np.arange(_WIDTH, n * _WIDTH, _WIDTH)[:, None]
-    pos_right = right - np.arange((n - 1) * _WIDTH, 0, -_WIDTH)[:, None]
+    n_left = counts[:-1]
+    pos_left = left - n_left * _WIDTH
+    pos_right = right - (n - n_left) * _WIDTH
     return (_gini_terms(n_left, pos_left) + _gini_terms(n - n_left, pos_right)) / n
 
 
 def _best_split(
-    X: np.ndarray, steps: np.ndarray, idx: np.ndarray, feature_idx: np.ndarray
-) -> tuple[float, int, float, np.ndarray, np.ndarray, int] | None:
-    """The lowest weighted-Gini split of rows `idx` over the candidate
-    columns: (impurity, feature, threshold, left rows, right rows, positives
-    on the left), or None when no candidate splits the rows.  `steps` holds
-    each row's _WIDTH plus its 0/1 label.
+    X: np.ndarray, steps: np.ndarray, weight: np.ndarray, idx: np.ndarray, n: int, feature_idx: np.ndarray
+) -> tuple[float, int, float, np.ndarray, np.ndarray, int, int] | None:
+    """The lowest weighted-Gini split of rows `idx`, n by weight, over the
+    candidate columns: (impurity, feature, threshold, left rows, right rows,
+    weighted rows and positives on the left), or None when no candidate
+    splits the rows.  `steps` holds each row's `weight` times _WIDTH plus its
+    0/1 label.  A row of weight w scores as w copies of it: no cut falls
+    between copies, and every other cut has the same side counts.
 
     All candidate columns are sorted and scored together, so the number of
     numpy calls does not grow with the number of candidates.  Thresholds sit
@@ -79,13 +84,13 @@ def _best_split(
     come in the split column's sorted order, split as they would in any
     other.
     """
-    n = idx.shape[0]
     xs = X.take(idx, 0).take(feature_idx, 1)
     order = xs.argsort(axis=0)
     xs.sort(axis=0)
     rows = idx.take(order)
     index = steps.take(rows).cumsum(axis=0)
-    weighted = _weighted_gini(index, n)
+    counts = weight.take(rows).cumsum(axis=0) if n > _TABLE_ROWS else None
+    weighted = _weighted_gini(index, counts, n)
     # No threshold between equal values.
     np.putmask(weighted, xs[1:] == xs[:-1], np.inf)
     ks = weighted.argmin(axis=0)
@@ -99,14 +104,17 @@ def _best_split(
     upper = xs.item(k + 1, c)
     thr = 0.5 * (xs.item(k, c) + upper)
     if thr < upper:
-        return best_score, feat, thr, rows[: k + 1, c], rows[k + 1 :, c], index.item(k, c) - (k + 1) * _WIDTH
+        # Up to _TABLE_ROWS rows, the positives of a side are below _WIDTH.
+        n_left = index.item(k, c) // _WIDTH if counts is None else counts.item(k, c)
+        return best_score, feat, thr, rows[: k + 1, c], rows[k + 1 :, c], n_left, index.item(k, c) - n_left * _WIDTH
     # A midpoint between adjacent floats can round onto the upper one, and
     # the rows at or below it go left.
     go_left = X[idx, feat] <= thr
     left = idx[go_left]
-    if left.shape[0] == n:
+    if left.shape[0] == idx.shape[0]:
         return None
-    return best_score, feat, thr, left, idx[~go_left], int(steps.take(left).sum()) - left.shape[0] * _WIDTH
+    n_left = int(weight.take(left).sum())
+    return best_score, feat, thr, left, idx[~go_left], n_left, int(steps.take(left).sum()) - n_left * _WIDTH
 
 
 class _CandidateDraws:
@@ -187,26 +195,30 @@ class DecisionTree:
         rng: np.random.Generator,
         max_depth: int | None,
         max_features: int,
+        weight: np.ndarray | None = None,
     ) -> "DecisionTree":
         """Grow the tree on 0/1 labels `y`, drawing `max_features` (at least 1)
-        candidate columns from `rng` at every node that may split."""
+        candidate columns from `rng` at every node that may split.  A row of
+        integer `weight` w (default 1) counts as w copies of it."""
         n_features = X.shape[1]
         all_features = np.arange(n_features)
         draws = _CandidateDraws(rng, n_features, max_features) if max_features < n_features else None
-        steps = y.astype(np.intp) + _WIDTH
+        weight = np.ones(X.shape[0], dtype=np.intp) if weight is None else weight
+        steps = weight * (y.astype(np.intp) + _WIDTH)
         feature, threshold, left, right, value = self.feature, self.threshold, self.left, self.right, self.value
         # Depth first, left child first: node ids and rng draws come in the
         # order of a recursive grower.  An entry holds a node's rows, depth and
-        # positive count, so its value is exactly the mean of its 0/1 labels
-        # and purity needs no pass over them.  A left child takes the id after
-        # its parent's, and a right child's entry holds its parent.
-        stack = [(np.arange(X.shape[0]), 0, int(np.count_nonzero(y)), -1)]
+        # weighted row and positive counts, so its value is exactly the mean of
+        # its 0/1 labels and purity needs no pass over them.  A left child
+        # takes the id after its parent's, and a right child's entry holds its
+        # parent.
+        n_root = int(weight.sum())
+        stack = [(np.flatnonzero(weight), 0, n_root, int(steps.sum()) - n_root * _WIDTH, -1)]
         while stack:
-            idx, depth, n_pos, parent = stack.pop()
+            idx, depth, n, n_pos, parent = stack.pop()
             node = len(value)
             if parent >= 0:
                 right[parent] = node
-            n = idx.shape[0]
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
@@ -215,13 +227,13 @@ class DecisionTree:
             if (max_depth is not None and depth >= max_depth) or n_pos in (0, n):
                 continue
             candidates = all_features if draws is None else draws.take()
-            split = _best_split(X, steps, idx, candidates)
+            split = _best_split(X, steps, weight, idx, n, candidates)
             if split is None:
                 continue
-            _, feature[node], threshold[node], rows_left, rows_right, pos_left = split
+            _, feature[node], threshold[node], rows_left, rows_right, n_left, pos_left = split
             left[node] = node + 1
-            stack.append((rows_right, depth + 1, n_pos - pos_left, node))
-            stack.append((rows_left, depth + 1, pos_left, -1))
+            stack.append((rows_right, depth + 1, n - n_left, n_pos - pos_left, node))
+            stack.append((rows_left, depth + 1, n_left, pos_left, -1))
         if draws is not None:
             draws.finish()
         return self
@@ -278,11 +290,10 @@ class RandomForestModel:
         # whether trees are built sequentially or in parallel.
         for child in seed_seq.spawn(self.n_trees):
             rng = np.random.Generator(np.random.PCG64(child))
-            bootstrap = rng.integers(0, n, size=n)
-            tree = DecisionTree().fit(
-                X[bootstrap], y[bootstrap], rng, self.max_depth, m
-            )
-            self.trees.append(tree)
+            # Each tree grows on the rows its bootstrap drew, weighted by how
+            # often each was drawn, with no copy of X.
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            self.trees.append(DecisionTree().fit(X, y, rng, self.max_depth, m, counts))
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

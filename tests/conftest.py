@@ -28,6 +28,14 @@ from affectpipe.core import (
     timeline_to_dict,
 )
 from affectpipe.labels import EXCLUDE_MIDDLE_BAND, Label
+from affectpipe.learners.forest import (
+    _TABLE_ROWS,
+    _WIDTH,
+    DecisionTree,
+    _CandidateDraws,
+    _gini_table,
+    _gini_terms,
+)
 
 D0 = date(2020, 1, 1)
 
@@ -338,3 +346,93 @@ def participant_mean_rows_loop(timeline, labels, feature_ids):
         if not any(np.isnan(features)):
             rows.append((day - lag, features, int(labels.entries[day] is Label.HIGH)))
     return rows
+
+
+# The tree grower as it was when each tree fitted its own copy of the
+# bootstrap rows, every row one step of _WIDTH plus its label, kept as
+# reference code for the weighted grower that fits the distinct rows once.
+
+
+def unit_weighted_gini(index, n):
+    """Weighted Gini of cutting after each of the first n - 1 sorted rows,
+    from the running side indices `index` (n x columns)."""
+    left = index[:-1]
+    right = index[-1] - left
+    if n <= _TABLE_ROWS:
+        table = _gini_table()
+        return (table.take(left) + table.take(right)) / n
+    n_left = np.arange(1.0, n)[:, None]
+    pos_left = left - np.arange(_WIDTH, n * _WIDTH, _WIDTH)[:, None]
+    pos_right = right - np.arange((n - 1) * _WIDTH, 0, -_WIDTH)[:, None]
+    return (_gini_terms(n_left, pos_left) + _gini_terms(n - n_left, pos_right)) / n
+
+
+def unit_best_split(X, steps, idx, feature_idx):
+    """(impurity, feature, threshold, left rows, right rows, positives on
+    the left) of the lowest weighted-Gini split of rows `idx`, or None."""
+    n = idx.shape[0]
+    xs = X.take(idx, 0).take(feature_idx, 1)
+    order = xs.argsort(axis=0)
+    xs.sort(axis=0)
+    rows = idx.take(order)
+    index = steps.take(rows).cumsum(axis=0)
+    weighted = unit_weighted_gini(index, n)
+    np.putmask(weighted, xs[1:] == xs[:-1], np.inf)
+    ks = weighted.argmin(axis=0)
+    best_score, c, k = np.inf, -1, -1
+    for column, (row, score) in enumerate(zip(ks.tolist(), np.minimum.reduce(weighted).tolist())):
+        if score < best_score - 1e-12:
+            best_score, c, k = score, column, row
+    if c < 0:
+        return None
+    feat = int(feature_idx[c])
+    upper = xs.item(k + 1, c)
+    thr = 0.5 * (xs.item(k, c) + upper)
+    if thr < upper:
+        return best_score, feat, thr, rows[: k + 1, c], rows[k + 1 :, c], index.item(k, c) - (k + 1) * _WIDTH
+    go_left = X[idx, feat] <= thr
+    left = idx[go_left]
+    if left.shape[0] == n:
+        return None
+    return best_score, feat, thr, left, idx[~go_left], int(steps.take(left).sum()) - left.shape[0] * _WIDTH
+
+
+def unit_tree_fit(X, y, rng, max_depth, max_features):
+    """A tree grown on every row of X once, depth first, left child first."""
+    tree = DecisionTree()
+    n_features = X.shape[1]
+    all_features = np.arange(n_features)
+    draws = _CandidateDraws(rng, n_features, max_features) if max_features < n_features else None
+    steps = y.astype(np.intp) + _WIDTH
+    stack = [(np.arange(X.shape[0]), 0, int(np.count_nonzero(y)), -1)]
+    while stack:
+        idx, depth, n_pos, parent = stack.pop()
+        node = len(tree.value)
+        if parent >= 0:
+            tree.right[parent] = node
+        n = idx.shape[0]
+        for nodes, blank in zip((tree.feature, tree.threshold, tree.left, tree.right), (-1, 0.0, -1, -1)):
+            nodes.append(blank)
+        tree.value.append(n_pos / n)
+        if (max_depth is not None and depth >= max_depth) or n_pos in (0, n):
+            continue
+        split = unit_best_split(X, steps, idx, all_features if draws is None else draws.take())
+        if split is None:
+            continue
+        _, tree.feature[node], tree.threshold[node], rows_left, rows_right, pos_left = split
+        tree.left[node] = node + 1
+        stack.append((rows_right, depth + 1, n_pos - pos_left, node))
+        stack.append((rows_left, depth + 1, pos_left, -1))
+    if draws is not None:
+        draws.finish()
+    return tree
+
+
+def unit_forest_trees(X, y, seed_seq, n_trees, max_depth, max_features):
+    """Each tree of a forest fitted on its own copy of its bootstrap rows."""
+    trees = []
+    for child in seed_seq.spawn(n_trees):
+        rng = np.random.Generator(np.random.PCG64(child))
+        bootstrap = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(unit_tree_fit(X[bootstrap], y[bootstrap], rng, max_depth, max_features))
+    return trees

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe.core import CODE_IMPUTED, CODE_MISSING, SURVEY_ITEMS, FeatureSchema, Modality, canonical_json, default_schema, dump_json, from_json, to_json
+import affectpipe
 from affectpipe.errors import InputFormatError, InsufficientDataError, PipelineError, SchemaError
 from affectpipe.impute import fill_residual_with_participant_mean, impute_all
 from affectpipe.labels import (
@@ -26,6 +30,7 @@ from affectpipe.labels import (
     Label,
     LabelSet,
     TargetSpec,
+    _median,
     build_dataset,
     build_labels,
     build_labels_cohort,
@@ -94,6 +99,47 @@ def test_percentile_thresholds_match_rank_oracle(values, band):
     half = 100.0 * band / 2.0
     assert lo == pytest.approx(rank_interpolated(s, 50.0 - half), rel=1e-9, abs=1e-9)
     assert hi == pytest.approx(rank_interpolated(s, 50.0 + half), rel=1e-9, abs=1e-9)
+
+
+def test_percentiles_and_medians_hold_numpy_bits():
+    """The sorted-list percentile and median equal np.percentile and
+    np.median bit for bit; a zero may differ in sign only, as numpy may
+    order 0.0 and -0.0 either way."""
+    data = np.random.default_rng(8)
+    for _ in range(400):
+        n = int(data.integers(1, 400))
+        values = data.normal(scale=float(data.choice([1e-3, 1.0, 1e6])), size=n)
+        if data.random() < 0.5:  # ties, and zeros of both signs
+            values = np.round(values, 1)
+        band = float(data.choice([0.0, 0.2, float(data.uniform(0.0, 0.999))]))
+        half = 100.0 * band / 2.0
+        want = [*np.percentile(values, [50.0 - half, 50.0 + half]).tolist(), float(np.median(values))]
+        got = [*percentile_thresholds(values.tolist(), band), _median(values.tolist())]
+        assert got == want, (n, band)
+        assert [x.hex() for x in got if x] == [x.hex() for x in want if x], (n, band)
+
+
+_NO_NUMPY_MA = """
+import sys
+from affectpipe import labels, synth
+timelines, _ = synth.generate(synth.CohortConfig(n_participants=3, n_days=40, n_eligible=3, seed=2, shift=None))
+for kind in ("pa", "compiled_mood"):
+    for scope in ("per_participant", "pooled"):
+        labels.build_labels_cohort(timelines, labels.TargetSpec(kind=kind, scope=scope))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_labelling_leaves_numpy_ma_unimported():
+    """np.percentile and np.median import numpy.ma, about 2 MB of resident
+    memory that no later stage needs; the cut points must not pull it in."""
+    src = str(Path(affectpipe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_MA], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_median_split_one_to_ten():

@@ -38,6 +38,7 @@ from affectpipe.learners.knn import KNNModel, MajorityBaselineModel
 from affectpipe.learners.mlp import forward_logits, init_params, loss_and_grads
 from affectpipe.learners.svm import LinearSVMModel
 from affectpipe.learners.standardize import Standardizer, fit_standardizer
+from conftest import unit_best_split, unit_forest_trees, unit_tree_fit
 
 RNG = np.random.default_rng(2024)
 
@@ -134,7 +135,8 @@ def test_best_split_matches_exhaustive_oracle():
         X = np.column_stack([normal, np.full(30, 2.0), tied])
         d = X.shape[1]
         steps = y.astype(np.intp) + _WIDTH
-        imp, feat, thr, left, right, pos_left = _best_split(X, steps, np.arange(30), np.arange(d))
+        ones = np.ones(30, dtype=np.intp)
+        imp, feat, thr, left, right, n_left, pos_left = _best_split(X, steps, ones, np.arange(30), 30, np.arange(d))
         oracle = min(
             (gini_oracle(X[:, j], y) + (j,) for j in range(d)),
             key=lambda t: (round(t[0], 12), t[2]),
@@ -146,6 +148,7 @@ def test_best_split_matches_exhaustive_oracle():
         assert sorted(right.tolist()) == np.flatnonzero(X[:, feat] > thr).tolist()
         assert np.all(np.diff(X[np.concatenate([left, right]), feat]) >= 0)
         assert pos_left == int(y[left].sum())
+        assert n_left == left.shape[0]
 
 
 def test_gini_table_holds_the_arithmetic_bits():
@@ -168,7 +171,8 @@ def test_gini_table_holds_the_arithmetic_bits():
         gini_left = 1.0 - p_l * p_l - (1.0 - p_l) * (1.0 - p_l)
         gini_right = 1.0 - p_r * p_r - (1.0 - p_r) * (1.0 - p_r)
         want = (n_left * gini_left + (n - n_left) * gini_right) / n
-        assert _weighted_gini(np.cumsum(labels + _WIDTH, axis=0), n).tobytes() == want.tobytes()
+        counts = None if n <= _TABLE_ROWS else np.ones((n, 4), dtype=np.intp).cumsum(axis=0)
+        assert _weighted_gini(np.cumsum(labels + _WIDTH, axis=0), counts, n).tobytes() == want.tobytes()
 
 
 # The tree grower as it was before the split search covered all candidate
@@ -317,19 +321,99 @@ def test_best_split_does_not_depend_on_the_row_order():
         ])
         y = (X[:, 0] + X[:, 3] + data.normal(size=n) > 1.0).astype(np.int8)
         steps = y.astype(np.intp) + _WIDTH
+        ones = np.ones(n, dtype=np.intp)
 
         def split_of(idx, feature_idx):
-            split = _best_split(X, steps, idx, feature_idx)
+            split = _best_split(X, steps, ones, idx, n, feature_idx)
             if split is None:
                 return None
-            impurity, feat, thr, left, right, pos_left = split
-            return impurity, feat, thr, sorted(left.tolist()), sorted(right.tolist()), pos_left
+            impurity, feat, thr, left, right, n_left, pos_left = split
+            return impurity, feat, thr, sorted(left.tolist()), sorted(right.tolist()), n_left, pos_left
 
         for feature_idx in (np.arange(4), np.array([1]), np.array([0, 2])):
             want = split_of(np.arange(n), feature_idx)
             for _ in range(20):
                 assert split_of(data.permutation(n), feature_idx) == want
         assert want is not None
+
+
+def test_weighted_fit_equals_the_fit_on_the_repeated_rows():
+    """A tree fitted with per-row integer weights is the tree the unit grower
+    fits on each row repeated that many times, in any order, node for node,
+    and it leaves the generator where that fit does.  The weights cover
+    bootstraps, zero-weight rows and nodes of more weighted rows than the
+    Gini table holds; the columns cover ties and adjacent floats whose
+    midpoint rounds onto the upper one."""
+    data = np.random.default_rng(31)
+    fits = rounded = 0
+    for n in (7, 40, 150, 400):
+        # 1 + 2**-52 has an odd last bit, so its midpoint with the next float
+        # rounds to that float, and 1.0's does not.  A third value, 2.0, takes
+        # the rows right of such a cut.
+        odd, even = 1.0 + 2.0**-52, 1.0
+        third = data.random(n)
+        X = np.column_stack([
+            data.integers(0, 4, size=n).astype(float),  # tied integer values
+            np.full(n, 1.5),  # constant
+            np.where(third < 0.4, odd, np.where(third < 0.7, np.nextafter(odd, np.inf), 2.0)),
+            np.where(data.random(n) < 0.5, even, np.nextafter(even, np.inf)),
+            data.normal(size=n),
+        ])
+        y = ((X[:, 2] == odd) + 0.3 * (X[:, 0] + X[:, 4] + data.normal(size=n)) > 0.8).astype(np.int8)
+        weights = {
+            "bootstrap": np.bincount(data.integers(0, n, size=n), minlength=n),
+            "sparse": np.where(data.random(n) < 0.6, 0, data.integers(1, 3, size=n)),
+            "heavy": data.integers(0, 6, size=n),
+        }
+        for name, weight in weights.items():
+            repeated = data.permutation(np.repeat(np.arange(n), weight))
+            steps = weight * (y.astype(np.intp) + _WIDTH)
+            rows = np.flatnonzero(weight)
+            # column 2 alone: a cut after `odd` rounds onto the next float, and
+            # the rows at or below it go left
+            split = _best_split(X, steps, weight, rows, int(weight.sum()), np.array([2]))
+            want_split = unit_best_split(
+                X[repeated], y[repeated].astype(np.intp) + _WIDTH, np.arange(repeated.shape[0]), np.array([2])
+            )
+            assert (split is None) == (want_split is None)
+            if split is not None:
+                assert split[:3] == want_split[:3]
+                assert split[5:] == (want_split[3].shape[0], want_split[5])
+                assert split[5] == int(weight[X[:, 2] <= split[2]].sum())
+                rounded += split[2] == np.nextafter(odd, np.inf)
+            for max_features in (1, 2, X.shape[1]):
+                for max_depth in (None, 2):
+                    seed = int(data.integers(2**32))
+                    rng_ref = np.random.default_rng(seed)
+                    rng_new = np.random.default_rng(seed)
+                    want = unit_tree_fit(X[repeated], y[repeated], rng_ref, max_depth, max_features)
+                    got = DecisionTree().fit(X, y, rng_new, max_depth, max_features, weight)
+                    assert got == want, (n, name, max_features, max_depth)
+                    assert {type(v) for v in got.feature + got.left + got.right} == {int}
+                    assert {type(v) for v in got.threshold + got.value} == {float}
+                    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+                    fits += 1
+            if name == "heavy" and n >= 150:
+                assert weight.sum() > _TABLE_ROWS
+        # unit weights by default
+        rng_ref, rng_new = np.random.default_rng(n), np.random.default_rng(n)
+        assert DecisionTree().fit(X, y, rng_new, None, 2) == unit_tree_fit(X, y, rng_ref, None, 2)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert fits == 4 * 3 * 3 * 2
+    assert rounded > 0
+
+
+def test_forest_equals_the_forest_of_copied_bootstraps():
+    """Each tree of a forest is the one the unit grower fits on its own copy
+    of its bootstrap rows."""
+    data = np.random.default_rng(41)
+    X = data.normal(size=(300, 39))
+    X[:, 5] = np.round(X[:, 5])  # ties
+    y = (X[:, 0] + X[:, 5] + data.normal(size=300) > 0).astype(np.int8)
+    for max_features, m, max_depth in (("sqrt", 6, None), ("all", 39, 3), (1, 1, None)):
+        model = RandomForestModel(n_trees=6, max_depth=max_depth, max_features=max_features)
+        model.fit(X, y, np.random.SeedSequence(9))
+        assert model.trees == unit_forest_trees(X, y, np.random.SeedSequence(9), 6, max_depth, m)
 
 
 def test_tree_nodes_must_point_forward():
@@ -361,7 +445,7 @@ def test_a_fitted_forest_leaves_no_reference_cycles():
     gc.disable()
     try:
         RandomForestModel(n_trees=20, max_depth=None, max_features="sqrt").fit(X, y, np.random.SeedSequence(0))
-        # nothing is left for the cycle collector, so each bootstrap is freed with its tree
+        # nothing is left for the cycle collector, so each fit's arrays are freed when it returns
         assert gc.collect() == 0
     finally:
         gc.enable()
