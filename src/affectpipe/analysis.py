@@ -65,23 +65,25 @@ def feature_affect_correlations(
     Sparse (< 3 pairs) or constant columns record None: undefined, not 0.
     """
     lag = 1 if alignment == "next_day" else 0
-    fids = schema.feature_ids()
-    # Every timeline's rows go straight into one X and one Y, in order.
+    # Every timeline's rows go into one Y, in order; the features are
+    # pooled one column at a time, so no cohort-wide feature matrix exists.
     n = sum(len(timeline.dates) for timeline in timelines)
-    X, Y = np.empty((n, len(fids))), np.empty((n, len(TARGETS)))
-    start = 0
+    Y, x = np.empty((n, len(TARGETS))), np.empty(n)
+    spans, start = [], 0
     for timeline in timelines:
         stop = start + len(timeline.dates)
         rows = timeline.rows_at(ordinals(timeline.dates) + lag)
-        X[start:stop] = timeline.columns(fids)
         for k, column in enumerate((timeline.affect.pa, timeline.affect.na)):
             Y[start:stop, k] = np.where(rows >= 0, column[rows], np.nan)
+        spans.append((start, stop, timeline.values, {fid: j for j, fid in enumerate(timeline.feature_ids)}))
         start = stop
     out: dict[tuple[str, str], float | None] = {}
-    for j, fid in enumerate(fids):
+    for fid in schema.feature_ids():
+        for start, stop, values, index in spans:
+            x[start:stop] = values[:, index[fid]] if fid in index else np.nan
         for k, t in enumerate(TARGETS):
-            pair = ~np.isnan(X[:, j]) & ~np.isnan(Y[:, k])
-            out[(fid, t)] = pearson_r(X[pair, j], Y[pair, k]) if pair.sum() >= MIN_CORR_PAIRS else None
+            pair = ~np.isnan(x) & ~np.isnan(Y[:, k])
+            out[(fid, t)] = pearson_r(x[pair], Y[pair, k]) if pair.sum() >= MIN_CORR_PAIRS else None
     return out
 
 

@@ -21,9 +21,10 @@ from .errors import (
     SchemaError,
 )
 from .evaluate import save_report, write_accuracy_table_csv, write_roc_csv
-from .labels import FALLBACKS, TARGET_NAMES, concat_datasets, load_dataset, load_labels, save_dataset, save_labels
+from .labels import FALLBACKS, TARGET_NAMES, load_dataset, load_labels, save_dataset, save_labels
 from .learners import MODEL_NAMES, load_model, save_model, train
 from .pipeline import (
+    AnalyzeConfig,
     DatasetConfig,
     EvaluateConfig,
     ImputeConfig,
@@ -86,10 +87,10 @@ def _cmd_dataset(args: argparse.Namespace) -> None:
     section = DatasetConfig(fallback=args.fallback, modalities=tuple(args.modalities.split(",")))
     schema = _schema_from_arg(args.schema)
     timelines = [load_timeline(p) for p in args.infiles]
-    datasets = build_datasets(timelines, load_labels(args.labels), schema, section)
-    ds = concat_datasets(list(datasets.values()))
-    save_dataset(args.out, ds)
-    print(f"wrote dataset with {ds.n_rows} rows x {len(ds.feature_ids)} features to {args.out}")
+    parts = list(build_datasets(timelines, load_labels(args.labels), schema, section).values())
+    save_dataset(args.out, *parts)
+    n_rows = sum(ds.n_rows for ds in parts)
+    print(f"wrote dataset with {n_rows} rows x {len(parts[0].feature_ids)} features to {args.out}")
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
@@ -123,10 +124,10 @@ def _cmd_analyze_corr(args: argparse.Namespace) -> None:
 
 def _cmd_analyze_tvalues(args: argparse.Namespace) -> None:
     alignment = LabelConfig(same_day=args.same_day).alignment
+    section = AnalyzeConfig(baseline_months=args.baseline_months.split(",") if args.baseline_months else None)
     model = load_model(args.model)
     timelines = [load_timeline(p) for p in args.infiles]
-    baseline = args.baseline_months.split(",") if args.baseline_months else None
-    _, warnings = analyze_tvalues(args.out, ((model, t) for t in timelines), baseline, alignment)
+    _, warnings = analyze_tvalues(args.out, ((model, t) for t in timelines), section.baseline_months, alignment)
     for pid, warns in warnings.items():
         for w in warns:
             print(f"warning [{pid}] {w}", file=sys.stderr)

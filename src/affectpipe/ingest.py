@@ -108,7 +108,12 @@ def _plain_fields(text: str, header: list[str]) -> list[str] | None:
         max(map(len, lines), default=0) > csv.field_size_limit()
     ):
         return None
-    return ",".join(lines).split(",") if lines else []
+    if not lines:
+        return []
+    # Let the lines go before the joined text is split.
+    joined = ",".join(lines)
+    del lines
+    return joined.split(",")
 
 
 def _read_columns(path: Path, header: list[str]) -> tuple[np.ndarray, np.ndarray, tuple[Sequence[str], ...]]:

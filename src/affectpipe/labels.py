@@ -362,7 +362,9 @@ def build_dataset(
     )
 
 
-def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
+def _agreeing(parts: Sequence[Dataset]) -> Dataset:
+    """The first of ``parts``, once every part has its feature columns,
+    target and alignment."""
     if not parts:
         raise InsufficientDataError("no datasets to concatenate")
     first = parts[0]
@@ -371,6 +373,11 @@ def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
             raise SchemaError("datasets disagree on feature columns")
         if part.target != first.target or part.alignment != first.alignment:
             raise SchemaError("datasets disagree on target/alignment")
+    return first
+
+
+def concat_datasets(parts: Sequence[Dataset]) -> Dataset:
+    first = _agreeing(parts)
     return Dataset(
         feature_ids=first.feature_ids,
         X=np.concatenate([p.X for p in parts], axis=0),
@@ -424,35 +431,41 @@ class _DatasetDocument:
     alignment: str = "next_day"
 
 
-def dataset_to_dict(ds: Dataset) -> dict:
-    """The dataset document, its ``rows`` rendered as canonical JSON text
-    one row at a time while it is written (see RawJSONPieces).
+def dataset_to_dict(*parts: Dataset) -> dict:
+    """The document of the dataset ``parts`` make in order, the same as
+    that of concat_datasets(parts) but with no pooled copy: its ``rows``
+    are rendered as canonical JSON text one row at a time while it is
+    written (see RawJSONPieces).
 
     A row is one % template: its date, its features as %r of Python floats,
-    its label and its participant id as JSON.  A non-finite feature value
-    raises PipelineError here, before any text is rendered.
+    its label and its participant id as JSON.  Parts that concat_datasets
+    refuses, or a non-finite feature value, raise PipelineError here,
+    before any text is rendered.
     """
-    finite = np.isfinite(ds.X)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise PipelineError(
-            f"dataset {ds.participant_ids[row]}: {ds.dates[row]} {ds.feature_ids[col]!r}: "
-            f"{ds.X[row, col]} is not a finite number"
-        )
-    features = ",".join(["%r"] * len(ds.feature_ids))
+    first = _agreeing(parts)
+    for ds in parts:
+        finite = np.isfinite(ds.X)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise PipelineError(
+                f"dataset {ds.participant_ids[row]}: {ds.dates[row]} {ds.feature_ids[col]!r}: "
+                f"{ds.X[row, col]} is not a finite number"
+            )
+    features = ",".join(["%r"] * len(first.feature_ids))
     row_template = '{"date":"%s","features":[' + features + '],"label":%d,"participant_id":%s}'
 
     def rows() -> Iterator[str]:
         yield "["
         pid, pid_text, opening = None, "", ""
-        for values, day, label, participant in zip(ds.X, ds.dates, ds.y.tolist(), ds.participant_ids):
-            if participant != pid:
-                pid, pid_text = participant, json.dumps(participant)
-            yield opening + row_template % (day.isoformat(), *values.tolist(), label, pid_text)
-            opening = ","
+        for ds in parts:
+            for values, day, label, participant in zip(ds.X, ds.dates, ds.y.tolist(), ds.participant_ids):
+                if participant != pid:
+                    pid, pid_text = participant, json.dumps(participant)
+                yield opening + row_template % (day.isoformat(), *values.tolist(), label, pid_text)
+                opening = ","
         yield "]"
 
-    doc = to_json(_DatasetDocument(ds.feature_ids, ds.target, (), ds.alignment))
+    doc = to_json(_DatasetDocument(first.feature_ids, first.target, (), first.alignment))
     doc["rows"] = RawJSONPieces(rows)
     return doc
 
@@ -480,8 +493,9 @@ def dataset_from_dict(payload: dict) -> Dataset:
     )
 
 
-def save_dataset(path: Path | str, ds: Dataset) -> None:
-    dump_json(path, dataset_to_dict(ds))
+def save_dataset(path: Path | str, *parts: Dataset) -> None:
+    """Write the dataset ``parts`` make in order (see dataset_to_dict)."""
+    dump_json(path, dataset_to_dict(*parts))
 
 
 def load_dataset(path: Path | str) -> Dataset:

@@ -10,6 +10,7 @@ appear only in the manifest, never in stage outputs.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,7 +63,6 @@ from .labels import (
     LabelsDocument,
     build_dataset,
     build_labels_cohort,
-    concat_datasets,
     dataset_to_dict,
     parse_target,
 )
@@ -170,6 +170,17 @@ class AnalyzeConfig:
     tvalues: bool = True
     baseline_months: list[str] | None = None
 
+    def __post_init__(self) -> None:
+        # A month that is not YYYY-MM would match no score's month, and a
+        # repeated one would be pooled twice.
+        seen = set()
+        for month in self.baseline_months or ():
+            if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", month):
+                raise ConfigError(f"analyze.baseline_months: {month!r} is not a YYYY-MM month")
+            if month in seen:
+                raise ConfigError(f"analyze.baseline_months: {month!r} is listed twice")
+            seen.add(month)
+
 
 @dataclass
 class RunConfig:
@@ -218,11 +229,12 @@ class RunManifest:
 
 
 def file_digest(path: Path) -> str:
-    """sha256 of a file, read in 1 MiB blocks."""
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        while block := handle.read(1 << 20):
-            digest.update(block)
+    """sha256 of a file, read through one reused 64 KiB buffer."""
+    digest, buffer = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buffer)
+    with path.open("rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -331,8 +343,8 @@ class PipelineRun:
         effective["seed"] = seed
         self.run_id = hashlib.sha256(canonical_json(effective).encode()).hexdigest()[:16]
         self.config_sha = hashlib.sha256(canonical_json(raw).encode()).hexdigest()
+        # Only the eligible timelines once the label stage has run.
         self.timelines: list[ParticipantTimeline] = []
-        self.eligible: list[ParticipantTimeline] = []
         self.labels = []
         self.datasets = {}
 
@@ -379,16 +391,16 @@ class PipelineRun:
 
     def stage_label(self) -> None:
         min_days = self.config.eligibility.min_days
-        self.eligible = filter_eligible_participants(self.timelines, min_days)
-        if not self.eligible:
+        self.timelines = filter_eligible_participants(self.timelines, min_days)
+        if not self.timelines:
             raise InsufficientDataError(f"no participant exceeds {min_days} valid affect days")
-        self.labels = label_timelines(self.eligible, self.config.label)
-        eligible_ids = tuple(t.participant_id for t in self.eligible)
+        self.labels = label_timelines(self.timelines, self.config.label)
+        eligible_ids = tuple(t.participant_id for t in self.timelines)
         self._write_json("labels.json", to_json(LabelsDocument(tuple(self.labels), min_days, eligible_ids)))
 
     def stage_dataset(self) -> None:
-        self.datasets = build_datasets(self.eligible, self.labels, self.schema, self.config.dataset)
-        self._write_json("dataset.json", dataset_to_dict(concat_datasets(list(self.datasets.values()))))
+        self.datasets = build_datasets(self.timelines, self.labels, self.schema, self.config.dataset)
+        self._write_json("dataset.json", dataset_to_dict(*self.datasets.values()))
 
     def stage_evaluate(self) -> None:
         section = self.config.evaluate
@@ -438,7 +450,7 @@ class PipelineRun:
         doc: dict = {"format_version": FORMAT_VERSION}
 
         if section.correlations:
-            corr = analyze_correlations(self.out_dir / "correlations.csv", self.eligible, self.schema, alignment)
+            corr = analyze_correlations(self.out_dir / "correlations.csv", self.timelines, self.schema, alignment)
             doc["correlations"] = {
                 f"{fid}:{target}": r for (fid, target), r in sorted(corr.items())
             }
@@ -448,7 +460,7 @@ class PipelineRun:
             spec = ModelSpec(family=ModelFamily.RF, seed=self.seed)
 
             def scored():
-                for timeline in self.eligible:
+                for timeline in self.timelines:
                     ds = self.datasets[timeline.participant_id]
                     yield train(spec, ds.X, ds.y, feature_ids=ds.feature_ids), timeline
 

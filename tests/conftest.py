@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from affectpipe.analysis import MIN_CORR_PAIRS, TARGETS, pearson_r
 from affectpipe.core import (
     CODE_IMPUTED,
     CODE_MEASURED,
@@ -25,6 +26,7 @@ from affectpipe.core import (
     SURVEY_ITEMS,
     canonical_json,
     default_schema,
+    ordinals,
     timeline_to_dict,
 )
 from affectpipe.labels import EXCLUDE_MIDDLE_BAND, Label
@@ -436,3 +438,29 @@ def unit_forest_trees(X, y, seed_seq, n_trees, max_depth, max_features):
         bootstrap = rng.integers(0, X.shape[0], size=X.shape[0])
         trees.append(unit_tree_fit(X[bootstrap], y[bootstrap], rng, max_depth, max_features))
     return trees
+
+
+# feature_affect_correlations as it was when every timeline's padded
+# columns() went into one cohort-wide feature matrix, kept as reference code
+# for the version that pools one feature column at a time.
+
+
+def pooled_matrix_correlations(timelines, schema, alignment="next_day"):
+    lag = 1 if alignment == "next_day" else 0
+    fids = schema.feature_ids()
+    n = sum(len(timeline.dates) for timeline in timelines)
+    X, Y = np.empty((n, len(fids))), np.empty((n, len(TARGETS)))
+    start = 0
+    for timeline in timelines:
+        stop = start + len(timeline.dates)
+        rows = timeline.rows_at(ordinals(timeline.dates) + lag)
+        X[start:stop] = timeline.columns(fids)
+        for k, column in enumerate((timeline.affect.pa, timeline.affect.na)):
+            Y[start:stop, k] = np.where(rows >= 0, column[rows], np.nan)
+        start = stop
+    out = {}
+    for j, fid in enumerate(fids):
+        for k, t in enumerate(TARGETS):
+            pair = ~np.isnan(X[:, j]) & ~np.isnan(Y[:, k])
+            out[(fid, t)] = pearson_r(X[pair, j], Y[pair, k]) if pair.sum() >= MIN_CORR_PAIRS else None
+    return out

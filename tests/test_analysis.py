@@ -24,13 +24,13 @@ from affectpipe.analysis import (
     write_correlation_csv,
     write_tvalues_csv,
 )
-from affectpipe.core import ordinals
+from affectpipe.core import FeatureSchema, FeatureSpec, Modality, ordinals
 from affectpipe.errors import InsufficientDataError
 from affectpipe.labels import TargetSpec, build_dataset, build_labels
 from affectpipe.learners import ModelFamily, ModelSpec, train
 from affectpipe.pipeline import analyze_tvalues
 
-from conftest import D0, TINY_SCHEMA, make_timeline, report_timelines
+from conftest import D0, TINY_SCHEMA, make_timeline, pooled_matrix_correlations, report_timelines
 
 # ---------------------------------------------------------------------------
 # pearson_r
@@ -263,6 +263,73 @@ def test_correlations_pool_across_participants():
         )
     out = feature_affect_correlations(tls, TINY_SCHEMA)
     assert out[("sleep_deep", "pa")] == pytest.approx(1.0)
+
+
+def bits(correlations):
+    """Each r as float.hex, so that two results are equal only bit for bit."""
+    return {key: None if r is None else r.hex() for key, r in correlations.items()}
+
+
+def shuffled_timeline(pid, n, seed):
+    """Drawn values with NaN cells, over only some of TINY_SCHEMA's features
+    (in another order) and one it does not have."""
+    rng = np.random.default_rng(seed)
+    schema = FeatureSchema((
+        FeatureSpec("walk_steps", Modality.WATCH),
+        FeatureSpec("other", Modality.PHONE),
+        FeatureSpec("sleep_deep", Modality.RING),
+    ))
+    rows = [
+        {fid: None if rng.random() < 0.2 else float(rng.normal(50.0, 10.0)) for fid in schema.feature_ids()}
+        for _ in range(n)
+    ]
+    affect = {i: (float(rng.uniform(0, 100)), float(rng.uniform(0, 100))) for i in range(n) if rng.random() < 0.8}
+    return make_timeline(pid, rows, schema=schema, affect_by_index=affect)
+
+
+CORRELATION_CASES = {
+    "ramps and a constant column": lambda: [corr_timeline()],
+    "a timeline missing features": lambda: [corr_timeline("p01"), shuffled_timeline("p02", 30, 1)],
+    "NaN cells on both sides": lambda: [shuffled_timeline("p01", 40, 2), shuffled_timeline("p02", 25, 3)],
+    "fewer than 3 pairs": lambda: [corr_timeline("p01", n=3), shuffled_timeline("p02", 2, 4)],
+    "no timeline": lambda: [],
+}
+
+
+@pytest.mark.parametrize("alignment", ["next_day", "same_day"])
+@pytest.mark.parametrize("case", sorted(CORRELATION_CASES))
+def test_correlations_equal_the_pooled_matrix_bit_for_bit(case, alignment):
+    timelines = CORRELATION_CASES[case]()
+    found = feature_affect_correlations(timelines, TINY_SCHEMA, alignment)
+    expected = pooled_matrix_correlations(timelines, TINY_SCHEMA, alignment)
+    assert bits(found) == bits(expected)
+    if case == "ramps and a constant column":
+        assert found[("heart_rate", "pa")] is None and found[("sleep_deep", "pa")] is not None
+    if case == "fewer than 3 pairs":
+        assert found[("heart_rate", "pa")] is None
+    if case == "a timeline missing features":
+        # heart_rate pools p01's constant column alone
+        assert found[("heart_rate", "na")] is None and found[("walk_steps", "na")] is not None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    # Each timeline has some of the schema's features, in any order, and
+    # maybe one it does not know.
+    drawn=st.lists(
+        st.lists(st.sampled_from([*TINY_SCHEMA.feature_ids(), "other"]), unique=True).flatmap(
+            lambda fids: report_timelines(fids=tuple(fids), max_days=12)
+        ),
+        max_size=4,
+    ),
+    alignment=st.sampled_from(["next_day", "same_day"]),
+)
+def test_drawn_correlations_equal_the_pooled_matrix_bit_for_bit(drawn, alignment):
+    timelines = [t for t, _ in drawn]
+    # Drawn values reach 1e308, where the products in pearson_r overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = feature_affect_correlations(timelines, TINY_SCHEMA, alignment)
+        assert bits(found) == bits(pooled_matrix_correlations(timelines, TINY_SCHEMA, alignment))
 
 
 # ---------------------------------------------------------------------------

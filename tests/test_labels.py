@@ -680,8 +680,10 @@ TARGETS = st.sampled_from(["pa", "na", "compiled_mood"]).map(TargetSpec) | st.bu
 
 
 @st.composite
-def datasets(draw):
-    fids = tuple(draw(st.lists(NAMES, unique=True, max_size=4)))
+def datasets(draw, like=None):
+    """A dataset; with ``like``, one with its feature ids, target and
+    alignment."""
+    fids = tuple(draw(st.lists(NAMES, unique=True, max_size=4))) if like is None else like.feature_ids
     n = draw(st.integers(0, 6))
     numbers = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, 0.1])
     X = np.array(draw(st.lists(numbers, min_size=n * len(fids), max_size=n * len(fids))), dtype=float)
@@ -691,9 +693,15 @@ def datasets(draw):
         y=np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)), dtype=np.int8),
         dates=tuple(draw(st.lists(st.dates(), min_size=n, max_size=n))),
         participant_ids=tuple(draw(st.lists(NAMES, min_size=n, max_size=n))),
-        target=draw(TARGETS),
-        alignment=draw(st.sampled_from(ALIGNMENTS)),
+        target=draw(TARGETS) if like is None else like.target,
+        alignment=draw(st.sampled_from(ALIGNMENTS)) if like is None else like.alignment,
     )
+
+
+@st.composite
+def dataset_parts(draw):
+    first = draw(datasets())
+    return [first, *draw(st.lists(datasets(like=first), max_size=3))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -709,6 +717,45 @@ def test_dataset_text_equals_the_dict_written_by_json(ds, run_id):
         for path in paths:
             dump_json(path, payload)
             assert path.read_bytes() == (written + "\n").encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=dataset_parts())
+def test_dataset_written_from_parts_equals_the_concatenated_one(parts):
+    with tempfile.TemporaryDirectory() as tmp:
+        from_parts, pooled = Path(tmp) / "parts.json", Path(tmp) / "pooled.json"
+        save_dataset(from_parts, *parts)
+        save_dataset(pooled, concat_datasets(parts))
+        assert from_parts.read_bytes() == pooled.read_bytes()
+
+
+def test_dataset_parts_are_refused_as_concat_datasets_refuses_them(tmp_path):
+    tl = ramp_timeline("p1")
+    ds = build_dataset(tl, build_labels(tl, TargetSpec(kind="pa")), TINY_SCHEMA)
+    for parts in (
+        [ds, ds.project(TINY_SCHEMA, [Modality.RING])],
+        [ds, replace(ds, target=TargetSpec(kind="na"))],
+        [ds, replace(ds, alignment="same_day")],
+        [],
+    ):
+        with pytest.raises((SchemaError, InsufficientDataError)) as refused:
+            concat_datasets(parts)
+        with pytest.raises(type(refused.value)) as caught:
+            dataset_to_dict(*parts)
+        assert str(caught.value) == str(refused.value)
+        with pytest.raises(type(refused.value)):
+            save_dataset(tmp_path / "ds.json", *parts)
+        assert not (tmp_path / "ds.json").exists()
+
+
+def test_a_non_finite_value_of_a_later_part_is_refused_before_any_text(tmp_path):
+    tl = ramp_timeline("p01")
+    ds = build_dataset(tl, build_labels(tl, TargetSpec(kind="pa")), TINY_SCHEMA)
+    later = replace(ds, X=ds.X.copy(), participant_ids=("p02",) * ds.n_rows)
+    later.X[2, 0] = np.inf
+    with pytest.raises(PipelineError, match=f"^dataset p02: {ds.dates[2]} 'sleep_deep': inf is not a finite number$"):
+        save_dataset(tmp_path / "ds.json", ds, later)
+    assert not (tmp_path / "ds.json").exists()
 
 
 def test_dataset_text_refuses_a_planted_non_finite_value(tmp_path):

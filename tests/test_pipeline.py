@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 from affectpipe.cli import main
 from affectpipe.core import default_schema, dump_json, read_json, to_json
 from affectpipe.errors import ConfigError, InsufficientDataError, MissingInputError
-from affectpipe.pipeline import STAGES, RunConfig, file_digest, preflight, run_pipeline
+from affectpipe.pipeline import STAGES, AnalyzeConfig, PipelineRun, RunConfig, file_digest, preflight, run_pipeline
 from affectpipe.synth import CohortConfig, save_cohort_config
 
 SYNTH_SECTION = {
@@ -38,6 +39,12 @@ BAD_CONFIGS = (
     ({"label": {"targt": "na"}}, r"config\.label: unknown keys \['targt'\]"),
     ({"evaluate": {"stratified": "no"}}, r"evaluate\.stratified: expected bool"),
     ({"analyze": {"baseline_months": "2020-01"}}, r"analyze\.baseline_months: expected a list"),
+    # months that matched no score, so tvalues.csv had no month column, and
+    # one that was pooled twice
+    ({"analyze": {"baseline_months": ["2020-13"]}}, r"analyze\.baseline_months: '2020-13' is not a YYYY-MM month"),
+    ({"analyze": {"baseline_months": ["nope"]}}, r"analyze\.baseline_months: 'nope' is not a YYYY-MM month"),
+    ({"analyze": {"baseline_months": [""]}}, r"analyze\.baseline_months: '' is not a YYYY-MM month"),
+    ({"analyze": {"baseline_months": ["2020-01", "2020-01"]}}, r"analyze\.baseline_months: '2020-01' is listed twice"),
     ({"evaluate": {"folds": "3"}}, r"evaluate\.folds: expected int"),
     ({"eligibility": {"min_days": -1}}, r"eligibility\.min_days must be at least 0"),
     ({"eligibility": {"min_days": "x"}}, r"eligibility\.min_days: expected int"),
@@ -136,13 +143,36 @@ def test_manifest_digests_equal_sha256_of_whole_files(tmp_path):
     config_path, _ = run_config(tmp_path, stages=["synth", "ingest"])
     out = tmp_path / "out"
     out.mkdir()
-    # A file the run finds in its directory is listed too; this one spans
-    # two full 1 MiB read blocks and part of a third.
+    # A file the run finds in its directory is listed too; this one is
+    # forty full 64 KiB read blocks.
     (out / "large.bin").write_bytes(os.urandom((5 << 20) // 2))
     outputs = run_pipeline(config_path, out_dir_override=out).outputs
     assert "large.bin" in outputs and "timelines/p01.json" in outputs
     for rel, digest in outputs.items():
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 3 << 20])
+def test_file_digest_is_the_sha256_of_the_whole_file(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_the_run_keeps_only_the_eligible_timelines(tmp_path):
+    _, cfg = run_config(tmp_path, evaluate={"model": "baseline", "folds": 4},
+                        analyze={"correlations": True, "tvalues": False})
+    out = tmp_path / "out"
+    out.mkdir()
+    run = PipelineRun(cfg, preflight(cfg), out, cfg["seed"])
+    ingested = []
+    for stage in run.config.stages_to_run():
+        getattr(run, f"stage_{stage}")()
+        if stage == "impute":
+            ingested = [t.participant_id for t in run.timelines]
+    assert ingested == ["p01", "p02", "p03"]
+    assert [t.participant_id for t in run.timelines] == read_json(out / "labels.json")["eligible_ids"] == ["p01", "p02"]
+    assert list(run.datasets) == ["p01", "p02"]
 
 
 def test_run_id_is_config_hash_and_embedded_everywhere(finished_run):
@@ -469,6 +499,30 @@ def test_preflight_rejects_unknown_stage_and_model():
             preflight({"synth": {}, **fragment})
     with pytest.raises(ConfigError, match="synth section or raw_dir"):
         preflight({})
+
+
+def test_baseline_months_are_distinct_calendar_months():
+    for months in (None, [], ["2020-01"], ["2021-12", "2020-01", "0000-10"]):
+        assert AnalyzeConfig(baseline_months=months).baseline_months == months
+        assert preflight({"synth": {}, "analyze": {"baseline_months": months}}).analyze.baseline_months == months
+    for month in ("2020-00", "2020-1", "20-01", "2020-01-01", " 2020-01", "2020_01", "２０２０-01"):
+        with pytest.raises(ConfigError, match=f"'{month}' is not a YYYY-MM month"):
+            AnalyzeConfig(baseline_months=[month])
+
+
+@pytest.mark.parametrize("months, message", [
+    ("2020-13", "'2020-13' is not a YYYY-MM month"),
+    ("nope", "'nope' is not a YYYY-MM month"),
+    ("2020-01,", "'' is not a YYYY-MM month"),
+    ("2020-01,2020-02,2020-01", "'2020-01' is listed twice"),
+])
+def test_cli_tvalues_refuses_a_bad_baseline_month_before_reading_input(tmp_path, capsys, months, message):
+    out = tmp_path / "tvalues.csv"
+    argv = ["analyze", "tvalues", "--model", str(tmp_path / "no_model.json"), "--in", str(tmp_path / "no.json"),
+            "--baseline-months", months, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: analyze.baseline_months: {message}\n"
+    assert not out.exists()
 
 
 def test_preflight_refuses_every_stage_list_a_run_cannot_serve(tmp_path):
