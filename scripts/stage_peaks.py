@@ -5,11 +5,14 @@
 
 Runs CONFIG through ``run_pipeline`` into a temporary directory, removed
 afterwards, and prints one line per stage that ran: its wall time and the
-process's ``ru_maxrss`` (its peak resident memory so far, in MB) when the
-stage returned; then the same for the manifest that ends the run.  The last
-line whose peak rises names the part of the run that sets its high-water
-mark.  Relative paths in CONFIG (``raw_dir``) are read from the current
-directory.  Imports affectpipe from this checkout's ``src``.
+process's ``ru_maxrss`` (its peak resident memory so far, in MB) and its
+current resident memory (``VmRSS`` of ``/proc/self/status``, in MB; ``-``
+where that file is missing) when the stage returned; then the same for the
+manifest that ends the run.  The last line whose peak rises names the part
+of the run that sets its high-water mark; the current figure tells what a
+stage leaves resident from what it needs only while it runs.  Relative
+paths in CONFIG (``raw_dir``) are read from the current directory.  Imports
+affectpipe from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -31,15 +34,34 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def resident_mb() -> str:
+    """The process's current resident memory in MB (VmRSS is in kB), or "-"
+    where /proc/self/status is missing."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return f"{int(line.split()[1]) / 1024.0:.1f}"
+    except OSError:
+        pass
+    return "-"
+
+
+def memory() -> tuple[float, str]:
+    """The peak and the current resident memory."""
+    return peak_mb(), resident_mb()
+
+
 def time_stages(rows: list) -> None:
-    """Make each PipelineRun stage append (stage, seconds, peak MB) to rows."""
+    """Make each PipelineRun stage append (stage, seconds, peak MB, current
+    MB) to rows."""
     for stage in pipeline.STAGES:
         name = f"stage_{stage}"
 
         def timed(run, stage=stage, method=getattr(pipeline.PipelineRun, name)):
             start = perf_counter()
             method(run)
-            rows.append((stage, perf_counter() - start, peak_mb()))
+            rows.append((stage, perf_counter() - start, *memory()))
 
         setattr(pipeline.PipelineRun, name, timed)
 
@@ -49,17 +71,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("config", type=Path, help="run config (JSON)")
     parser.add_argument("--seed", type=int, default=None, help="seed in place of the config's")
     args = parser.parse_args(argv)
-    rows = [("start", 0.0, peak_mb())]
+    rows = [("start", 0.0, *memory())]
     time_stages(rows)
     with tempfile.TemporaryDirectory() as tmp:
         start = perf_counter()
         pipeline.run_pipeline(args.config, seed_override=args.seed, out_dir_override=Path(tmp) / "run")
         total = perf_counter() - start
-    rows.append(("manifest", total - sum(seconds for _, seconds, _ in rows), peak_mb()))
-    print(f"{'stage':<10} {'wall_s':>8} {'peak_rss_mb':>12}")
-    for stage, seconds, peak in rows:
-        print(f"{stage:<10} {seconds:>8.3f} {peak:>12.1f}")
-    print(f"{'total':<10} {total:>8.3f} {peak_mb():>12.1f}")
+    rows.append(("manifest", total - sum(row[1] for row in rows), *memory()))
+    rows.append(("total", total, *memory()))
+    print(f"{'stage':<10} {'wall_s':>8} {'peak_rss_mb':>12} {'rss_mb':>8}")
+    for stage, seconds, peak, resident in rows:
+        print(f"{stage:<10} {seconds:>8.3f} {peak:>12.1f} {resident:>8}")
     return 0
 
 

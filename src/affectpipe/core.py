@@ -25,7 +25,7 @@ from datetime import date
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
+from typing import Any, BinaryIO, Callable, ClassVar, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -483,6 +483,8 @@ def read_json(path: Path | str) -> dict:
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"no such file: {p}")
+    if p.is_dir():
+        raise MissingInputError(f"not a file: {p}")
     try:
         text = p.read_text(encoding="utf-8")
         return json.loads(text, parse_constant=lambda token: _fail(str(p), f"{token} is not a JSON number"))
@@ -813,6 +815,40 @@ def timeline_to_dict(timeline: ParticipantTimeline) -> dict:
     return {"format_version": FORMAT_VERSION, "participant_id": timeline.participant_id, "days": RawJSONPieces(days)}
 
 
+# Bytes of a document read back at a time (see _ByteWindow).
+_WINDOW_BYTES = 1 << 16
+
+
+class _ByteWindow:
+    """The bytes of a binary file from a start that moves forward, read
+    _WINDOW_BYTES at a time as far as a search or a read needs them;
+    positions count from that start."""
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self.handle, self.data = handle, bytearray()
+
+    def _more(self) -> bool:
+        block = self.handle.read(_WINDOW_BYTES)
+        self.data += block
+        return bool(block)
+
+    def find(self, pattern: bytes, start: int) -> int:
+        """Where pattern first occurs from start on, or -1 if it does not."""
+        while (found := self.data.find(pattern, start)) < 0 and self._more():
+            pass
+        return found
+
+    def read(self, start: int, stop: int) -> bytearray:
+        """The bytes from start to stop, fewer where the file ends first."""
+        while len(self.data) < stop and self._more():
+            pass
+        return self.data[start:stop]
+
+    def drop(self, n: int) -> None:
+        """Move the start n bytes forward."""
+        del self.data[:n]
+
+
 def patched_timeline_to_dict(source: Path | str, timeline: ParticipantTimeline, filled: np.ndarray) -> dict:
     """timeline_to_dict(timeline), its ``days`` written from the text of the
     document in ``source``: the canonical document (timeline_to_dict) of
@@ -847,54 +883,57 @@ def patched_timeline_to_dict(source: Path | str, timeline: ParticipantTimeline, 
         return PipelineError(f"{path}: not the document of timeline {pid} as ingested: {where}")
 
     def days() -> Iterator[str]:
-        # Read as bytes when written, each day decoded as it goes: canonical
-        # JSON text is ASCII, and the whole text is never held twice.
+        # Read as bytes when written, through a window of a few blocks, each
+        # day decoded as it goes: canonical JSON text is ASCII.
         try:
-            data = path.read_bytes()
+            handle = path.open("rb")
         except FileNotFoundError:
             raise MissingInputError(f"no such file: {path}") from None
-        if not data.startswith(b'{"days":['):
-            raise mismatch("no days list first")
-        yield "["
-        # Day i's text, the "," before it first, is data[begin:end];
-        # positions within it count from begin.
-        end = len('{"days":[')
-        for i, day in enumerate(dates):
-            begin = end
-            at = data.find(b',"date":"', begin) + len(',"date":"') - begin
-            features = at + len('YYYY-MM-DD","features":{')
-            ends = data.find(b'},"provenance":', begin + features) - begin
-            before = provenance_before(i)
-            end = begin + ends + len('},"provenance":') + len(before) + 1
-            try:
-                text = data[begin:end].decode("ascii")
-            except UnicodeDecodeError:
-                text = ""
-            if not (
-                text.startswith(',{"affect":' if i else '{"affect":')
-                and at > 0
-                and text.startswith(day.isoformat(), at)
-                and text.startswith('","features":{', at + 10)
-                and ends >= features
-                and text.startswith(before, ends + len('},"provenance":'))
-                and text.endswith("}")
-            ):
-                raise mismatch(f"day {i + 1} is not {day} as written")
-            if bounds[i] == bounds[i + 1]:
-                yield text
-                continue
-            parts, cursor = [text[:features]], features
-            for j, fill in zip(cells[bounds[i]:bounds[i + 1]], fills[bounds[i]:bounds[i + 1]]):
-                found = text.find(nulls[j], cursor - 1, ends)
-                if found < 0:
-                    raise mismatch(f"{day}: {members[j][:-1]} is not null")
-                found += starts[j]
-                parts += (text[cursor:found], fill)
-                cursor = found + 4  # past "null"
-            parts += (text[cursor:ends], '},"provenance":', provenance_of(i), "}")
-            yield "".join(parts)
-        if not data.startswith(b"]", end):
-            raise mismatch(f"more days than its {len(dates)}")
+        with handle:
+            window = _ByteWindow(handle)
+            if window.read(0, len('{"days":[')) != b'{"days":[':
+                raise mismatch("no days list first")
+            yield "["
+            # Day i's text, the "," before it first, is window.read(0, end)
+            # once the text before it has been dropped.
+            end = len('{"days":[')
+            for i, day in enumerate(dates):
+                window.drop(end)
+                found = window.find(b',"date":"', 0)
+                at = found + len(',"date":"')
+                features = at + len('YYYY-MM-DD","features":{')
+                ends = window.find(b'},"provenance":', features)
+                before = provenance_before(i)
+                end = ends + len('},"provenance":') + len(before) + 1
+                try:
+                    text = window.read(0, end).decode("ascii")
+                except UnicodeDecodeError:
+                    text = ""
+                if not (
+                    text.startswith(',{"affect":' if i else '{"affect":')
+                    and found >= 0
+                    and text.startswith(day.isoformat(), at)
+                    and text.startswith('","features":{', at + 10)
+                    and ends >= features
+                    and text.startswith(before, ends + len('},"provenance":'))
+                    and text.endswith("}")
+                ):
+                    raise mismatch(f"day {i + 1} is not {day} as written")
+                if bounds[i] == bounds[i + 1]:
+                    yield text
+                    continue
+                parts, cursor = [text[:features]], features
+                for j, fill in zip(cells[bounds[i]:bounds[i + 1]], fills[bounds[i]:bounds[i + 1]]):
+                    found = text.find(nulls[j], cursor - 1, ends)
+                    if found < 0:
+                        raise mismatch(f"{day}: {members[j][:-1]} is not null")
+                    found += starts[j]
+                    parts += (text[cursor:found], fill)
+                    cursor = found + 4  # past "null"
+                parts += (text[cursor:ends], '},"provenance":', provenance_of(i), "}")
+                yield "".join(parts)
+            if window.read(end, end + 1) != b"]":
+                raise mismatch(f"more days than its {len(dates)}")
         yield "]"
 
     return {"format_version": FORMAT_VERSION, "participant_id": pid, "days": RawJSONPieces(days)}

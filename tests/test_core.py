@@ -5,15 +5,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectpipe import core
 from affectpipe.core import (
     CODE_IMPUTED,
     CODE_MEASURED,
@@ -487,6 +490,52 @@ def test_patched_document_refuses_text_that_is_not_the_timeline(tmp_path):
     out.values[1, 0] = np.inf
     with pytest.raises(PipelineError, match="2020-01-02 'sleep_deep': inf is not a finite number"):
         patched_timeline_to_dict(path, out, out.provenance != ingested.provenance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=report_timelines(max_days=8), window=st.integers(1, 300))
+def test_patched_document_reads_through_any_window(drawn, window):
+    timeline, _ = drawn
+    ingested = replace(timeline, values=np.clip(timeline.values, -1e300, 1e300))
+    out = imputed(ingested, residual=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ingested.json"
+        dump_json(path, {**timeline_to_dict(ingested), "run_id": "0123abcd"})
+        with mock.patch.object(core, "_WINDOW_BYTES", window):
+            assert patched_text(path, ingested, out) == canonical_json(timeline_to_dict(out))
+
+
+@pytest.mark.parametrize("window", [1, 5, 64])
+def test_patched_document_refuses_the_same_text_through_a_small_window(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(core, "_WINDOW_BYTES", window)
+    test_patched_document_refuses_text_that_is_not_the_timeline(tmp_path)
+
+
+def test_patched_document_holds_a_window_of_its_source(tmp_path):
+    rows = [{"sleep_deep": 30.0 + i / 7, "heart_rate": 60.0 - i / 3} for i in range(3000)]
+    for i in range(0, 3000, 5):
+        del rows[i]["sleep_deep"]
+    ingested = make_timeline("p01", rows, affect_by_index={i: (40.0 + i % 50, 20.0) for i in range(3000)})
+    out = impute_all(ingested)
+    source, target = tmp_path / "ingested.json", tmp_path / "imputed.json"
+    save_timeline(source, ingested)
+    dump_json(target, timeline_to_dict(out))  # a first write outside the trace
+    doc = patched_timeline_to_dict(source, out, out.provenance != ingested.provenance)
+    tracemalloc.start()
+    try:
+        dump_json(target, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the source is about 1.8 MB; read whole, it was held for the whole write
+    assert source.stat().st_size > 1_500_000
+    assert target.read_bytes() == canonical_json(timeline_to_dict(out)).encode() + b"\n"
+    assert peak < 400_000
+
+
+def test_read_json_refuses_a_directory(tmp_path):
+    with pytest.raises(MissingInputError, match=f"^not a file: {tmp_path}$"):
+        read_json(tmp_path)
 
 
 def assert_same_affect(a, b):

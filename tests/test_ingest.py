@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 from datetime import date
 from unittest import mock
 
@@ -13,8 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectpipe import ingest
-from affectpipe.core import CODE_MISSING, NEGATIVE_ITEMS, POSITIVE_ITEMS, SURVEY_ITEMS, AffectReport, Modality, Provenance
+from affectpipe import ingest, synth
+from affectpipe.core import (
+    CODE_MISSING,
+    NEGATIVE_ITEMS,
+    POSITIVE_ITEMS,
+    SURVEY_ITEMS,
+    AffectReport,
+    Modality,
+    Provenance,
+    default_schema,
+)
 from affectpipe.errors import (
     InputFormatError,
     MissingInputError,
@@ -640,3 +650,201 @@ def test_affect_csv_is_what_csv_writer_writes(tmp_path_factory, items):
         for item_id in sorted(report.items):
             writer.writerow([report.day.isoformat(), item_id, repr(report.items[item_id])])
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# block reading and writing
+
+
+def parse_either(path, kind):
+    """The rows of a modality file, or the reports of an affect file, as
+    plain values."""
+    if kind == "affect":
+        return [(day, list(r.items.items())) for day, r in parse_affect_file(path).items()]
+    return parse_modality_file(path, TINY_SCHEMA, kind, "p01").rows.tolist()
+
+
+def reference_either(path, kind):
+    if kind == "affect":
+        return [(day, list(items.items())) for day, items in reference_affect_parse(path).items()]
+    return reference_parse(path, TINY_SCHEMA, kind)
+
+
+def by_blocks(chars, parse):
+    """parse() read ``chars`` characters at a time."""
+    with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+        return outcome(parse)
+
+
+WHOLE = 1 << 30  # more characters than any file here: one block
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), chars=st.integers(1, 96))
+def test_block_parse_equals_the_whole_file_parse(tmp_path_factory, data, chars):
+    # Up to 40 rows, mutated on any line: blank lines, \n, \r\n or both, no
+    # final line end, quotes, NUL and lone \r in a late block, a bad row in
+    # a later block, another header.
+    kind = data.draw(st.sampled_from([Modality.RING, Modality.PHONE, "affect"]))
+    n = data.draw(st.integers(1, 40))
+    if kind == "affect":
+        header, mutations = ",".join(AFFECT_HEADER), AFFECT_MUTATIONS
+        rows = [f"2020-03-{1 + k // 20:02d},{SURVEY_ITEMS[k % 20]},{(7 * k) % 101}.5" for k in range(n)]
+    else:
+        header, mutations = ",".join(MODALITY_HEADER), MUTATIONS
+        fids = TINY_SCHEMA.features_for([kind])
+        rows = [f"2020-03-{1 + k // 4:02d},{fids[k % len(fids)]},{k % 2}.0,{60 * (k + 1)}" for k in range(n)]
+    path = mutated_file(data, tmp_path_factory.mktemp("blocks") / "file.csv", header, rows, mutations)
+    whole = by_blocks(WHOLE, lambda: parse_either(path, kind))
+    assert whole == outcome(lambda: reference_either(path, kind))
+    assert by_blocks(chars, lambda: parse_either(path, kind)) == whole
+    with mock.patch.object(ingest, "_plain_fields", return_value=None):
+        assert by_blocks(chars, lambda: parse_either(path, kind)) == whole
+
+
+def ring_lines(n):
+    return [f"2020-03-{1 + k // 10:02d},heart_rate,{60 + k % 7}.5,{5 + k % 3}" for k in range(n)]
+
+
+@pytest.mark.parametrize("chars", [1, 7, 64, 1000])
+def test_blocks_keep_line_numbers_and_the_earliest_bad_line(tmp_path, chars):
+    header = ",".join(MODALITY_HEADER)
+    lines = ring_lines(60)
+    # A bad row in a late block: same line and message as read whole.
+    lines[49] = "2020-03-05,heart_rate,6x,5"
+    late = write(tmp_path, "late.csv", "\n".join([header, *lines]) + "\n")
+    # A quote only in a late block sends the rest through csv.reader; the
+    # quoted line break moves the later lines down one.
+    quoted = lines[:]
+    quoted[40] = '2020-03-05,heart_rate,"61\n",5'
+    csv_path = write(tmp_path, "quoted.csv", "\r\n".join([header, *quoted]))
+    # A NUL in a late block, after a bad row in an early one: the early row
+    # is the one refused.
+    nul = lines[:]
+    nul[3], nul[45] = "2020-03-01,bogus,1.0,5", "2020-03-05,heart_rate,61\0,5"
+    nul_path = write(tmp_path, "nul.csv", "\n".join([header, *nul, "", ""]))
+    for path, expected in [
+        (late, (InputFormatError, f"{late}:51: could not convert string to float: '6x'")),
+        (csv_path, (InputFormatError, f"{csv_path}:52: could not convert string to float: '6x'")),
+        (nul_path, (SchemaError, f"{nul_path}:5: unknown feature id 'bogus'")),
+    ]:
+        parse = lambda: parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p01")  # noqa: E731
+        assert by_blocks(chars, parse) == by_blocks(WHOLE, parse) == expected
+    good = write(tmp_path, "good.csv", "\r\n".join([header, *lines[:49]]))
+    parse = lambda: parse_modality_file(good, TINY_SCHEMA, Modality.RING, "p01").rows.tolist()  # noqa: E731
+    assert by_blocks(chars, parse) == by_blocks(WHOLE, parse) == reference_parse(good, TINY_SCHEMA, Modality.RING)
+
+
+@pytest.mark.parametrize("chars", [100, 4096, WHOLE])
+def test_an_over_long_field_is_refused_from_any_block(tmp_path, chars):
+    limit = csv.field_size_limit()
+    header = ",".join(MODALITY_HEADER)
+    lines = ring_lines(30)
+    # a row with the longest field csv.reader takes is read, then refused by
+    # the schema; one a character longer is refused by csv.reader, which
+    # comes first though its line is later
+    lines[20] = f"2020-03-03,{'x' * limit},60.0,5"
+    lines[25] = f"2020-03-03,{'x' * (limit + 1)},60.0,5"
+    path = write(tmp_path, "long.csv", "\n".join([header, *lines]) + "\n")
+    assert by_blocks(chars, lambda: parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p01")) == (
+        InputFormatError, f"{path}:27: field larger than field limit ({limit})")
+    del lines[25]
+    path.write_text("\n".join([header, *lines]) + "\n")
+    error, message = by_blocks(chars, lambda: parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p01"))
+    assert error is SchemaError and message.startswith(f"{path}:22: unknown feature id 'xxx")
+
+
+@pytest.mark.parametrize("chars", [1, 50, WHOLE])
+def test_text_that_is_not_utf8_is_refused_first_wherever_it_is(tmp_path, chars):
+    header = ",".join(MODALITY_HEADER)
+    lines = ring_lines(400)
+    # before the bad byte, and more than a read-ahead of bytes before it, a
+    # bad row on the plain path, a field csv.reader refuses as too long or
+    # another header
+    for k, (first, line) in enumerate([
+        (header, "2020-03-01,bogus,1.0,5"),
+        (header, f"2020-03-01,{'x' * (csv.field_size_limit() + 1)},1.0,5"),
+        ("date,feature,value,duration_min", lines[2]),
+    ]):
+        path = tmp_path / f"ring{k}.csv"
+        text = "\n".join([first, *lines[:2], line, *lines[3:]]) + "\n"
+        path.write_bytes(text.encode() + b"2020-03-05,heart_rate,6\xff,5\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            with path.open(newline="", encoding="utf-8") as handle:
+                handle.read()
+        assert by_blocks(chars, lambda: parse_modality_file(path, TINY_SCHEMA, Modality.RING, "p01")) == (
+            InputFormatError, f"{path}: not UTF-8 text ({whole.value})")
+
+
+@pytest.mark.parametrize("chars", [1, 30, WHOLE])
+def test_a_repeated_rating_is_refused_at_its_line_across_blocks(tmp_path, chars):
+    header = ",".join(AFFECT_HEADER)
+    lines = [f"2020-03-{1 + k // 20:02d},{SURVEY_ITEMS[k % 20]},{k % 90}.5" for k in range(100)]
+    repeat = lines[:]
+    repeat[70] = lines[5]  # line 72 repeats line 7
+    later_bad = repeat[:]
+    later_bad[90] = "2020-03-05,proud,101"
+    earlier_bad = repeat[:]
+    earlier_bad[30] = "2020-03-02,proud,x"
+    rows = lambda: [(day, list(r.items.items())) for day, r in parse_affect_file(path).items()]  # noqa: E731
+    for changed, expected in [
+        (repeat, (InputFormatError, "72: duplicate rating for 'alert' on 2020-03-01")),
+        (later_bad, (InputFormatError, "72: duplicate rating for 'alert' on 2020-03-01")),
+        (earlier_bad, (InputFormatError, "32: could not convert string to float: 'x'")),
+        (lines, None),
+    ]:
+        path = write(tmp_path, "affect.csv", "\n".join([header, *changed]) + "\n")
+        whole = by_blocks(WHOLE, rows)
+        assert by_blocks(chars, rows) == whole == outcome(
+            lambda: [(day, list(items.items())) for day, items in reference_affect_parse(path).items()])
+        if expected:
+            assert whole == (expected[0], f"{path}:{expected[1]}")
+
+
+def test_a_directory_is_not_an_input_file(tmp_path):
+    for parse in (
+        lambda: parse_modality_file(tmp_path, TINY_SCHEMA, Modality.RING, "p01"),
+        lambda: parse_affect_file(tmp_path),
+    ):
+        with pytest.raises(MissingInputError, match=f"^not a file: {tmp_path}$"):
+            parse()
+
+
+def test_parsing_holds_a_block_at_a_time(tmp_path):
+    config = synth.cohort_config_from_dict({"n_participants": 1, "n_days": 400, "n_eligible": 1, "seed": 1234})
+    synth.write_cohort(config, tmp_path)
+    path = tmp_path / "p01_ring.csv"
+    schema = default_schema()
+    parse_modality_file(path, schema, Modality.RING, "p01")  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        rows = parse_modality_file(path, schema, Modality.RING, "p01").rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 11k rows and 0.58 MB of text; read whole, the text, a str per
+    # field and the column lists peaked at about 4.2 MB, a block at a time
+    # at about 1.4 MB
+    assert len(rows) > 10_000 and path.stat().st_size > 500_000
+    assert peak < 2_000_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fids=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), min_size=1, max_size=4),
+    numbers=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=9),
+    lines=st.integers(1, 4),
+)
+def test_csv_writers_write_the_same_bytes_in_any_block(tmp_path_factory, fids, numbers, lines):
+    rows = samples(
+        (date(2020, 3, 1 + k % 9), fids[k % len(fids)], numbers[k], numbers[k - 1]) for k in range(len(numbers))
+    )
+    reports = [AffectReport(date(2020, 3, 1 + k), {fid: 50.0 + k for fid in fids}) for k in range(len(numbers))]
+    written = []
+    for block in (lines, 1 << 20):
+        directory = tmp_path_factory.mktemp("blocks")
+        with mock.patch.object(ingest, "_BLOCK_LINES", block):
+            write_modality_csv(directory / "ring.csv", rows)
+            write_affect_csv(directory / "affect.csv", iter(reports))
+        written.append([(directory / name).read_bytes() for name in ("ring.csv", "affect.csv")])
+    assert written[0] == written[1]

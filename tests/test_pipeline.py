@@ -363,10 +363,11 @@ def test_stage_peaks_prints_each_stage_that_ran(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = [line.split() for line in done.stdout.splitlines()]
-        assert lines[0] == ["stage", "wall_s", "peak_rss_mb"]
+        assert lines[0] == ["stage", "wall_s", "peak_rss_mb", "rss_mb"]
         assert [line[0] for line in lines[1:]] == ["start", *stages, "manifest", "total"]
         peaks = [float(line[2]) for line in lines[1:]]
         assert peaks == sorted(peaks) and peaks[0] > 0
+        assert all(line[3] == "-" or float(line[3]) > 0 for line in lines[1:])
         assert list(tmp_path.iterdir()) == [config_path]
 
 
@@ -935,6 +936,18 @@ def save_four_row_dataset(path, y):
 def test_cli_exit_codes(tmp_path, capsys):
     # 3: input file does not exist
     assert main(["impute", "--in", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == 3
+    # 3: a directory given as an input file, one error line naming it
+    for argv in (
+        ["ingest", "--participant", "p01", "--ring", str(tmp_path), "--out", str(tmp_path / "t")],
+        ["ingest", "--participant", "p01", "--affect", str(tmp_path), "--out", str(tmp_path / "t")],
+        ["run", "--config", str(tmp_path)],
+        ["synth", "--config", str(tmp_path), "--out-dir", str(tmp_path / "s")],
+        ["impute", "--in", str(tmp_path), "--out", str(tmp_path / "x")],
+        ["label", "--in", str(tmp_path), "--target", "pa", "--out", str(tmp_path / "l")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: not a file: {tmp_path}\n"
     # 2: bad target name (timeline itself is valid)
     from affectpipe.core import save_timeline
     from conftest import make_timeline
